@@ -4,11 +4,12 @@ The cutter (:mod:`repro.cube.cutter`) splits the search space into a
 balanced tree of *cubes* — conjunctions of decision literals chosen by a
 lookahead heuristic that scores variables by J-frontier membership,
 correlation-class membership, fanout, and measured BCP propagation
-power.  The conquer driver (:mod:`repro.cube.conquer`) then solves each
-cube under assumptions on isolated :mod:`repro.runtime` workers, sharing
-correlations and proven lemmas between them
-(:mod:`repro.cube.sharing`) and pruning siblings with failed-assumption
-cores.  Speedup measurement lives in :mod:`repro.cube.bench`.
+power.  The cube scheduler (:mod:`repro.cube.conquer`) then solves each
+cube under assumptions on endpoints — isolated :mod:`repro.runtime`
+workers here, conquer nodes for :mod:`repro.dist` — sharing correlations
+and proven lemmas between them (:mod:`repro.cube.sharing`) and pruning
+siblings with failed-assumption cores.  Speedup measurement lives in
+:mod:`repro.cube.bench`.
 """
 
 from .conquer import (CubeOutcome, CubeReport, PRUNED, REFUTED, SKIPPED,

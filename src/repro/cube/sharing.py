@@ -34,6 +34,7 @@ DRUP proofs (see :func:`repro.cube.conquer.solve_cubes`).
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..csat.engine import CSatEngine
@@ -60,25 +61,31 @@ def deserialize_classes(classes) -> CorrelationSet:
 
 
 class SharedKnowledge:
-    """The conquer driver's accumulator: dedups lemmas across finishers."""
+    """The conquer driver's accumulator: dedups lemmas across finishers.
+
+    Safe to share between threads: ``lemmas`` only ever grows by
+    appending, so readers may slice it while another thread absorbs.
+    """
 
     def __init__(self, classes=None):
         self.classes = classes
         self.lemmas: List[List[int]] = []
         self._seen = set()
+        self._lock = threading.Lock()
 
     def absorb(self, clauses: Optional[Iterable[Sequence[int]]]) -> int:
         """Merge a finished worker's exports; returns how many were new."""
         if not clauses:
             return 0
         added = 0
-        for clause in clauses:
-            key = frozenset(clause)
-            if not key or key in self._seen:
-                continue
-            self._seen.add(key)
-            self.lemmas.append(list(clause))
-            added += 1
+        with self._lock:
+            for clause in clauses:
+                key = frozenset(clause)
+                if not key or key in self._seen:
+                    continue
+                self._seen.add(key)
+                self.lemmas.append(list(clause))
+                added += 1
         return added
 
     def snapshot(self, limit: int = MAX_SHARED_LEMMAS) -> List[List[int]]:

@@ -6,11 +6,11 @@
   wrapping the :mod:`repro.runtime` isolated worker pool.  It solves one
   cube per request (an assumption solve under hard limits) and keeps a
   per-circuit shared lemma pool.
-* :func:`~repro.dist.coordinator.solve_distributed` — cuts one cube tree
-  (the :mod:`repro.cube` lookahead cutter, sized by the *total* worker
-  count across nodes) and shards the leaves over the nodes with
-  hardest-first dispatch, work stealing, cluster-wide failed-assumption
-  core pruning, and periodic lemma exchange.
+* :func:`~repro.dist.coordinator.solve_distributed` — runs the
+  :mod:`repro.cube` scheduler with each node as a remote endpoint: one
+  cube tree sized by the *total* worker count across nodes, hardest-first
+  dispatch, work stealing, cluster-wide failed-assumption core pruning,
+  and periodic lemma exchange.
 
 The wire protocol reuses :mod:`repro.serve`'s conventions — structured
 ``{"error": {code, message}}`` envelopes, 400 versus 503 admission

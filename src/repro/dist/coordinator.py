@@ -1,145 +1,75 @@
 """Coordinator: shard one cube tree across remote conquer nodes.
 
 :func:`solve_distributed` is the multi-node sibling of
-:func:`repro.cube.solve_cubes`.  It runs the same pipeline — one
-simulation pass, one lookahead cut, hardest-first conquest with lemma
-sharing and failed-assumption-core pruning — but the conquerors are
-:class:`~repro.dist.node.ConquerNode` HTTP services instead of local
-subprocesses.  The cube tree is sized by the **total** worker count
-across nodes, so adding a node refines the partition exactly as adding
-local workers would (the granularity channel that gives the single-host
-speedup in ``BENCH_cube.json`` carries over unchanged).
+:func:`repro.cube.solve_cubes`.  Both run :mod:`repro.cube`'s one cube
+scheduler — one simulation pass, one lookahead cut, hardest-first
+conquest with work stealing, lemma sharing, failed-assumption-core
+pruning, retry with reseed, reassignment and checkpointing — but here
+every endpoint is a :class:`~repro.dist.node.ConquerNode` HTTP service
+whose slots are its workers.  The cube tree is sized by the **total**
+worker count across nodes, so adding a node refines the partition
+exactly as adding local workers would (the granularity channel that
+gives the single-host speedup in ``BENCH_cube.json`` carries over
+unchanged).
 
-Fabric semantics:
+What a remote endpoint adds to the shared loop:
 
-* **Dispatch** — each node gets one dispatcher thread per worker slot;
-  a slot pulls the hardest open cube, POSTs it, and long-polls for the
-  result.  Dispatches carry the coordinator's deduped lemma pool and
-  every result carries the node's — lemma exchange piggybacks on the
-  work traffic, with a periodic ``/exchange`` heartbeat covering idle
+* **Fabric** — each node is probed for its role and worker count before
+  the cut, and the circuit is registered on it after (exact-hash
+  checked: cube literals must mean the same node numbering on both
+  sides).
+* **Dispatch** — a slot POSTs its cube with the scheduler's lemma
+  snapshot and long-polls for the result, under an idempotency key that
+  a work-stealing re-issue shares.  Every result carries the node's
+  lemma pool back; a periodic ``/exchange`` heartbeat covers idle
   nodes.
-* **Work stealing** — an idle slot re-issues the longest-in-flight cube
-  of *another* node under the same idempotency key.  The first answer
-  to arrive is applied; later arrivals for an already-terminal cube are
-  discarded as duplicates, never double-counted (``applied`` guards
-  each cube to at most one terminal transition).
-* **Core pruning** — an UNSAT cube's failed-assumption core prunes
-  every queued cube whose literal set contains it, cluster-wide; an
-  empty core refutes the instance outright.
-* **Failure policy** — worker failures cross the wire verbatim in the
-  PR3 taxonomy.  CRASHED/CORRUPT_ANSWER/LOST cubes are re-dispatched
-  (reseeded) up to ``max_retries``; TIMEOUT/MEMOUT are final.  A dead
-  *node* (transport failure after the client's retry budget) has its
-  in-flight cubes reassigned to the survivors and its salvaged lemmas
-  — anything it pushed before dying — stay in the pool.
-* **Durability** — the :mod:`repro.cube` checkpointer persists per-cube
-  outcomes (including the owning node) and the lemma pool, so
-  ``resume_from`` survives coordinator death; closed cubes are never
-  re-solved.
+* **Node death** — a transport failure after the client's retry budget
+  marks the node dead, and the scheduler reassigns its in-flight cubes
+  to the survivors; its salvaged lemmas — anything it pushed before
+  dying — stay in the pool.  A restarted (amnesiac) node is registered
+  again and the cube requeued.
 * **Certification** — SAT models are certified on the node boundary
-  *and* re-certified here against the coordinator's own circuit, so
-  answers are trusted end-to-end without trusting any node.
+  *and* re-certified by the scheduler against the coordinator's own
+  circuit, so answers are trusted end-to-end without trusting any node.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
 from ..circuit.bench_io import write_bench
 from ..circuit.netlist import Circuit
 from ..csat.options import preset
-from ..cube.conquer import (CubeOutcome, PRUNED, SKIPPED, _CLOSED,
-                            _Checkpointer, _per_cube_limits, _restore_cubes,
-                            core_cube_literals, prunes)
-from ..cube.cutter import Cube, CutterOptions, generate_cubes
-from ..cube.sharing import SharedKnowledge, serialize_classes
+from ..cube.conquer import (Conquest, CubeReport, EndpointDown, NodeInfo,
+                            _conquer, validate_cube_args)
+from ..cube.cutter import Cube, CutterOptions
 from ..durable.checkpoint import exact_hash
-from ..errors import (CORRUPT_ANSWER, FAILURE_KINDS, SolverError,
-                      WorkerFailure)
-from ..obs import make_tracer
-from ..obs.context import child_context, context_of
+from ..errors import SolverError
 from ..obs.metrics import default_registry
-from ..result import Limits, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT
-from ..runtime.portfolio import RETRYABLE
-from ..runtime.supervisor import CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT
-from ..runtime.worker import KIND_CNF, KIND_CSAT
+from ..result import Limits, SolverResult, UNKNOWN
+from ..runtime.supervisor import CERTIFY_SAT
+from ..runtime.worker import KIND_CSAT
 from ..serve.client import ServeClient, ServeError
-from ..sim.correlation import find_correlations
-
-#: How many nodes may hold one cube in flight at once (the original
-#: owner plus one thief keeps straggler insurance without flooding the
-#: cluster with redundant solves).
-MAX_REDUNDANCY = 2
 
 
 @dataclass
-class NodeInfo:
-    """One conquer node as the coordinator sees it."""
-
-    url: str
-    name: str = ""
-    workers: int = 0
-    alive: bool = True
-    dispatched: int = 0
-    completed: int = 0
-    steals: int = 0          # dispatches that re-issued another node's cube
-    duplicates: int = 0      # answers discarded because the cube was closed
-    lemmas_sent: int = 0
-    lemmas_received: int = 0
-    detail: str = ""
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"url": self.url, "name": self.name, "workers": self.workers,
-                "alive": self.alive, "dispatched": self.dispatched,
-                "completed": self.completed, "steals": self.steals,
-                "duplicates": self.duplicates,
-                "lemmas_sent": self.lemmas_sent,
-                "lemmas_received": self.lemmas_received,
-                "detail": self.detail}
-
-
-@dataclass
-class DistReport:
+class DistReport(CubeReport):
     """Everything one distributed conquest produced."""
 
-    result: SolverResult
-    cubes: List[CubeOutcome] = field(default_factory=list)
     nodes: List[NodeInfo] = field(default_factory=list)
     total_workers: int = 0
-    generation_seconds: float = 0.0
-    lookaheads: int = 0
-    lemmas_shared: int = 0
-    pruned: int = 0
-    duplicates: int = 0
-    steals: int = 0
-    reassigned: int = 0
-    certified: int = 0
-    #: Cube results applied more than once — the exactly-once invariant;
-    #: anything non-zero is a fabric bug, asserted by the chaos bench.
-    double_counted: int = 0
-    elapsed: float = 0.0
-    resumed: int = 0
 
-    @property
-    def lost(self) -> int:
-        """Cubes with no terminal outcome despite the run finishing with
-        an answer — must be 0 whenever ``result`` is SAT/UNSAT."""
-        if self.result.status == UNSAT:
-            return sum(1 for c in self.cubes if c.status not in _CLOSED)
-        return 0
+    engine: ClassVar[str] = "dist"
 
     def summary(self) -> str:
         alive = sum(1 for n in self.nodes if n.alive)
-        closed = sum(1 for c in self.cubes if c.status in _CLOSED)
         return ("{} [dist] {} cubes over {}/{} nodes ({} closed, "
                 "{} pruned, {} stolen, {} reassigned), {} lemmas shared, "
                 "{:.3f}s".format(
                     self.result.status, len(self.cubes), alive,
-                    len(self.nodes), closed, self.pruned, self.steals,
+                    len(self.nodes), self.closed, self.pruned, self.steals,
                     self.reassigned, self.lemmas_shared, self.elapsed))
 
     def as_dict(self) -> Dict[str, Any]:
@@ -161,30 +91,195 @@ class DistReport:
                 "resumed": self.resumed,
                 "result": self.result.as_dict()}
 
+    def end_fields(self) -> Dict[str, Any]:
+        fields = super().end_fields()
+        fields.update(steals=self.steals, duplicates=self.duplicates,
+                      reassigned=self.reassigned)
+        return fields
 
-class _NodeState:
-    """Runtime state per node: the client plus the lemma cursors."""
+    def record_metrics(self, registry) -> None:
+        super().record_metrics(registry)
+        registry.counter(
+            "repro_dist_steals_total",
+            "Cubes re-issued to an idle node").inc(self.steals)
+        registry.counter(
+            "repro_dist_duplicates_total",
+            "Duplicate cube answers discarded").inc(self.duplicates)
+        registry.counter(
+            "repro_dist_reassigned_total",
+            "In-flight cubes reassigned off a dead node").inc(
+                self.reassigned)
 
-    def __init__(self, url: str, client: ServeClient):
-        self.info = NodeInfo(url=url)
+
+class _RemoteEndpoint:
+    """One conquer node: probe, register, dispatch, poll and exchange."""
+
+    def __init__(self, client: ServeClient, *, kind: str, preset_name: str,
+                 backend: str, share_lemmas: bool, exchange_every: float,
+                 poll_seconds: float, label: str):
+        self.info = NodeInfo(url=client.url)
         self.client = client
+        self.kind = kind
+        self.preset_name = preset_name
+        self.backend = backend
+        self.share_lemmas = share_lemmas
+        self.exchange_every = exchange_every
+        self.poll_seconds = poll_seconds
+        self.label = label
         self.cursor = 0       # how much of the node pool we have pulled
         self.sent = 0         # how much of our pool we have pushed
+        self.key = ""         # the circuit's exact hash, once open
+        self.conquest: Optional[Conquest] = None
+        self._heartbeat: Optional[threading.Thread] = None
 
-    @property
-    def alive(self) -> bool:
-        return self.info.alive
+    def probe(self) -> None:
+        """Learn the node's name and worker count (or mark it dead)."""
+        try:
+            health = self.client.health()
+        except ServeError as exc:
+            self.info.alive = False
+            self.info.detail = str(exc)
+            return
+        if health.get("role") != "conquer-node":
+            self.info.alive = False
+            self.info.detail = ("not a conquer node (role {!r})"
+                                .format(health.get("role")))
+            return
+        self.info.name = str(health.get("name") or self.info.url)
+        self.info.workers = max(1, int(health.get("workers") or 1))
 
+    def open(self, conquest: Conquest) -> None:
+        self.conquest = conquest
+        self.key = exact_hash(conquest.circuit)
+        if self.register():
+            self._heartbeat = threading.Thread(
+                target=self._exchange_loop, daemon=True,
+                name="dist-exchange-{}".format(self.info.name))
+            self._heartbeat.start()
 
-def _parse_nodes(nodes: Sequence[str], timeout: float,
-                 retries: int) -> List[_NodeState]:
-    states = []
-    for url in nodes:
-        client = ServeClient.from_url(url, timeout=timeout, retries=retries)
-        states.append(_NodeState(client.url, client))
-    if not states:
-        raise SolverError("distributed solve needs at least one node URL")
-    return states
+    def register(self) -> bool:
+        conquest = self.conquest
+        try:
+            reply = self.client.call("POST", "/circuit", body={
+                "circuit": write_bench(conquest.circuit), "format": "bench",
+                "objectives": conquest.objectives,
+                "classes": conquest.knowledge.classes, "label": self.label})
+        except ServeError as exc:
+            self.info.alive = False
+            self.info.detail = "register failed: {}".format(exc)
+            return False
+        if reply.get("key") != self.key:
+            self.info.alive = False
+            self.info.detail = ("circuit hash mismatch after transfer "
+                                "({} != {})".format(reply.get("key"),
+                                                    self.key))
+            return False
+        return True
+
+    def solve(self, cube: Cube, attempt: int,
+              lemmas: Optional[List[List[int]]],
+              limits: Optional[Limits]) -> Optional[Dict[str, Any]]:
+        """POST one cube and poll it to a terminal state; None when the
+        poll was abandoned (run decided, budget spent) or the node lost
+        the circuit and was registered again."""
+        conquest = self.conquest
+        tracer = conquest.tracer
+        span = None
+        if tracer is not None and conquest.span is not None:
+            span = conquest.span.child()
+            fields = span.as_fields()
+            fields.update(name="dispatch", node=self.info.name,
+                          cube=cube.index, attempt=attempt)
+            tracer.emit("span_start", **fields)
+        key = "cube-{}-{}-a{}".format(self.key[:12], cube.index, attempt)
+        body: Dict[str, Any] = {
+            "key": self.key, "cube": list(cube.literals), "attempt": attempt,
+            "idempotency_key": key, "wait": self.poll_seconds,
+            "kind": self.kind, "preset": self.preset_name,
+            "backend": self.backend,
+        }
+        if limits is not None:
+            body["limits"] = {"max_seconds": limits.max_seconds,
+                              "max_conflicts": limits.max_conflicts,
+                              "max_decisions": limits.max_decisions}
+        if lemmas is not None:
+            body["lemmas"] = lemmas
+            with conquest.lock:
+                self.info.lemmas_sent += len(lemmas)
+        if span is not None:
+            body["trace_id"] = span.trace_id
+            body["parent_span"] = span.span_id
+        registry = default_registry()
+        if registry is not None:
+            registry.counter(
+                "repro_dist_dispatch_total",
+                "Cube dispatches to conquer nodes",
+                labelnames=("node",)).labels(self.info.name).inc()
+        status = "error"
+        try:
+            snap = self.client.call(
+                "POST", "/conquer", body=body,
+                timeout=self.poll_seconds + self.client.timeout)
+            if snap.get("deduped") and tracer is not None:
+                tracer.emit("dist_dedup", node=self.info.name,
+                            cube=cube.index, key=key)
+            while snap.get("state") not in ("DONE", "CANCELLED"):
+                left = conquest.remaining()
+                if conquest.stop.is_set() or (left is not None
+                                              and left <= 0):
+                    break
+                wait = self.poll_seconds if left is None \
+                    else max(0.1, min(self.poll_seconds, left))
+                snap = self.client.call(
+                    "GET", "/result/{}?wait={:g}".format(snap["job"], wait),
+                    timeout=wait + self.client.timeout)
+            result = snap.get("result") if snap.get("state") == "DONE" \
+                else None
+            status = (result or {}).get("status") or "abandoned"
+            return result
+        except ServeError as exc:
+            if exc.code == "unknown-circuit" and self.register():
+                return None  # restarted (amnesiac) node: requeue the cube
+            raise EndpointDown(str(exc)) from exc
+        finally:
+            if span is not None:
+                tracer.emit("span_end", span=span.span_id, status=status)
+
+    def _exchange_loop(self) -> None:
+        """Heartbeat: push fresh pool entries, pull the node's."""
+        conquest = self.conquest
+        while not conquest.stop.wait(self.exchange_every):
+            if not self.info.alive:
+                return
+            with conquest.lock:
+                lemmas = conquest.knowledge.lemmas
+                batch = ([list(c) for c in lemmas[self.sent:]]
+                         if self.share_lemmas else [])
+                sent_cursor = len(lemmas)
+            try:
+                reply = self.client.call(
+                    "POST", "/exchange",
+                    body={"key": self.key, "lemmas": batch,
+                          "since": self.cursor},
+                    retries=0, timeout=min(10.0, self.client.timeout))
+            except ServeError:
+                continue  # the dispatch path decides liveness
+            self.sent = sent_cursor
+            with conquest.lock:
+                self.info.lemmas_sent += len(batch)
+            self.cursor = int(reply.get("next") or self.cursor)
+            conquest.absorb(reply.get("lemmas"), self.info)
+            registry = default_registry()
+            if registry is not None and batch:
+                registry.counter(
+                    "repro_dist_lemmas_exchanged_total",
+                    "Lemmas sent to conquer nodes by the heartbeat",
+                    labelnames=("direction",)).labels("sent").inc(
+                        len(batch))
+
+    def close(self) -> None:
+        if self._heartbeat is not None:
+            self._heartbeat.join(self.exchange_every + 1.0)
 
 
 def solve_distributed(circuit: Circuit,
@@ -220,658 +315,40 @@ def solve_distributed(circuit: Circuit,
     :class:`repro.durable.checkpoint.CheckpointError` for a checkpoint
     that does not belong to this instance.
     """
-    if kind not in (KIND_CSAT, KIND_CNF):
-        raise ValueError("cube workers must be csat or cnf, not "
-                         "{!r}".format(kind))
-    if certify not in CERTIFY_LEVELS or certify == CERTIFY_FULL:
-        raise ValueError(
-            "distributed cube mode certifies SAT models only "
-            "(certify='sat' or 'off'); per-cube refutations carry no "
-            "closed DRUP derivation")
-    if budget is not None:
-        Limits(max_seconds=budget).validate()
-    if limits is not None:
-        limits.validate()
-
-    tracer = make_tracer(trace)
-    from ..obs import Tracer as _Tracer
-    owns_tracer = tracer is not None and not isinstance(trace, _Tracer)
-    span_ctx = None
-    if tracer is not None:
-        span_ctx = child_context(context_of(tracer))
-        tracer.context = span_ctx
-        fields = span_ctx.as_fields()
-        fields.update(name="dist", nodes=len(nodes))
-        tracer.emit("span_start", **fields)
-
-    if objectives is None:
-        objectives = list(circuit.outputs)
-        if not objectives:
-            raise SolverError("circuit has no outputs and no objectives "
-                              "were given")
-    objectives = list(objectives)
-
-    # ------------------------------------------------------------------
-    # Probe the fabric
-    # ------------------------------------------------------------------
-    states = _parse_nodes(nodes, client_timeout, client_retries)
-    for state in states:
-        try:
-            health = state.client.health()
-        except ServeError as exc:
-            state.info.alive = False
-            state.info.detail = str(exc)
-            continue
-        if health.get("role") != "conquer-node":
-            state.info.alive = False
-            state.info.detail = ("not a conquer node (role {!r})"
-                                 .format(health.get("role")))
-            continue
-        state.info.name = str(health.get("name") or state.info.url)
-        state.info.workers = max(1, int(health.get("workers") or 1))
-    alive = [s for s in states if s.alive]
-    if not alive:
-        if tracer is not None and owns_tracer:
-            tracer.close()
-        raise SolverError("no conquer node reachable: {}".format(
-            "; ".join("{} ({})".format(s.info.url, s.info.detail)
-                      for s in states)))
-    total_workers = sum(s.info.workers for s in alive)
-    if tracer is not None:
-        tracer.emit("dist_fabric", nodes=len(alive),
-                    total_workers=total_workers,
-                    urls=[s.info.url for s in alive])
-
-    start = time.perf_counter()
-    deadline = start + budget if budget is not None else None
-
-    # ------------------------------------------------------------------
-    # Cut (sized by the whole fabric's worker count)
-    # ------------------------------------------------------------------
-    resumed_checkpoint = None
-    if resume_from is not None:
-        from ..durable.checkpoint import load_checkpoint
-        try:
-            resumed_checkpoint = load_checkpoint(resume_from)
-            resumed_checkpoint.validate_for(circuit, objectives)
-        except Exception:
-            if tracer is not None and owns_tracer:
-                tracer.close()
-            raise
-        if checkpoint_path is None:
-            checkpoint_path = resume_from
-
-    base_options = preset(preset_name)
-    seed = sim_seed if sim_seed is not None else base_options.sim_seed
-    t0 = time.perf_counter()
-    correlations = find_correlations(
-        circuit, seed=seed, width=base_options.sim_width,
-        stall_rounds=base_options.sim_stall_rounds,
-        max_rounds=base_options.sim_max_rounds,
-        max_class_size=base_options.max_class_size)
-    sim_seconds = time.perf_counter() - t0
-
-    cutter = cutter or CutterOptions()
-    outcomes: Dict[int, CubeOutcome] = {}
-    depths: Dict[int, int] = {}
-    resumed = 0
-    if resumed_checkpoint is not None:
-        cube_set, resumed = _restore_cubes(resumed_checkpoint, outcomes,
-                                           depths, tracer)
-    else:
-        cube_set = generate_cubes(circuit, objectives, options=cutter,
-                                  correlations=correlations,
-                                  workers=total_workers)
-        if tracer is not None:
-            tracer.emit("cube_generated", cubes=len(cube_set.cubes),
-                        refuted=len(cube_set.refuted),
-                        trivial=cube_set.trivial,
-                        lookaheads=cube_set.lookaheads,
-                        seconds=round(cube_set.seconds, 6))
-        for cube in cube_set.cubes:
-            outcomes[cube.index] = CubeOutcome(cube.index,
-                                               list(cube.literals))
-            depths[cube.index] = cube.depth
-        for cube in cube_set.refuted:
-            outcomes[cube.index] = CubeOutcome(cube.index,
-                                               list(cube.literals),
-                                               status="REFUTED")
-            depths[cube.index] = cube.depth
-
-    exact = exact_hash(circuit)
-    checkpointer = None
-    if checkpoint_path is not None:
-        if resumed_checkpoint is not None:
-            digest = resumed_checkpoint.digest
-        else:
-            from ..serve.fingerprint import fingerprint as _fingerprint
-            digest = _fingerprint(circuit).digest
-        checkpointer = _Checkpointer(checkpoint_path, checkpoint_every,
-                                     digest, exact, objectives, outcomes,
-                                     depths, tracer=tracer)
-
-    knowledge = SharedKnowledge(classes=serialize_classes(correlations))
-    if resumed_checkpoint is not None and resumed_checkpoint.lemmas:
-        knowledge.absorb(resumed_checkpoint.lemmas)
-    if checkpointer is not None:
-        checkpointer.lemmas_fn = lambda: [list(c) for c in knowledge.lemmas]
-
+    validate_cube_args(kind, certify, budget, limits)
+    options = preset(preset_name)
+    if sim_seed is not None:
+        options = options.replace(sim_seed=sim_seed)
+    endpoints = [_RemoteEndpoint(
+        ServeClient.from_url(url, timeout=client_timeout,
+                             retries=client_retries),
+        kind=kind, preset_name=preset_name, backend=backend,
+        share_lemmas=share_lemmas, exchange_every=exchange_every,
+        poll_seconds=poll_seconds, label=label) for url in nodes]
+    if not endpoints:
+        raise SolverError("distributed solve needs at least one node URL")
     report = DistReport(result=SolverResult(status=UNKNOWN),
-                        nodes=[s.info for s in states],
-                        total_workers=total_workers,
-                        generation_seconds=cube_set.seconds,
-                        lookaheads=cube_set.lookaheads,
-                        resumed=resumed)
+                        nodes=[e.info for e in endpoints])
 
-    def finish(result: SolverResult) -> DistReport:
-        result.engine = "dist"
-        result.sim_seconds = sim_seconds
-        result.time_seconds = time.perf_counter() - start
-        report.result = result
-        report.cubes = [outcomes[i] for i in sorted(outcomes)]
-        report.pruned = sum(1 for c in report.cubes if c.status == PRUNED)
-        report.elapsed = result.time_seconds
-        if checkpointer is not None and outcomes:
-            checkpointer.save()
-        registry = default_registry()
-        if registry is not None:
-            cubes_total = registry.counter(
-                "repro_dist_cubes_total",
-                "Distributed cube outcomes by final status",
-                labelnames=("status",))
-            for outcome in report.cubes:
-                cubes_total.labels(status=outcome.status).inc()
-            registry.counter(
-                "repro_dist_lemmas_exchanged_total",
-                "Lemmas exchanged across the fabric, by direction",
-                labelnames=("direction",)).labels("absorbed").inc(
-                    report.lemmas_shared)
-            registry.counter(
-                "repro_dist_steals_total",
-                "Cubes re-issued to an idle node").inc(report.steals)
-            registry.counter(
-                "repro_dist_duplicates_total",
-                "Duplicate cube answers discarded").inc(report.duplicates)
-            registry.counter(
-                "repro_dist_reassigned_total",
-                "In-flight cubes reassigned off a dead node").inc(
-                    report.reassigned)
+    def connect(tracer) -> List[_RemoteEndpoint]:
+        for endpoint in endpoints:
+            endpoint.probe()
+        alive = [e for e in endpoints if e.info.alive]
+        if not alive:
+            raise SolverError("no conquer node reachable: {}".format(
+                "; ".join("{} ({})".format(e.info.url, e.info.detail)
+                          for e in endpoints)))
+        report.total_workers = sum(e.info.workers for e in alive)
         if tracer is not None:
-            tracer.emit("dist_end", status=result.status,
-                        cubes=len(report.cubes), pruned=report.pruned,
-                        steals=report.steals, duplicates=report.duplicates,
-                        reassigned=report.reassigned,
-                        lemmas=report.lemmas_shared,
-                        seconds=round(report.elapsed, 6))
-            if span_ctx is not None:
-                tracer.emit("span_end", span=span_ctx.span_id,
-                            status=result.status)
-            if owns_tracer:
-                tracer.close()
-        return report
+            tracer.emit("dist_fabric", nodes=len(alive),
+                        total_workers=report.total_workers,
+                        urls=[e.info.url for e in alive])
+        return alive
 
-    if cube_set.trivial is not None:
-        return finish(SolverResult(status=cube_set.trivial,
-                                   model=cube_set.model))
-    if not cube_set.cubes:
-        return finish(SolverResult(status=UNSAT))
-
-    # ------------------------------------------------------------------
-    # Register the circuit on every node (exact-hash checked: cube
-    # literals must mean the same node numbering on both sides)
-    # ------------------------------------------------------------------
-    circuit_text = write_bench(circuit)
-    register_body = {"circuit": circuit_text, "format": "bench",
-                     "objectives": objectives,
-                     "classes": knowledge.classes, "label": label}
-
-    def register(state: _NodeState) -> bool:
-        try:
-            reply = state.client.call("POST", "/circuit",
-                                      body=register_body)
-        except ServeError as exc:
-            state.info.alive = False
-            state.info.detail = "register failed: {}".format(exc)
-            return False
-        if reply.get("key") != exact:
-            state.info.alive = False
-            state.info.detail = ("circuit hash mismatch after transfer "
-                                 "({} != {})".format(reply.get("key"),
-                                                     exact))
-            return False
-        return True
-
-    for state in alive:
-        register(state)
-    alive = [s for s in states if s.alive]
-    if not alive:
-        if tracer is not None and owns_tracer:
-            tracer.close()
-        raise SolverError("circuit registration failed on every node: "
-                          + "; ".join("{} ({})".format(s.info.url,
-                                                       s.info.detail)
-                                      for s in states))
-
-    # ------------------------------------------------------------------
-    # Shared dispatch state
-    # ------------------------------------------------------------------
-    lock = threading.Lock()
-    cv = threading.Condition(lock)
-    open_cubes: "deque[tuple]" = deque(
-        (cube, 0) for cube in cube_set.cubes)
-
-    class _InFlight:
-        __slots__ = ("cube", "attempt", "owners", "started")
-
-        def __init__(self, cube: Cube, attempt: int, owner: str):
-            self.cube = cube
-            self.attempt = attempt
-            self.owners: Set[str] = {owner}
-            self.started = time.perf_counter()
-
-    inflight: Dict[int, _InFlight] = {}
-    applied: Dict[int, int] = {}
-    failures: List[WorkerFailure] = []
-    merged = SolverStats()
-    stop = threading.Event()
-    win: List[Optional[SolverResult]] = [None]
-    unknown = [False]
-
-    def remaining() -> Optional[float]:
-        if deadline is None:
-            return None
-        return deadline - time.perf_counter()
-
-    def node_dead(state: _NodeState, why: str) -> None:
-        """Mark a node dead and reassign its in-flight cubes."""
-        with cv:
-            if not state.info.alive:
-                return
-            state.info.alive = False
-            state.info.detail = why
-            name = state.info.name
-            for index in list(inflight):
-                entry = inflight[index]
-                entry.owners.discard(name)
-                if not entry.owners:
-                    del inflight[index]
-                    if outcomes[index].status == SKIPPED:
-                        open_cubes.appendleft((entry.cube, entry.attempt))
-                        report.reassigned += 1
-            cv.notify_all()
-        registry = default_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_dist_node_failures_total",
-                "Conquer nodes lost mid-run",
-                labelnames=("node",)).labels(state.info.name or
-                                             state.info.url).inc()
-        if tracer is not None:
-            tracer.emit("dist_node_dead", node=state.info.name,
-                        url=state.info.url, why=why,
-                        reassigned=report.reassigned)
-
-    def acquire(state: _NodeState):
-        """Next (cube, attempt, stolen) for one slot, or None to exit."""
-        name = state.info.name
-        with cv:
-            while True:
-                if stop.is_set() or win[0] is not None \
-                        or not state.info.alive:
-                    return None
-                left = remaining()
-                if left is not None and left <= 0:
-                    unknown[0] = True
-                    return None
-                while open_cubes:
-                    cube, attempt = open_cubes.popleft()
-                    if outcomes[cube.index].status != SKIPPED:
-                        continue  # pruned (or closed) while queued
-                    inflight[cube.index] = _InFlight(cube, attempt, name)
-                    return cube, attempt, False
-                # Nothing queued: steal the longest-in-flight cube of
-                # another node (straggler insurance).
-                now = time.perf_counter()
-                candidate = None
-                for entry in inflight.values():
-                    if name in entry.owners:
-                        continue
-                    if len(entry.owners) >= MAX_REDUNDANCY:
-                        continue
-                    if now - entry.started < steal_after:
-                        continue
-                    if candidate is None \
-                            or entry.started < candidate.started:
-                        candidate = entry
-                if candidate is not None:
-                    candidate.owners.add(name)
-                    report.steals += 1
-                    state.info.steals += 1
-                    if tracer is not None:
-                        tracer.emit("dist_steal", node=name,
-                                    cube=candidate.cube.index,
-                                    attempt=candidate.attempt)
-                    return candidate.cube, candidate.attempt, True
-                if not inflight:
-                    return None  # partition fully accounted for
-                timeout = 0.25
-                if left is not None:
-                    timeout = min(timeout, max(0.0, left))
-                cv.wait(timeout)
-
-    def absorb(lemmas, state: Optional[_NodeState] = None) -> int:
-        if not share_lemmas or not lemmas:
-            return 0
-        with lock:
-            new = knowledge.absorb(lemmas)
-            report.lemmas_shared += new
-        if state is not None and new:
-            state.info.lemmas_received += new
-        return new
-
-    def apply_result(state: _NodeState, cube: Cube, attempt: int,
-                     payload: Dict[str, Any], seconds: float) -> None:
-        """Fold one node answer into the run — exactly once per cube."""
-        absorb(payload.get("lemmas"), state)
-        status = payload.get("status")
-        failure = payload.get("failure")
-        with cv:
-            entry = inflight.get(cube.index)
-            outcome = outcomes[cube.index]
-            if entry is None or outcome.status != SKIPPED:
-                # A sibling (steal or reassignment) already closed this
-                # cube: discard, never double-count.
-                report.duplicates += 1
-                state.info.duplicates += 1
-                cv.notify_all()
-                return
-            applied[cube.index] = applied.get(cube.index, 0) + 1
-            if applied[cube.index] > 1:
-                report.double_counted += 1
-            state.info.completed += 1
-            outcome.attempts = max(outcome.attempts, attempt + 1)
-            outcome.seconds += seconds
-            outcome.node = state.info.name
-            terminal = True
-            if status == SAT:
-                model = {int(n): bool(v)
-                         for n, v in (payload.get("model") or {}).items()}
-                defect = None
-                if certify != "off":
-                    from ..verify.certify import certify_sat_model
-                    certificate = certify_sat_model(
-                        circuit, model,
-                        objectives + list(cube.literals))
-                    defect = None if certificate.ok else certificate.detail
-                if defect is None:
-                    outcome.status = SAT
-                    report.certified += 1
-                    win[0] = SolverResult(status=SAT, model=model)
-                    inflight.pop(cube.index, None)
-                    cv.notify_all()
-                    return
-                # A model that does not replay is a corrupt answer: same
-                # taxonomy, same retry policy as a local worker.
-                status = "FAILED"
-                failure = {"kind": CORRUPT_ANSWER,
-                           "detail": "node model failed coordinator "
-                                     "certification: {}".format(defect),
-                           "engine": state.info.name, "seconds": seconds}
-            if status == UNSAT:
-                outcome.status = UNSAT
-                outcome.lemmas_exported = int(
-                    payload.get("lemmas_exported") or 0)
-                report.certified += 1
-                core = payload.get("core")
-                core_cube = core_cube_literals(
-                    [int(l) for l in core] if core is not None else None,
-                    cube.literals)
-                outcome.core_size = (None if core_cube is None
-                                     else len(core_cube))
-                if core_cube is not None:
-                    if not core_cube:
-                        win[0] = SolverResult(status=UNSAT)
-                    else:
-                        for other, _att in open_cubes:
-                            other_out = outcomes[other.index]
-                            if other_out.status == SKIPPED \
-                                    and prunes(core_cube, other.literals):
-                                other_out.status = PRUNED
-                                other_out.pruned_by = cube.index
-                                if tracer is not None:
-                                    tracer.emit("cube_prune",
-                                                cube=other.index,
-                                                by=cube.index)
-            elif status == UNKNOWN:
-                outcome.status = UNKNOWN
-                unknown[0] = True
-            elif status == "FAILED" or failure is not None:
-                kind = str((failure or {}).get("kind") or "CRASHED")
-                if kind not in FAILURE_KINDS:
-                    kind = "CRASHED"
-                detail = str((failure or {}).get("detail") or "")
-                failures.append(WorkerFailure(
-                    kind, detail, engine=state.info.name, seconds=seconds))
-                outcome.status = kind
-                outcome.detail = detail
-                left = remaining()
-                if kind in RETRYABLE and attempt < max_retries \
-                        and (left is None or left > 0):
-                    outcome.status = SKIPPED
-                    outcome.detail = ""
-                    open_cubes.appendleft((cube, attempt + 1))
-                    applied[cube.index] -= 1
-                    terminal = False
-                    registry = default_registry()
-                    if registry is not None:
-                        registry.counter(
-                            "repro_dist_retries_total",
-                            "Cube dispatches requeued after a retryable "
-                            "failure", labelnames=("after",),
-                        ).labels(after=kind).inc()
-            elif status == SAT:
-                pass  # handled above
-            else:
-                # Unintelligible payload: treat as a lost answer.
-                failures.append(WorkerFailure(
-                    "LOST", "unintelligible node payload",
-                    engine=state.info.name, seconds=seconds))
-                outcome.status = "LOST"
-            stats = payload.get("stats")
-            if isinstance(stats, dict):
-                try:
-                    merged.merge(SolverStats(**stats))
-                except TypeError:
-                    pass
-            if terminal and checkpointer is not None:
-                checkpointer.completed()
-            inflight.pop(cube.index, None)
-            cv.notify_all()
-        if tracer is not None:
-            tracer.emit("cube_result", cube=cube.index,
-                        status=outcomes[cube.index].status,
-                        node=state.info.name,
-                        seconds=round(seconds, 6))
-
-    def dispatch(state: _NodeState, cube: Cube, attempt: int,
-                 stolen: bool) -> None:
-        """POST one cube and poll its result to a terminal state."""
-        key = "cube-{}-{}-a{}".format(exact[:12], cube.index, attempt)
-        span = None
-        if tracer is not None and span_ctx is not None:
-            span = span_ctx.child()
-            fields = span.as_fields()
-            fields.update(name="dispatch", node=state.info.name,
-                          cube=cube.index, attempt=attempt, stolen=stolen)
-            tracer.emit("span_start", **fields)
-        left = remaining()
-        body: Dict[str, Any] = {
-            "key": exact, "cube": list(cube.literals), "attempt": attempt,
-            "idempotency_key": key, "wait": poll_seconds,
-            "kind": kind, "preset": preset_name, "backend": backend,
-        }
-        per_cube = _per_cube_limits(limits, left)
-        if per_cube is not None:
-            body["limits"] = {
-                "max_seconds": per_cube.max_seconds,
-                "max_conflicts": per_cube.max_conflicts,
-                "max_decisions": per_cube.max_decisions}
-        if share_lemmas:
-            with lock:
-                batch = knowledge.snapshot()
-                state.sent = len(knowledge.lemmas)
-            body["lemmas"] = batch
-            state.info.lemmas_sent += len(batch)
-        if span is not None:
-            body["trace_id"] = span.trace_id
-            body["parent_span"] = span.span_id
-        t0 = time.perf_counter()
-        registry = default_registry()
-        if registry is not None:
-            registry.counter(
-                "repro_dist_dispatch_total",
-                "Cube dispatches to conquer nodes",
-                labelnames=("node",)).labels(state.info.name).inc()
-        state.info.dispatched += 1
-        try:
-            snap = state.client.call(
-                "POST", "/conquer", body=body,
-                timeout=poll_seconds + state.client.timeout)
-            if snap.get("deduped") and tracer is not None:
-                tracer.emit("dist_dedup", node=state.info.name,
-                            cube=cube.index, key=key)
-            while snap.get("state") not in ("DONE", "CANCELLED"):
-                if stop.is_set() or win[0] is not None:
-                    break
-                left = remaining()
-                if left is not None and left <= 0:
-                    unknown[0] = True
-                    break
-                wait = poll_seconds if left is None \
-                    else max(0.1, min(poll_seconds, left))
-                snap = state.client.call(
-                    "GET", "/result/{}?wait={:g}".format(snap["job"], wait),
-                    timeout=wait + state.client.timeout)
-        except ServeError as exc:
-            if exc.code == "unknown-circuit" and register(state):
-                # Node restarted (amnesiac): re-registered, requeue the
-                # cube for any slot to pick up fresh.
-                with cv:
-                    entry = inflight.get(cube.index)
-                    if entry is not None:
-                        entry.owners.discard(state.info.name)
-                        if not entry.owners:
-                            del inflight[cube.index]
-                            if outcomes[cube.index].status == SKIPPED:
-                                open_cubes.appendleft((cube, attempt))
-                    cv.notify_all()
-            else:
-                node_dead(state, str(exc))
-            if span is not None:
-                tracer.emit("span_end", span=span.span_id, status="error")
-            return
-        seconds = time.perf_counter() - t0
-        if snap.get("state") == "DONE" and snap.get("result") is not None:
-            apply_result(state, cube, attempt, snap["result"], seconds)
-        else:
-            # Abandoned poll (budget/win): drop our claim so stealing or
-            # reassignment still work for the survivors.
-            with cv:
-                entry = inflight.get(cube.index)
-                if entry is not None:
-                    entry.owners.discard(state.info.name)
-                    if not entry.owners:
-                        del inflight[cube.index]
-                        if outcomes[cube.index].status == SKIPPED \
-                                and not stop.is_set() and win[0] is None:
-                            open_cubes.appendleft((cube, attempt))
-                cv.notify_all()
-        if span is not None:
-            tracer.emit("span_end", span=span.span_id,
-                        status=outcomes[cube.index].status)
-
-    def slot_loop(state: _NodeState) -> None:
-        while True:
-            task = acquire(state)
-            if task is None:
-                with cv:
-                    cv.notify_all()
-                return
-            cube, attempt, stolen = task
-            dispatch(state, cube, attempt, stolen)
-
-    def exchange_loop() -> None:
-        """Heartbeat: push fresh pool entries, pull each node's."""
-        while not stop.wait(exchange_every):
-            if win[0] is not None:
-                return
-            for state in states:
-                if not state.info.alive:
-                    continue
-                with lock:
-                    batch = ([list(c)
-                              for c in knowledge.lemmas[state.sent:]]
-                             if share_lemmas else [])
-                    sent_cursor = len(knowledge.lemmas)
-                try:
-                    reply = state.client.call(
-                        "POST", "/exchange",
-                        body={"key": exact, "lemmas": batch,
-                              "since": state.cursor},
-                        retries=0, timeout=min(10.0,
-                                               state.client.timeout))
-                except ServeError:
-                    continue  # the dispatch path decides liveness
-                state.sent = sent_cursor
-                state.info.lemmas_sent += len(batch)
-                state.cursor = int(reply.get("next") or state.cursor)
-                absorb(reply.get("lemmas"), state)
-                registry = default_registry()
-                if registry is not None and batch:
-                    registry.counter(
-                        "repro_dist_lemmas_exchanged_total",
-                        "Lemmas exchanged across the fabric, by direction",
-                        labelnames=("direction",)).labels("sent").inc(
-                            len(batch))
-
-    threads: List[threading.Thread] = []
-    for state in alive:
-        for slot in range(state.info.workers):
-            threads.append(threading.Thread(
-                target=slot_loop, args=(state,),
-                name="dist-{}-{}".format(state.info.name, slot),
-                daemon=True))
-    heartbeat = threading.Thread(target=exchange_loop, name="dist-exchange",
-                                 daemon=True)
-    for thread in threads:
-        thread.start()
-    heartbeat.start()
-    try:
-        for thread in threads:
-            while thread.is_alive():
-                thread.join(0.5)
-                if win[0] is not None:
-                    stop.set()
-                left = remaining()
-                if left is not None and left <= 0:
-                    unknown[0] = True
-                    stop.set()
-    finally:
-        stop.set()
-        with cv:
-            cv.notify_all()
-        heartbeat.join(exchange_every + 1.0)
-        for thread in threads:
-            thread.join(poll_seconds + client_timeout + 5.0)
-
-    failure_dicts = [f.as_dict() for f in failures]
-    if win[0] is not None:
-        result = win[0]
-        result.stats = merged
-        result.failures = failure_dicts
-        return finish(result)
-    if outcomes and all(o.status in _CLOSED for o in outcomes.values()):
-        return finish(SolverResult(status=UNSAT, stats=merged,
-                                   failures=failure_dicts))
-    return finish(SolverResult(status=UNKNOWN, stats=merged,
-                               failures=failure_dicts))
+    return _conquer(
+        circuit, objectives, report, connect, trace=trace,
+        span_fields={"nodes": len(nodes)}, options=options, cutter=cutter,
+        budget=budget, limits=limits, certify=certify,
+        share_lemmas=share_lemmas, max_retries=max_retries,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        resume_from=resume_from, steal_after=steal_after)

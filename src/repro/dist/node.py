@@ -47,30 +47,25 @@ answer into the fabric.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import uuid
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
+from ..cube.conquer import run_cube
 from ..cube.sharing import SharedKnowledge
 from ..durable.checkpoint import exact_hash
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.context import SpanContext
 from ..obs.metrics import enable_metrics
-from ..result import Limits, SAT, UNSAT
-from ..runtime.portfolio import RESEED_STRIDE
-from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
-                                  spawn_worker)
+from ..result import Limits
+from ..runtime.supervisor import CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT
 from ..runtime.worker import KIND_CNF, KIND_CSAT, WorkerJob
-
-#: Hard cap on one HTTP request's blocking wait (same as repro.serve).
-MAX_WAIT_SECONDS = 600.0
+from ..serve.envelope import MAX_WAIT_SECONDS, JsonHandler
 
 #: Cube job states.
 QUEUED = "QUEUED"
@@ -115,19 +110,13 @@ class _Registration:
         self.classes = classes  # serialized correlation classes (or None)
         self.label = label
         self.pool = SharedKnowledge(classes=classes)
-        self.lock = threading.Lock()  # guards pool mutation
-
-    def absorb(self, lemmas) -> int:
-        with self.lock:
-            return self.pool.absorb(lemmas)
 
     def snapshot_since(self, since: int,
                        cap: int = 512) -> Tuple[List[List[int]], int]:
         """Pool entries past the caller's cursor (append-only indexing)."""
-        with self.lock:
-            since = max(0, min(since, len(self.pool.lemmas)))
-            fresh = [list(c) for c in self.pool.lemmas[since:since + cap]]
-            return fresh, since + len(fresh)
+        since = max(0, min(since, len(self.pool.lemmas)))
+        fresh = [list(c) for c in self.pool.lemmas[since:since + cap]]
+        return fresh, since + len(fresh)
 
 
 class NodeJob:
@@ -151,7 +140,6 @@ class NodeJob:
         self.result: Optional[Dict[str, Any]] = None
         self.seconds = 0.0
         self.created = time.perf_counter()
-        self.cancelled = False
         self._done = threading.Event()
 
     def finish(self, result: Dict[str, Any], state: str = DONE) -> None:
@@ -221,7 +209,7 @@ class ConquerNode:
         node = self
 
         class Handler(_NodeHandler):
-            conquer_node = node
+            service = node
 
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
@@ -328,7 +316,7 @@ class ConquerNode:
         if lemmas:
             # Piggybacked exchange: the dispatch carries the
             # coordinator's pool; absorb before the worker snapshots it.
-            reg.absorb(lemmas)
+            reg.pool.absorb(lemmas)
         job = existing = reject = None
         # _count() takes the same (non-reentrant) lock the condition
         # wraps, so bookkeeping happens after the critical section.
@@ -402,27 +390,16 @@ class ConquerNode:
     def _build_worker_job(self, job: NodeJob) -> WorkerJob:
         reg = job.reg
         kind = str(job.overrides.get("kind") or self.kind)
-        preset_name = str(job.overrides.get("preset") or self.preset_name)
-        backend = str(job.overrides.get("backend") or self.backend)
-        overrides: Dict[str, Any] = {}
-        seed_classes = reg.classes if kind == KIND_CSAT else None
-        if job.attempt and kind == KIND_CSAT:
-            # Retry-with-reseed, same policy as the local conquest: drop
-            # the seeded correlations and shift the simulation seed so a
-            # crash tied to shared state is not replayed verbatim.
-            from ..csat.options import preset as _preset
-            base_seed = _preset(preset_name).sim_seed
-            overrides["sim_seed"] = base_seed + RESEED_STRIDE * job.attempt
-            seed_classes = None
         return WorkerJob(
             circuit=reg.circuit,
             name="cube@{}".format(self.name),
-            kind=kind, preset_name=preset_name, backend=backend,
-            overrides=overrides,
+            kind=kind,
+            preset_name=str(job.overrides.get("preset") or self.preset_name),
+            backend=str(job.overrides.get("backend") or self.backend),
             objectives=list(reg.objectives),
             limits=job.limits, mem_limit_mb=self.mem_limit_mb,
             assumptions=list(job.cube),
-            seed_classes=seed_classes,
+            seed_classes=reg.classes if kind == KIND_CSAT else None,
             seed_lemmas=reg.pool.snapshot(),
             export_lemmas=True)
 
@@ -437,72 +414,33 @@ class ConquerNode:
                 context = SpanContext(trace_id=job.trace_id,
                                       span_id=job.parent_span)
             tracer = _SpanTracer(self.tracer, context)
-        wall = job.limits.max_seconds if job.limits is not None else None
         with self._lock:
             index = self._spawned
             self._spawned += 1
-        handle = spawn_worker(self._build_worker_job(job),
-                              wall_seconds=wall,
-                              grace_seconds=self.grace_seconds,
-                              index=index, tracer=tracer,
-                              start_method=self.start_method)
         started = time.perf_counter()
-        while True:
-            if self._stop_now.is_set() or job.cancelled:
-                handle.kill(tracer=tracer, reason="node-shutdown")
-                break
-            if handle.expired() or not handle.proc.is_alive():
-                break
-            try:
-                if handle.conn.poll(0.2):
-                    break
-            except (OSError, ValueError):
-                break
-        outcome = handle.reap(certify=self.certify, tracer=tracer)
+        payload = run_cube(
+            self._build_worker_job(job), job.attempt, job.reg.pool,
+            certify=self.certify, grace_seconds=self.grace_seconds,
+            index=index, tracer=tracer, start_method=self.start_method,
+            cancelled=lambda: ("node-shutdown" if self._stop_now.is_set()
+                               else None))
         job.seconds = time.perf_counter() - started
-        exported = 0
-        if outcome.lemmas:
-            # Sound for circuit AND objectives whether the worker
-            # finished (payload lemmas) or died on budget (salvage file).
-            exported = job.reg.absorb(outcome.lemmas)
-            if exported:
-                self._metric_counter(
-                    "repro_dist_node_lemmas_total",
-                    "Lemmas absorbed into the node pool",
-                    ("source",)).labels("worker").inc(exported)
-        if outcome.ok:
-            result = outcome.result
-            payload: Dict[str, Any] = {
-                "status": result.status,
-                "time_seconds": round(result.time_seconds, 6),
-                "interrupted": result.interrupted,
-                "stats": result.stats.as_dict(),
-                "core": result.core,
-                "certified": self.certify != "off"
-                and result.status == SAT,
-                "lemmas_exported": exported,
-                "maxrss_mb": outcome.maxrss_mb,
-            }
-            if result.model is not None:
-                payload["model"] = {str(n): bool(v)
-                                    for n, v in result.model.items()}
-            self._count("answer:{}".format(result.status))
+        if payload["lemmas_exported"]:
+            self._metric_counter(
+                "repro_dist_node_lemmas_total",
+                "Lemmas absorbed into the node pool",
+                ("source",)).labels("worker").inc(payload["lemmas_exported"])
+        status = payload["status"]
+        if status == "FAILED":
+            status = payload["failure"]["kind"]
+            self._count("failure:{}".format(status))
         else:
-            payload = {"status": "FAILED",
-                       "failure": outcome.failure.as_dict(),
-                       "lemmas_exported": exported,
-                       "maxrss_mb": outcome.maxrss_mb}
-            self._count("failure:{}".format(outcome.failure.kind))
-        # Fresh pool knowledge rides back on the result so the
-        # coordinator absorbs without a separate /exchange round.
-        payload["lemmas"] = job.reg.pool.snapshot(limit=128)
+            self._count("answer:{}".format(status))
         job.finish(payload)
         self._metric_counter(
             "repro_dist_node_cubes_total",
             "Cubes solved by this conquer node, by outcome",
-            ("status",)).labels(
-                payload.get("status") if outcome.ok
-                else outcome.failure.kind).inc()
+            ("status",)).labels(status).inc()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -548,122 +486,36 @@ class AdmissionRejected(ReproError):
         self.msg = message
 
 
-class _NodeHandler(BaseHTTPRequestHandler):
-    """One HTTP request; all state lives on ``conquer_node``."""
+class _NodeHandler(JsonHandler):
+    """One HTTP request; all state lives on ``service`` (the node)."""
 
-    conquer_node: ConquerNode = None  # injected by ConquerNode
-    protocol_version = "HTTP/1.1"
+    service: ConquerNode = None  # injected by ConquerNode
+    service_noun = "node"
     server_version = "repro-conquer-node/" + __version__
 
-    def log_message(self, fmt, *args):  # noqa: D102 — tracer is the channel
-        pass
-
-    # ------------------------------------------------------------------
-    # Plumbing (same envelope as repro.serve)
-    # ------------------------------------------------------------------
-
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _error(self, code: int, err_code: str, message: str) -> None:
-        self._send_json(code, {"error": {"code": err_code,
-                                         "message": message}})
-
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
-
-    def _route(self) -> Tuple[str, Dict[str, str]]:
-        parsed = urlparse(self.path)
-        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-        return parsed.path.rstrip("/") or "/", query
-
-    # ------------------------------------------------------------------
-    # GET
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        path, query = self._route()
-        node = self.conquer_node
+    def get(self, path: str, query: Dict[str, str]) -> bool:
+        node = self.service
         if path == "/health":
             self._send_json(200, {"ok": True, "version": __version__,
                                   "role": "conquer-node",
                                   "name": node.name,
                                   "workers": node.workers})
-            return
-        if path == "/status":
+        elif path == "/status":
             self._send_json(200, {"ok": True, "node": node.stats()})
-            return
-        if path == "/metrics":
-            body = node.registry.render().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if path.startswith("/result/"):
-            self._get_result(path[len("/result/"):], query)
-            return
-        self._error(404, "not-found", "unknown endpoint {}".format(path))
+        else:
+            return False
+        return True
 
-    def _get_result(self, job_id: str, query: Dict[str, str]) -> None:
-        job = self.conquer_node.job(job_id)
-        if job is None:
-            self._error(404, "unknown-job",
-                        "no job {!r} on this node".format(job_id))
-            return
-        try:
-            wait = min(float(query.get("wait", 0) or 0), MAX_WAIT_SECONDS)
-        except ValueError:
-            self._error(400, "bad-request", "wait must be a number")
-            return
-        if wait > 0:
-            job.wait(wait)
-        self._send_json(200, job.snapshot())
-
-    # ------------------------------------------------------------------
-    # POST
-    # ------------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802
-        path, _ = self._route()
-        try:
-            body = self._read_body()
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, "bad-json",
-                        "malformed request body: {}".format(exc))
-            return
+    def post(self, path: str, body: Dict[str, Any]) -> bool:
         if path == "/circuit":
             self._post_circuit(body)
-            return
-        if path == "/conquer":
+        elif path == "/conquer":
             self._post_conquer(body)
-            return
-        if path == "/exchange":
+        elif path == "/exchange":
             self._post_exchange(body)
-            return
-        if path == "/shutdown":
-            drain = bool(body.get("drain", True))
-            self._send_json(200, {"ok": True, "drain": drain})
-            self.conquer_node.request_shutdown(drain=drain)
-            return
-        self._error(404, "not-found", "unknown endpoint {}".format(path))
+        else:
+            return False
+        return True
 
     def _post_circuit(self, body: Dict[str, Any]) -> None:
         text = body.get("circuit")
@@ -672,7 +524,7 @@ class _NodeHandler(BaseHTTPRequestHandler):
             return
         label = str(body.get("label") or "dist")
         try:
-            reg = self.conquer_node.register(
+            reg = self.service.register(
                 str(text), body.get("format"), body.get("objectives"),
                 body.get("classes"), label)
         except (ParseError, CircuitError, SolverError, ReproError) as exc:
@@ -683,7 +535,7 @@ class _NodeHandler(BaseHTTPRequestHandler):
                               "objectives": list(reg.objectives)})
 
     def _post_conquer(self, body: Dict[str, Any]) -> None:
-        node = self.conquer_node
+        node = self.service
         reg = node.registration(str(body.get("key") or ""))
         if reg is None:
             # The coordinator re-registers and retries on this code —
@@ -736,13 +588,13 @@ class _NodeHandler(BaseHTTPRequestHandler):
         self._send_json(200, snap)
 
     def _post_exchange(self, body: Dict[str, Any]) -> None:
-        node = self.conquer_node
+        node = self.service
         reg = node.registration(str(body.get("key") or ""))
         if reg is None:
             self._error(400, "unknown-circuit",
                         "no circuit registered under that key")
             return
-        absorbed = reg.absorb(body.get("lemmas"))
+        absorbed = reg.pool.absorb(body.get("lemmas"))
         if absorbed:
             node._metric_counter(
                 "repro_dist_node_lemmas_total",

@@ -69,6 +69,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
 import time
 from typing import Any, Optional
 
@@ -132,7 +133,8 @@ class JsonlTracer(Tracer):
     closes it) or any object with a ``write`` method (borrowed; only
     flushed on close).  Timestamps come from ``clock`` (default
     ``time.perf_counter``) relative to construction time, so they are
-    monotonic and start near zero.
+    monotonic and start near zero.  Safe to share between threads: each
+    event is written as one line under a lock.
     """
 
     enabled = True
@@ -141,6 +143,7 @@ class JsonlTracer(Tracer):
         self._clock = clock
         self._t0 = clock()
         self.events_written = 0
+        self._lock = threading.Lock()
         #: Optional SpanContext: stamps a "span" field on every event.
         self.context = context
         if isinstance(sink, (str, os.PathLike)):
@@ -164,21 +167,23 @@ class JsonlTracer(Tracer):
         if self.context is not None and "span" not in fields:
             record["span"] = self.context.span_id
         record.update(fields)
-        self._fh.write(json.dumps(record, separators=(",", ":")))
-        self._fh.write("\n")
-        self.events_written += 1
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            self._fh.write(line)
+            self.events_written += 1
 
     def close(self) -> None:
-        if self._fh is None:
-            return
-        if self._owns:
-            self._fh.close()
-        else:
-            try:
-                self._fh.flush()
-            except (ValueError, io.UnsupportedOperation):
-                pass  # sink already closed / not flushable
-        self._fh = None
+        with self._lock:
+            if self._fh is None:
+                return
+            if self._owns:
+                self._fh.close()
+            else:
+                try:
+                    self._fh.flush()
+                except (ValueError, io.UnsupportedOperation):
+                    pass  # sink already closed / not flushable
+            self._fh = None
 
 
 def make_tracer(spec) -> Optional[Tracer]:

@@ -22,6 +22,7 @@ Everything here must stay importable at module top level so the
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import os
 import signal
@@ -176,6 +177,9 @@ def _apply_pre_fault(kind: Optional[str],
     if kind == "crash":
         raise RuntimeError("injected fault: crash")
     if kind == "segv":
+        # The crash is the point: a faulthandler inherited from the
+        # parent would dump the parent's whole stack on the shared stderr.
+        faulthandler.disable()
         os.kill(os.getpid(), signal.SIGSEGV)
     if kind == "hang":
         while True:

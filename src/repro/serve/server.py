@@ -36,13 +36,11 @@ server.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
@@ -51,13 +49,10 @@ from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.metrics import default_registry, enable_metrics
 from ..result import Limits, SAT, UNSAT
 from .cache import AnswerCache
+from .envelope import MAX_WAIT_SECONDS, JsonHandler
 from .fingerprint import fingerprint
 from .scheduler import (AdmissionError, JobRequest, REJECT_DRAINING,
                         REJECT_QUEUE_FULL, SolveScheduler)
-
-#: Hard cap on how long one HTTP request may block waiting for a result;
-#: longer waits should poll (keeps worker-less proxies and tests honest).
-MAX_WAIT_SECONDS = 600.0
 
 #: Entries in the byte-identical parse memo (the L1 in front of the
 #: canonical fingerprint cache).
@@ -129,7 +124,7 @@ class ReproServer:
         server = self
 
         class Handler(_ServeHandler):
-            repro_server = server
+            service = server
 
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
@@ -255,6 +250,9 @@ class ReproServer:
     def address(self) -> str:
         return "http://{}:{}".format(self.host, self.port)
 
+    def job(self, job_id: str):
+        return self.scheduler.job(job_id)
+
     def start(self) -> "ReproServer":
         """Serve in a background thread; returns self."""
         if self.tracer is not None:
@@ -299,108 +297,33 @@ class ReproServer:
                          daemon=True).start()
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """One HTTP request; all state lives on ``repro_server``."""
+class _ServeHandler(JsonHandler):
+    """One HTTP request; all state lives on ``service`` (the server)."""
 
-    repro_server: ReproServer = None  # injected by ReproServer
-    protocol_version = "HTTP/1.1"
+    service: ReproServer = None  # injected by ReproServer
     server_version = "repro-serve/" + __version__
 
-    # Silence the default stderr-per-request logging; the tracer is the
-    # observability channel.
-    def log_message(self, fmt, *args):  # noqa: D102
-        pass
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to clean up
-
-    def _error(self, code: int, err_code: str, message: str) -> None:
-        self._send_json(code, {"error": {"code": err_code,
-                                         "message": message}})
-
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
-        raw = self.rfile.read(length)
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
-
-    def _route(self) -> Tuple[str, Dict[str, str]]:
-        parsed = urlparse(self.path)
-        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-        return parsed.path.rstrip("/") or "/", query
-
-    # ------------------------------------------------------------------
-    # GET
-    # ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        path, query = self._route()
+    def get(self, path: str, query: Dict[str, str]) -> bool:
+        server = self.service
         if path == "/health":
             self._send_json(200, {"ok": True, "version": __version__})
-            return
-        if path == "/status":
-            payload = {"ok": True,
-                       "scheduler": self.repro_server.scheduler.stats()}
-            if self.repro_server.journal is not None:
-                payload["journal"] = self.repro_server.journal.path
-                payload["recovery"] = self.repro_server.recovery
-            if self.repro_server.store is not None:
-                payload["store"] = self.repro_server.store.stats()
+        elif path == "/status":
+            payload = {"ok": True, "scheduler": server.scheduler.stats()}
+            if server.journal is not None:
+                payload["journal"] = server.journal.path
+                payload["recovery"] = server.recovery
+            if server.store is not None:
+                payload["store"] = server.store.stats()
             self._send_json(200, payload)
-            return
-        if path == "/metrics":
-            body = self.repro_server.registry.render().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        if path.startswith("/result/"):
-            self._get_result(path[len("/result/"):], query)
-            return
-        if path.startswith("/events/"):
+        elif path.startswith("/events/"):
             self._get_events(path[len("/events/"):], query)
-            return
-        self._error(404, "not-found", "unknown endpoint {}".format(path))
-
-    def _get_result(self, job_id: str, query: Dict[str, str]) -> None:
-        job = self.repro_server.scheduler.job(job_id)
-        if job is None:
-            self._error(404, "unknown-job",
-                        "no job {!r} on this server".format(job_id))
-            return
-        try:
-            wait = min(float(query.get("wait", 0) or 0), MAX_WAIT_SECONDS)
-        except ValueError:
-            self._error(400, "bad-request", "wait must be a number")
-            return
-        if wait > 0:
-            job.wait(wait)
-        self._send_json(200, job.snapshot())
+        else:
+            return False
+        return True
 
     def _get_events(self, job_id: str, query: Dict[str, str]) -> None:
-        job = self.repro_server.scheduler.job(job_id)
+        job = self._job(job_id)
         if job is None:
-            self._error(404, "unknown-job",
-                        "no job {!r} on this server".format(job_id))
             return
         try:
             since = max(0, int(query.get("since", 0) or 0))
@@ -411,27 +334,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._send_json(200, {"job": job.id, "state": job.state,
                               "events": events, "next": since + len(events)})
 
-    # ------------------------------------------------------------------
-    # POST
-    # ------------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802
-        path, _ = self._route()
-        try:
-            body = self._read_body()
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, "bad-json", "malformed request body: "
-                        "{}".format(exc))
-            return
-        if path == "/submit":
-            self._post_submit(body)
-            return
-        if path == "/shutdown":
-            drain = bool(body.get("drain", True))
-            self._send_json(200, {"ok": True, "drain": drain})
-            self.repro_server.request_shutdown(drain=drain)
-            return
-        self._error(404, "not-found", "unknown endpoint {}".format(path))
+    def post(self, path: str, body: Dict[str, Any]) -> bool:
+        if path != "/submit":
+            return False
+        self._post_submit(body)
+        return True
 
     def _post_submit(self, body: Dict[str, Any]) -> None:
         text = body.get("circuit")
@@ -448,7 +355,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 from ..bench.instances import instance_by_name
                 circuit = instance_by_name(str(instance)).build()
             else:
-                circuit, fp = self.repro_server.parse_request_circuit(
+                circuit, fp = self.service.parse_request_circuit(
                     str(text), label, body.get("format"))
         except (ParseError, CircuitError, ReproError) as exc:
             self._error(400, "bad-circuit", str(exc))
@@ -478,7 +385,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             idempotency_key=idempotency_key, source=source,
             incremental=bool(body.get("incremental", True)))
         try:
-            job = self.repro_server.scheduler.submit(request)
+            job = self.service.scheduler.submit(request)
         except AdmissionError as exc:
             status = (503 if exc.code in (REJECT_QUEUE_FULL,
                                           REJECT_DRAINING) else 400)

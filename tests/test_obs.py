@@ -79,6 +79,39 @@ class TestTracer:
         tracer.close()
         tracer.close()
 
+    def test_concurrent_emits_write_whole_lines(self, tmp_path):
+        # Scheduler slot threads, heartbeats and node worker threads all
+        # share one tracer: interleaved writes must never tear a line.
+        import sys
+        import threading
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(path)
+        threads_n, per_thread = 4, 5000
+
+        def hammer(i):
+            for n in range(per_thread):
+                tracer.emit("conflict", thread=i, n=n, pad="é" * 32)
+
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        tracer.close()
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        events = [json.loads(line.decode("utf-8")) for line in lines]
+        assert len(events) == threads_n * per_thread == tracer.events_written
+        assert sorted((e["thread"], e["n"]) for e in events) == [
+            (i, n) for i in range(threads_n) for n in range(per_thread)]
+
 
 class TestPhaseTimers:
     def test_as_dict_and_snapshot_delta(self):

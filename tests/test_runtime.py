@@ -97,6 +97,31 @@ class TestFaultMatrix:
         assert outcome.failure.kind == expected_kind
         assert outcome.failure.engine == "explicit"
 
+    def test_segv_fault_is_silent_under_faulthandler(self):
+        # pytest (and `python -X faulthandler`) enable faulthandler; the
+        # injected segfault must not dump the parent's stack on stderr.
+        import os
+        import subprocess
+        import sys
+        script = (
+            "from repro import Circuit\n"
+            "from repro.runtime import WorkerJob, run_supervised\n"
+            "c = Circuit('and2')\n"
+            "a, b = c.add_input('a'), c.add_input('b')\n"
+            "c.add_output(c.add_and(a, b), 'y')\n"
+            "outcome = run_supervised(WorkerJob(circuit=c, fault='segv'),\n"
+            "                         wall_seconds=20)\n"
+            "print(outcome.failure.kind)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-X", "faulthandler", "-c", script],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == CRASHED
+        assert "Fatal Python error" not in proc.stderr
+
     def test_hang_killed_within_grace_of_budget(self, full_adder):
         wall, grace = 0.5, 0.5
         t0 = time.perf_counter()
