@@ -2,7 +2,7 @@
 
 :func:`repro.cube.solve_cubes` can persist its whole working state —
 the cube tree, per-cube outcomes, and the deduped shared-lemma pool —
-to a single JSON file, atomically replaced (tmp + ``os.replace``) every
+to a single JSON document, atomically replaced (``atomic_write``) every
 N cube completions.  ``repro cube --resume PATH`` reloads it, skips
 every cube that is already closed (UNSAT / REFUTED / PRUNED), and
 re-injects the lemma pool so the surviving cubes start warm.
@@ -13,7 +13,8 @@ circuit under *those* objectives, expressed in *that* node numbering.
 A checkpoint therefore records three identities and refuses to resume
 unless all match:
 
-* the schema ``version`` (a future format is refused, not misread);
+* the schema ``version`` (a future format is refused, not misread),
+  then a ``crc`` of the document (a flipped lemma still parses);
 * the canonical fingerprint ``digest`` (semantic identity up to input
   permutation — catches "wrong instance entirely");
 * an ``exact`` structural hash over the literal node numbering (the
@@ -26,16 +27,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..circuit.netlist import Circuit
 from ..errors import ReproError
+from .log import atomic_write, decode, encode
 
 #: Checkpoint schema version; bump on any incompatible change.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ReproError):
@@ -114,14 +115,10 @@ class CubeCheckpoint:
 
 
 def save_checkpoint(path: str, checkpoint: CubeCheckpoint) -> None:
-    """Atomically write a checkpoint (tmp + fsync + ``os.replace``)."""
+    """Atomically write a checkpoint, checksummed like a log record."""
     checkpoint.created = time.time()
-    tmp = "{}.tmp.{}".format(path, os.getpid())
-    with open(tmp, "w") as fh:
-        json.dump(checkpoint.as_dict(), fh, separators=(",", ":"))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write(encode(checkpoint.as_dict()))
 
 
 def load_checkpoint(path: str) -> CubeCheckpoint:
@@ -129,14 +126,16 @@ def load_checkpoint(path: str) -> CubeCheckpoint:
 
     Unlike the journal there is no torn-line tolerance to need: the file
     is replaced atomically, so it is either a complete JSON document or
-    absent.
+    absent — and any damage after the write fails its checksum.
     """
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CheckpointError("cannot read checkpoint {}: {}".format(
             path, exc))
+    try:
+        raw = json.loads(data)
     except ValueError as exc:
         raise CheckpointError(
             "checkpoint {} is not valid JSON ({}); it was not written by "
@@ -151,6 +150,10 @@ def load_checkpoint(path: str) -> CubeCheckpoint:
             "checkpoint {} has version {!r}; this build reads version {} — "
             "refusing to misread it".format(path, version,
                                             CHECKPOINT_VERSION))
+    if decode(data) is None:
+        raise CheckpointError(
+            "checkpoint {} fails its checksum; it was damaged after it was "
+            "written".format(path))
     try:
         return CubeCheckpoint(
             digest=raw["digest"], exact=raw["exact"],

@@ -1,13 +1,13 @@
 """Crash-safe write-ahead journal for the serving layer.
 
 The serve node records every job-lifecycle transition to an append-only
-JSONL file *before* it becomes externally visible, so a ``kill -9`` can
-lose at most work-in-progress — never a certified answer and never the
-knowledge that a job was admitted:
+log *before* it becomes externally visible, so a ``kill -9`` can lose at
+most work-in-progress — never a certified answer and never the
+knowledge that a job was admitted.  The file is a
+:class:`~repro.durable.log.DurableLog` of kind ``journal``: a
+``{"kind": "journal", "v": 2}`` header (another version is refused,
+never misread), then one checksummed record per line:
 
-``{"kind": "journal", "v": 1}``
-    Header record; a journal whose version does not match is refused
-    (schema changes must not be silently misread).
 ``{"kind": "admitted", "key": ..., "job": ..., "digest": ..., ...}``
     A request passed admission.  Carries everything needed to rebuild
     and re-admit the request after a crash: the circuit source text,
@@ -22,34 +22,32 @@ knowledge that a job was admitted:
 ``{"kind": "cancelled", "key": ...}``
     The job was cancelled at shutdown; terminal, never re-admitted.
 
-Durability contract: ``finished`` records are fsynced before the job's
-result is published to any client, so every *served* answer survives a
-crash.  Replay (:func:`replay_journal`) is a pure read keyed on the
-idempotency key — running it twice yields the same state — and skips
-torn trailing lines with a counted warning, exactly like
-:func:`repro.obs.summary.read_trace` does for traces.
+Durability contract: every append is fsynced, and ``finished`` records
+are appended before the job's result is published to any client, so
+every *served* answer survives a crash.  Replay (:func:`replay_journal`)
+is a pure read keyed on the idempotency key — running it twice yields
+the same state — and drops damaged lines with a count.
 
-Compaction rewrites the file atomically (tmp + ``os.replace``) keeping
-one ``finished``/``cancelled`` record per terminal job and the
-``admitted`` record of every live one, so the journal stays proportional
-to the working set, not to the server's lifetime.
+Compaction keeps the live view: pending ``admitted`` records, every
+finished job's ``admitted`` and ``finished`` records, and every
+``cancelled`` one.  That view grows with every job the server finishes,
+so the journal is bounded by the jobs of the server's lifetime (at most
+twice the live view plus ``COMPACT_FLOOR`` records), not by its working
+set.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..errors import ReproError
 from ..obs.metrics import default_registry
+from .log import DurableLog, LogError
 
 #: Journal schema version; bump on any incompatible record change.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: Record kinds.
 KIND_HEADER = "journal"
@@ -58,10 +56,7 @@ KIND_STARTED = "started"
 KIND_FINISHED = "finished"
 KIND_CANCELLED = "cancelled"
 
-_TERMINAL = (KIND_FINISHED, KIND_CANCELLED)
-
-
-class JournalError(ReproError):
+class JournalError(LogError):
     """A journal could not be read safely (version/format mismatch)."""
 
 
@@ -80,54 +75,21 @@ def answer_digest(status: str, model_bits: Optional[List[int]]) -> str:
 
 
 class Journal:
-    """Append-only JSONL write-ahead log with atomic compaction.
-
-    Thread-safe; the scheduler's admission path and worker threads
-    append concurrently.  ``fsync=True`` (the default) makes every
-    append durable before it returns — the serving layer relies on this
-    for ``finished`` records.
+    """The serve node's write-ahead log; every append is fsynced before
+    it returns.  Thread-safe: admission and worker threads append
+    concurrently, and compaction folds the file under the log's lock.
     """
 
-    def __init__(self, path: str, fsync: bool = True,
-                 compact_every: int = 4096):
-        if compact_every < 1:
-            raise ValueError("compact_every must be >= 1")
+    def __init__(self, path: str):
         self.path = path
-        self.fsync = fsync
-        self.compact_every = compact_every
-        self._lock = threading.Lock()
-        self._fh = None
-        self._since_compact = 0
-        self.appended = 0
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-
-    def _open(self):
-        if self._fh is None:
-            fresh = not os.path.exists(self.path) \
-                or os.path.getsize(self.path) == 0
-            self._fh = open(self.path, "a")
-            if fresh:
-                self._write({"kind": KIND_HEADER, "v": JOURNAL_VERSION})
-        return self._fh
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self._log = _log(path)
 
     def append(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Durably append one record; returns it (with its timestamp)."""
         record = {"kind": kind, "t": round(time.time(), 3)}
         record.update(fields)
-        with self._lock:
-            self._open()
-            self._write(record)
-            self.appended += 1
-            self._since_compact += 1
+        self._log.append(record,
+                         lambda: replay_journal(self.path).live_records())
         registry = default_registry()
         if registry is not None:
             registry.counter("repro_journal_records_total",
@@ -135,106 +97,36 @@ class Journal:
                              labelnames=("kind",)).labels(kind).inc()
         return record
 
-    def flush(self) -> None:
-        """Flush + fsync whatever is buffered (idempotent)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:
-                    pass
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:
-                    pass
-                self._fh.close()
-                self._fh = None
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-
-    @property
-    def due_for_compaction(self) -> bool:
-        with self._lock:
-            return self._since_compact >= self.compact_every
-
     def compact(self, records: List[Dict[str, Any]]) -> None:
-        """Atomically replace the journal with ``records`` (plus header).
+        """Atomically replace the journal with ``records``.
 
         The caller supplies the live view (typically
         ``replay_journal(path).live_records()``); a crash during
         compaction leaves either the old or the new file, never a mix.
         """
-        tmp = self.path + ".tmp"
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps({"kind": KIND_HEADER,
-                                     "v": JOURNAL_VERSION},
-                                    separators=(",", ":")) + "\n")
-                for record in records:
-                    fh.write(json.dumps(record,
-                                        separators=(",", ":")) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            self._since_compact = 0
+        self._log.rewrite(records)
+
+    def close(self) -> None:
+        self._log.close()
 
 
 # ----------------------------------------------------------------------
 # Reading / replay
 # ----------------------------------------------------------------------
 
+def _log(path: str) -> DurableLog:
+    return DurableLog(path, KIND_HEADER, JOURNAL_VERSION, JournalError,
+                      durable=True)
+
+
 def read_journal(path: str,
                  skipped: Optional[List[int]] = None) -> List[Dict[str, Any]]:
-    """All well-formed records of a journal file, in order.
+    """All intact records of a journal file, in order.
 
-    Torn or corrupt lines (a crash mid-append leaves at most one) are
-    skipped; their 1-based line numbers are appended to ``skipped`` when
-    given.  A header whose version does not match raises
-    :class:`JournalError` — silently misreading a future schema would be
-    worse than refusing to start.
+    The 1-based numbers of damaged lines go to ``skipped`` when given.
+    A header of another version raises :class:`JournalError`.
     """
-    records: List[Dict[str, Any]] = []
-    try:
-        fh = open(path)
-    except OSError:
-        return records
-    with fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                if skipped is not None:
-                    skipped.append(line_no)
-                continue
-            if not isinstance(record, dict) or "kind" not in record:
-                if skipped is not None:
-                    skipped.append(line_no)
-                continue
-            if record["kind"] == KIND_HEADER:
-                version = record.get("v")
-                if version != JOURNAL_VERSION:
-                    raise JournalError(
-                        "journal {} has version {!r}; this build reads "
-                        "version {} — refusing to misread it".format(
-                            path, version, JOURNAL_VERSION))
-                continue
-            records.append(record)
-    return records
+    return list(_log(path).scan(skipped))
 
 
 @dataclass
@@ -273,7 +165,7 @@ def replay_journal(path: str,
     """Fold a journal into its live state (a pure, idempotent read)."""
     lines: List[int] = [] if skipped is None else skipped
     state = ReplayState()
-    for record in read_journal(path, skipped=lines):
+    for record in _log(path).scan(lines):
         state.records += 1
         key = record.get("key")
         if not key:

@@ -45,6 +45,7 @@ from ..circuit.netlist import Circuit
 from ..core.sweep import sat_sweep
 from ..csat.engine import CSatEngine
 from ..csat.options import SolverOptions
+from ..durable.log import decode, encode
 from ..obs.export import SCHEMA_VERSION, environment_info
 from ..result import UNSAT
 from ..sim.bitsim import circuits_equivalent_exhaustive, \
@@ -107,25 +108,22 @@ def tamper_store_file(path: str) -> int:
     """Flip the payload of every fact record in a store file, in place.
 
     Constants flip their value, equivalences flip their polarity,
-    lemmas flip their first literal — each fact stays well-formed (it
-    will load and match) but now claims the *opposite* of what was
-    proven.  Returns the number of records tampered.  This models the
-    worst corruption short of a digest collision: an attacker (or a
-    cosmic ray with a sense of humour) rewriting the knowledge itself.
+    lemmas flip their first literal — each fact is re-encoded with a
+    valid checksum, so it stays well-formed (it will load and match) but
+    now claims the *opposite* of what was proven.  Returns the number of
+    records tampered.  This models the worst corruption short of a
+    digest collision: an attacker rewriting the knowledge itself, which
+    no checksum can catch — only re-proof does.
     """
     tampered = 0
-    lines_out: List[str] = []
-    with open(path) as fh:
+    lines_out: List[bytes] = []
+    with open(path, "rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
+            record = decode(line)
+            if record is None:      # the header: kept verbatim
                 lines_out.append(line)
                 continue
-            kind = record.get("kind") if isinstance(record, dict) else None
+            kind = record.get("kind")
             if kind == KIND_CONST:
                 record["value"] = 1 - int(record.get("value", 0))
                 tampered += 1
@@ -136,9 +134,9 @@ def tamper_store_file(path: str) -> int:
                 digest, neg = record["lits"][0]
                 record["lits"][0] = [digest, 1 - int(neg)]
                 tampered += 1
-            lines_out.append(json.dumps(record, separators=(",", ":")))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines_out) + "\n")
+            lines_out.append(encode(record))
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines_out))
     return tampered
 
 

@@ -1,12 +1,10 @@
-"""Durable cone-level knowledge store (JSONL + LRU).
+"""Durable cone-level knowledge store (checksummed JSONL + LRU).
 
 Persists facts proven about *cones* — not circuits — so knowledge
-transfers to queries never seen before:
+transfers to queries never seen before.  The file is a
+:class:`~repro.durable.log.DurableLog` (header ``{"kind": "inc-store",
+"v": 2}``; another version is refused, not misread) of these records:
 
-``{"kind": "inc-store", "v": 1}``
-    Header record; a store whose version does not match is refused
-    (mirroring :mod:`repro.durable.journal` — silently misreading a
-    future schema would be worse than starting cold).
 ``{"kind": "const", "k": <digest>, "value": 0|1, "ck": <canon digest>}``
     The signal whose input-cone digest is ``k`` is provably constant.
     ``ck`` (optional) is the *canonical* cone fingerprint — invariant
@@ -25,9 +23,10 @@ transfers to queries never seen before:
     just that region, which is what re-aligns a locally edited circuit
     with the deep facts banked for its base.
 
-Torn trailing lines (a crash mid-append leaves at most one) are skipped
-with a count; malformed fact records are skipped, never trusted.
-Compaction rewrites the file atomically (tmp + ``os.replace``).
+Damaged lines are skipped and counted in ``torn``; intact records that
+are not well-formed facts are counted in ``malformed``, never trusted.
+Appends are not fsynced (a lost fact costs a re-sweep); compaction
+writes the facts and seen digests in memory, on growth and on evict.
 
 Soundness: every fact handed out by :meth:`KnowledgeStore.lookup` is a
 **candidate** that the replay layer re-proves on the requesting circuit
@@ -39,17 +38,15 @@ store degrades to a slower solve, never to a wrong answer.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..durable.log import DurableLog, LogError
 from ..obs.metrics import default_registry
 
 #: Store schema version; bump on any incompatible record change.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 KIND_HEADER = "inc-store"
 KIND_CONST = "const"
@@ -60,12 +57,15 @@ KIND_SEEN = "seen"
 #: Seen-digest records are chunked so one torn line loses little.
 _SEEN_CHUNK = 256
 
+#: Most seen digests kept (the changed-region baseline is a hint).
+MAX_SEEN = 500_000
+
 #: A fact's identity: ("const", k) / ("equiv", a, b, anti) /
 #: ("lemma", ((digest, neg), ...)).
 FactKey = Tuple
 
 
-class StoreError(ReproError):
+class StoreError(LogError):
     """A knowledge store could not be read safely (version mismatch)."""
 
 
@@ -117,19 +117,14 @@ class KnowledgeStore:
     ``rejected`` — the corruption signal CI asserts stays zero.
     """
 
-    def __init__(self, path: Optional[str] = None, max_facts: int = 100_000,
-                 max_seen: int = 500_000, fsync: bool = False,
-                 compact_every: int = 4096):
+    def __init__(self, path: Optional[str] = None, max_facts: int = 100_000):
         if max_facts < 1:
             raise ValueError("max_facts must be >= 1")
         self.path = path
         self.max_facts = max_facts
-        self.max_seen = max_seen
-        self.fsync = fsync
-        self.compact_every = compact_every
         self._lock = threading.Lock()
-        self._fh = None
-        self._since_compact = 0
+        self._log = (DurableLog(path, KIND_HEADER, STORE_VERSION, StoreError)
+                     if path else None)
         #: FactKey -> record dict, LRU order (oldest first).
         self._facts: "OrderedDict[FactKey, Dict[str, Any]]" = OrderedDict()
         #: positional digest -> set of fact keys mentioning it.
@@ -145,8 +140,8 @@ class KnowledgeStore:
         self.rejected = 0
         self.torn = 0
         self.malformed = 0
-        if path and os.path.exists(path):
-            self._load(path)
+        if self._log is not None:
+            self._load()
 
     # ------------------------------------------------------------------
     # Adding facts
@@ -251,7 +246,7 @@ class KnowledgeStore:
         with self._lock:
             fresh = [d for d in digests
                      if isinstance(d, str) and d not in self._seen]
-            room = self.max_seen - len(self._seen)
+            room = MAX_SEEN - len(self._seen)
             fresh = fresh[:max(0, room)]
             self._seen.update(fresh)
             for i in range(0, len(fresh), _SEEN_CHUNK):
@@ -297,138 +292,54 @@ class KnowledgeStore:
     # Persistence
     # ------------------------------------------------------------------
 
-    def _load(self, path: str) -> None:
-        try:
-            fh = open(path)
-        except OSError:
-            return
-        with fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    self.torn += 1
-                    continue
-                if not isinstance(record, dict):
-                    self.torn += 1
-                    continue
-                if record.get("kind") == KIND_HEADER:
-                    version = record.get("v")
-                    if version != STORE_VERSION:
-                        raise StoreError(
-                            "knowledge store {} has version {!r}; this "
-                            "build reads version {} — refusing to misread "
-                            "it".format(path, version, STORE_VERSION))
-                    continue
-                if record.get("kind") == KIND_SEEN:
-                    ks = record.get("ks")
-                    if isinstance(ks, list):
-                        self._seen.update(
-                            d for d in ks if isinstance(d, str))
-                        if len(self._seen) > self.max_seen:
-                            self._seen = set(
-                                list(self._seen)[:self.max_seen])
-                    else:
-                        self.malformed += 1
-                    continue
-                key = _fact_key(record)
-                if key is None:
+    def _load(self) -> None:
+        damaged: List[int] = []
+        for record in self._log.scan(damaged):
+            if record.get("kind") == KIND_SEEN:
+                ks = record.get("ks")
+                if isinstance(ks, list):
+                    self._seen.update(d for d in ks if isinstance(d, str))
+                    if len(self._seen) > MAX_SEEN:
+                        self._seen = set(list(self._seen)[:MAX_SEEN])
+                else:
                     self.malformed += 1
-                    continue
-                if key in self._facts:
-                    self._facts.move_to_end(key)
-                    continue
-                self._facts[key] = record
-                self._index(key, record)
+                continue
+            key = _fact_key(record)
+            if key is None:
+                self.malformed += 1
+                continue
+            if key in self._facts:
+                self._facts.move_to_end(key)
+                continue
+            self._facts[key] = record
+            self._index(key, record)
+        self.torn = len(damaged)
         while len(self._facts) > self.max_facts:
             old_key, old_record = self._facts.popitem(last=False)
             self._unindex(old_key, old_record)
             self.evictions += 1
 
-    def _open(self):
-        if self._fh is None:
-            fresh = not os.path.exists(self.path) \
-                or os.path.getsize(self.path) == 0
-            self._fh = open(self.path, "a")
-            if fresh:
-                self._write({"kind": KIND_HEADER, "v": STORE_VERSION})
-        return self._fh
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+    def _live_records(self) -> Iterable[Dict[str, Any]]:
+        # Called with the lock held.
+        seen = sorted(self._seen)
+        for i in range(0, len(seen), _SEEN_CHUNK):
+            yield {"kind": KIND_SEEN, "ks": seen[i:i + _SEEN_CHUNK]}
+        yield from self._facts.values()
 
     def _append(self, record: Dict[str, Any]) -> None:
         # Called with the lock held.
-        if not self.path:
-            return
-        try:
-            self._open()
-            self._write(record)
-            self._since_compact += 1
-        except OSError:
-            pass
-
-    @property
-    def due_for_compaction(self) -> bool:
-        with self._lock:
-            return self._since_compact >= self.compact_every
+        if self._log is not None:
+            self._log.append(record, self._live_records)
 
     def compact(self) -> None:
         """Atomically rewrite the file to the live fact set."""
-        if not self.path:
-            return
-        tmp = self.path + ".tmp"
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                self._fh.close()
-                self._fh = None
-            try:
-                with open(tmp, "w") as fh:
-                    fh.write(json.dumps(
-                        {"kind": KIND_HEADER, "v": STORE_VERSION},
-                        separators=(",", ":")) + "\n")
-                    seen = sorted(self._seen)
-                    for i in range(0, len(seen), _SEEN_CHUNK):
-                        fh.write(json.dumps(
-                            {"kind": KIND_SEEN,
-                             "ks": seen[i:i + _SEEN_CHUNK]},
-                            separators=(",", ":")) + "\n")
-                    for record in self._facts.values():
-                        fh.write(json.dumps(record,
-                                            separators=(",", ":")) + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-                self._since_compact = 0
-            except OSError:
-                pass
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:
-                    pass
+        if self._log is not None:
+            with self._lock:
+                self._log.rewrite(self._live_records())
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:
-                    pass
-                self._fh.close()
-                self._fh = None
+        if self._log is not None:
+            self._log.close()
 
     # ------------------------------------------------------------------
     # Introspection

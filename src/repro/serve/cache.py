@@ -23,26 +23,32 @@ the digest plus the provenance they record (engine, stats, solve time);
 the serving layer's differential tests cover this path, and a paranoid
 deployment can disable UNSAT caching entirely (``cache_unsat=False``).
 
-Persistence is an append-only JSONL file: loads replay it (last write
-wins), stores append, and evictions/compactions rewrite it atomically.
+Persistence is a checksummed :class:`~repro.durable.log.DurableLog`
+(kind ``answer-cache``): a bit-rotted line, say an ``UNSAT`` that became
+``UNSAU``, is dropped at load and counted in ``damaged``, never served.
+Loads replay it (last write wins) through the check :meth:`restore`
+applies; stores append unfsynced; growth and rejections rewrite it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..circuit.netlist import Circuit
+from ..durable.log import DurableLog
 from ..result import Limits, SAT, UNSAT
 from .fingerprint import Fingerprint, bits_to_model, model_to_bits
 
 #: Key part for "no cooperative budget attached".
 UNLIMITED = "unlimited"
+
+#: Cache file schema version; bump on any incompatible record change.
+CACHE_VERSION = 1
+KIND_HEADER = "answer-cache"
 
 
 def limits_class(limits: Optional[Limits]) -> str:
@@ -123,8 +129,11 @@ class AnswerCache:
         self.misses = 0
         self.evictions = 0
         self.rejected = 0   # entries evicted by failed re-certification
-        if store_path and os.path.exists(store_path):
-            self._load(store_path)
+        self.damaged = 0    # file lines dropped at load (torn/bit-rotted)
+        self._log = (DurableLog(store_path, KIND_HEADER, CACHE_VERSION)
+                     if store_path else None)
+        if self._log is not None:
+            self._load()
 
     # ------------------------------------------------------------------
     # Core operations
@@ -173,23 +182,12 @@ class AnswerCache:
               status: str, model: Optional[Dict[int, bool]] = None,
               provenance: Optional[Dict[str, Any]] = None) -> bool:
         """Record a decisive answer; returns True if it was cached."""
-        if status not in (SAT, UNSAT):
-            return False
-        if status == UNSAT and not self.cache_unsat:
-            return False
         entry = CacheEntry(
             digest=fp.digest, limits=limits_class(limits), engine=engine,
             status=status,
             model_bits=model_to_bits(fp, model) if status == SAT else None,
             provenance=dict(provenance or {}))
-        with self._lock:
-            self._entries[entry.key] = entry
-            self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        self._append(entry)
-        return True
+        return self._put(entry, replace=True)
 
     def restore(self, digest: str, limits: str, engine: str, status: str,
                 model_bits: Optional[List[int]] = None,
@@ -202,24 +200,33 @@ class AnswerCache:
         the :meth:`lookup` re-certification gate before being served.
         Existing entries win (they may carry fresher hit counts).
         """
-        if status not in (SAT, UNSAT):
-            return False
-        if status == UNSAT and not self.cache_unsat:
-            return False
         entry = CacheEntry(digest=digest, limits=limits, engine=engine,
                            status=status,
-                           model_bits=(list(model_bits)
-                                       if status == SAT else None),
+                           model_bits=(model_bits if status == SAT
+                                       else None),
                            provenance=dict(provenance or {}))
+        return self._put(entry, replace=False)
+
+    def _decisive(self, entry: CacheEntry) -> bool:
+        """The check every entry passes before it is cached: a decisive
+        status this cache keeps, and canonical bits for SAT."""
+        if entry.status == SAT:
+            return isinstance(entry.model_bits, list)
+        return entry.status == UNSAT and self.cache_unsat
+
+    def _put(self, entry: CacheEntry, replace: bool) -> bool:
+        if not self._decisive(entry):
+            return False
         with self._lock:
-            if entry.key in self._entries:
+            if not replace and entry.key in self._entries:
                 return False
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        self._append(entry)
+            if self._log is not None:
+                self._log.append(entry.as_dict(), self._live_records)
         return True
 
     def _reject(self, key: str, detail: str) -> None:
@@ -228,55 +235,30 @@ class AnswerCache:
             self._entries.pop(key, None)
             self.rejected += 1
             self.misses += 1
-        self._compact()
+            if self._log is not None:
+                self._log.rewrite(self._live_records())
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
-    def _load(self, path: str) -> None:
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = CacheEntry.from_dict(json.loads(line))
-                    except (ValueError, KeyError, TypeError):
-                        continue  # truncated/corrupt line: skip, don't die
-                    self._entries[entry.key] = entry
-                    self._entries.move_to_end(entry.key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        except OSError:
-            pass
+    def _load(self) -> None:
+        damaged: List[int] = []
+        for record in self._log.scan(damaged):
+            try:
+                entry = CacheEntry.from_dict(record)
+            except (KeyError, TypeError, ValueError):
+                continue
+            if self._decisive(entry):
+                self._entries[entry.key] = entry
+                self._entries.move_to_end(entry.key)
+        self.damaged = len(damaged)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
 
-    def _append(self, entry: CacheEntry) -> None:
-        if not self.store_path:
-            return
-        try:
-            with open(self.store_path, "a") as fh:
-                fh.write(json.dumps(entry.as_dict(),
-                                    separators=(",", ":")) + "\n")
-        except OSError:
-            pass
-
-    def _compact(self) -> None:
-        """Rewrite the store to match memory (after eviction/rejection)."""
-        if not self.store_path:
-            return
-        tmp = self.store_path + ".tmp"
-        try:
-            with self._lock:
-                entries = list(self._entries.values())
-            with open(tmp, "w") as fh:
-                for entry in entries:
-                    fh.write(json.dumps(entry.as_dict(),
-                                        separators=(",", ":")) + "\n")
-            os.replace(tmp, self.store_path)
-        except OSError:
-            pass
+    def _live_records(self) -> Iterable[Dict[str, Any]]:
+        # Called with the lock held.
+        return (entry.as_dict() for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     # Introspection
@@ -290,4 +272,4 @@ class AnswerCache:
         with self._lock:
             return {"entries": len(self._entries), "hits": self.hits,
                     "misses": self.misses, "evictions": self.evictions,
-                    "rejected": self.rejected}
+                    "rejected": self.rejected, "damaged": self.damaged}

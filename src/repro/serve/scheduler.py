@@ -36,7 +36,7 @@ from ..runtime.supervisor import (CERTIFY_LEVELS, CERTIFY_SAT,
 from ..runtime.worker import (KIND_CNF, KIND_CSAT, KIND_SWEEP,
                               WORKER_KINDS, WorkerJob)
 from ..durable.journal import (KIND_ADMITTED, KIND_CANCELLED, KIND_FINISHED,
-                               KIND_STARTED, answer_digest, replay_journal)
+                               KIND_STARTED, answer_digest)
 from ..obs.context import child_context, context_of
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
@@ -336,12 +336,6 @@ class SolveScheduler:
                 "label": job.request.label,
                 "time_seconds": payload.get("time_seconds")}
         self._journal_append(KIND_FINISHED, **record)
-        if self.journal.due_for_compaction:
-            try:
-                state = replay_journal(self.journal.path)
-                self.journal.compact(state.live_records())
-            except (OSError, ValueError):
-                pass
 
     def submit(self, request: JobRequest) -> Job:
         """Admit one request; raises :class:`AdmissionError` otherwise."""
@@ -859,6 +853,4 @@ class SolveScheduler:
                 remaining = max(0.0, deadline - time.monotonic())
             thread.join(remaining)
             ok = ok and not thread.is_alive()
-        if self.journal is not None:
-            self.journal.flush()
         return ok

@@ -9,13 +9,13 @@ crash-injected worker leaves the server answering traffic.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
 import pytest
 
 from repro import Circuit
+from repro.durable.log import decode, encode
 from repro.errors import CRASHED, TIMEOUT
 from repro.result import Limits, SAT, UNKNOWN, UNSAT
 from repro.serve import (AdmissionError, AnswerCache, JobRequest,
@@ -139,11 +139,14 @@ class TestDiskStore:
         cache = AnswerCache(store_path=path)
         cache.store(fingerprint(base), None, "csat", SAT,
                     model=sat_model_of(base))
-        # Tamper: flip the stored canonical bits to an UNSAT assignment.
-        record = json.loads(open(path).read().strip())
+        # Tamper: flip the stored canonical bits to an UNSAT assignment,
+        # re-encoded with a valid checksum so that certification, not the
+        # checksum, is what rejects it.
+        header, line = open(path, "rb").read().splitlines(keepends=True)
+        record = decode(line)
         record["model_bits"] = [0] * len(record["model_bits"])
-        with open(path, "w") as fh:
-            fh.write(json.dumps(record) + "\n")
+        with open(path, "wb") as fh:
+            fh.write(header + encode(record))
         tampered = AnswerCache(store_path=path)
         assert tampered.lookup(base, fingerprint(base), None,
                                "csat") is None          # miss, not wrong
