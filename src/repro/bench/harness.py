@@ -10,23 +10,15 @@ Wall-clock budgets mirror the paper's 7200-second timeout: a run that
 exhausts its budget is reported as ``*`` (aborted), exactly like the paper's
 ``*`` rows for C6288.  The default per-run budget comes from the
 ``REPRO_BENCH_BUDGET`` environment variable (seconds, default 20) so CI and
-laptops can trade fidelity for time.
-
-With ``REPRO_BENCH_ISOLATE=1`` (or ``isolate=True`` on the runners) each
-measurement runs in an isolated subprocess under the
-:mod:`repro.runtime` supervisor's *hard* limits, so one hung or crashing
-run is killed at its budget and recorded as aborted instead of stalling
-the whole table.  ``REPRO_BENCH_MEMLIMIT`` (MB) adds a per-run memory
-cap in that mode.  ``REPRO_BENCH_CUBES=N`` (N > 0) routes every
-circuit-solver measurement through cube-and-conquer (:mod:`repro.cube`)
-with N workers — the cheap way to re-run a whole table in cube mode.
+laptops can trade fidelity for time.  Every run is in process and bounded
+by its cooperative ``Limits(max_seconds=budget)``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..circuit.cnf_convert import tseitin
@@ -43,73 +35,6 @@ def default_budget() -> float:
         return float(os.environ.get("REPRO_BENCH_BUDGET", "20"))
     except ValueError:
         return 20.0
-
-
-def default_isolate() -> bool:
-    """Whether runs are supervised subprocesses (``REPRO_BENCH_ISOLATE``)."""
-    return os.environ.get("REPRO_BENCH_ISOLATE", "0") not in ("", "0")
-
-
-def _mem_limit_mb() -> Optional[int]:
-    try:
-        value = int(os.environ.get("REPRO_BENCH_MEMLIMIT", "0"))
-    except ValueError:
-        return None
-    return value or None
-
-
-def default_cube_workers() -> int:
-    """``REPRO_BENCH_CUBES``: when > 0, circuit-solver measurements run
-    through cube-and-conquer (:mod:`repro.cube`) with that many workers
-    instead of one flat solve.  0 (the default) keeps the flat path."""
-    try:
-        value = int(os.environ.get("REPRO_BENCH_CUBES", "0"))
-    except ValueError:
-        return 0
-    return max(0, value)
-
-
-def run_cube(circuit: Circuit,
-             workers: int,
-             budget: Optional[float] = None,
-             instance: str = "?",
-             config_name: Optional[str] = None,
-             preset_name: str = "implicit") -> RunRecord:
-    """One cube-and-conquer measurement as a table cell.
-
-    Worker processes already are hard-limit isolated, so there is no
-    extra ``isolate`` layer; a failed/degraded run records as aborted
-    (status UNKNOWN) like any other cell.
-    """
-    from ..cube import solve_cubes
-    budget = default_budget() if budget is None else budget
-    name = config_name or "cube-{}w".format(workers)
-    t0 = time.perf_counter()
-    report = solve_cubes(circuit, workers=workers, budget=budget,
-                         preset_name=preset_name,
-                         mem_limit_mb=_mem_limit_mb())
-    return _record(instance, name, report.result,
-                   time.perf_counter() - t0)
-
-
-def _run_isolated(circuit: Circuit, kind: str, config_name: str,
-                  budget: float, instance: str,
-                  options: Optional[SolverOptions] = None,
-                  preset_name: str = "explicit") -> RunRecord:
-    """One supervised measurement: a hang/crash/OOM becomes an aborted
-    row (status UNKNOWN with the failure noted) instead of stalling or
-    killing the harness."""
-    from ..runtime import WorkerJob, run_supervised
-    job = WorkerJob(circuit=circuit, name=config_name, kind=kind,
-                    preset_name=preset_name, options=options,
-                    mem_limit_mb=_mem_limit_mb())
-    outcome = run_supervised(job, wall_seconds=budget)
-    if outcome.ok:
-        result = outcome.result
-    else:
-        result = SolverResult(status=UNKNOWN,
-                              failures=[outcome.failure.as_dict()])
-    return _record(instance, config_name, result, outcome.seconds)
 
 
 @dataclass
@@ -168,12 +93,9 @@ def _record(instance: str, config: str, result: SolverResult,
 
 
 def run_zchaff_baseline(circuit: Circuit, budget: Optional[float] = None,
-                        instance: str = "?",
-                        isolate: Optional[bool] = None) -> RunRecord:
+                        instance: str = "?") -> RunRecord:
     """The ZChaff column: Tseitin-encode the circuit, solve the CNF."""
     budget = default_budget() if budget is None else budget
-    if isolate if isolate is not None else default_isolate():
-        return _run_isolated(circuit, "cnf", "zchaff", budget, instance)
     t0 = time.perf_counter()
     formula, _ = tseitin(circuit, objectives=list(circuit.outputs))
     solver = CnfSolver(formula)
@@ -185,26 +107,10 @@ def run_csat(circuit: Circuit,
              config: Union[str, SolverOptions],
              budget: Optional[float] = None,
              instance: str = "?",
-             config_name: Optional[str] = None,
-             isolate: Optional[bool] = None) -> RunRecord:
-    """Run the circuit solver under a preset name or explicit options.
-
-    ``isolate`` (default: env ``REPRO_BENCH_ISOLATE``) runs the
-    measurement in a supervised subprocess with hard limits.
-    """
+             config_name: Optional[str] = None) -> RunRecord:
+    """Run the circuit solver under a preset name or explicit options."""
     budget = default_budget() if budget is None else budget
     name = config_name or (config if isinstance(config, str) else "custom")
-    cube_workers = default_cube_workers()
-    if cube_workers:
-        return run_cube(circuit, cube_workers, budget=budget,
-                        instance=instance, config_name=name,
-                        preset_name=(config if isinstance(config, str)
-                                     else "implicit"))
-    if isolate if isolate is not None else default_isolate():
-        options = None if isinstance(config, str) else config
-        preset_name = config if isinstance(config, str) else "explicit"
-        return _run_isolated(circuit, "csat", name, budget, instance,
-                             options=options, preset_name=preset_name)
     options = preset(config) if isinstance(config, str) else config
     solver = CircuitSolver(circuit, options)
     t0 = time.perf_counter()

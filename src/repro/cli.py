@@ -31,8 +31,16 @@ Commands
                an answer cache and isolated solve workers
 ``submit``     submit an instance to a running ``repro serve`` and wait
                for (or poll) the answer
-``serve-bench``seeded load generation against in-process servers; writes
-               the BENCH_serve.json throughput/latency document
+``status``     render a running node's ``/status`` (serve server or
+               conquer node)
+``conquer-node``
+               serve cube solves for a distributed conquest
+``dist``       distributed cube-and-conquer across conquer nodes, with work
+               stealing and lemma exchange (``--spawn-local N`` starts a
+               localhost fleet)
+``chaos``      kill -9 a serve node or conquer driver at random points,
+               restart it, and check that no answer was lost or solved twice
+``metrics``    scrape a running node's ``/metrics`` and pretty-print it
 
 ``solve``, ``solve-cnf``, ``cube`` and ``submit`` accept ``-`` as the
 file argument to read the instance from stdin (format is sniffed).
@@ -533,45 +541,6 @@ def cmd_cube(args) -> int:
         circuit = _read_circuit(args.file)
         label = args.file
 
-    if args.compare_workers:
-        from .cube.bench import cube_bench_document
-        try:
-            workers_list = [int(w) for w in args.compare_workers.split(",")]
-        except ValueError:
-            print("error: --compare-workers wants e.g. '1,4'",
-                  file=sys.stderr)
-            return 2
-        if not args.instance:
-            print("error: --compare-workers needs --instance "
-                  "(the sweep reports against its expected answer)",
-                  file=sys.stderr)
-            return 2
-        from .cube import CutterOptions
-        cutter = CutterOptions(max_cubes=args.max_cubes,
-                               cubes_per_worker=args.cubes_per_worker,
-                               max_depth=args.max_depth)
-        document = cube_bench_document(
-            args.instance, workers_list, cutter=cutter, budget=args.budget,
-            preset_name=args.preset, backend=args.backend,
-            mem_limit_mb=args.mem_limit,
-            grace_seconds=args.grace, max_retries=args.retries,
-            certify=args.certify)
-        if args.json:
-            import json
-            print(json.dumps(document, indent=2))
-        else:
-            for point in document["points"]:
-                print("workers={:2d}  {:8s} {:8.3f}s  {} cubes, "
-                      "{} lemmas shared, {} pruned".format(
-                          point["workers"], point["status"],
-                          point["seconds"], point["cubes"],
-                          point["lemmas_shared"], point["pruned"]))
-            print("speedup ({}w vs {}w): {}".format(
-                workers_list[0], workers_list[-1],
-                document["speedup"] if document["speedup"] is not None
-                else "n/a"))
-        return 0 if document["speedup"] is not None else 1
-
     from .obs import JsonlTracer
     tracer = JsonlTracer(args.trace) if args.trace else None
     code = _run_cubes(args, circuit, label, workers=args.workers,
@@ -983,45 +952,6 @@ def cmd_dist(args) -> int:
     return _print_result(report.result, label)
 
 
-def cmd_dist_bench(args) -> int:
-    from .dist.bench import dist_bench_document
-    try:
-        node_counts = [int(n) for n in args.nodes_list.split(",")]
-    except ValueError:
-        print("error: --nodes-list wants e.g. '1,2'", file=sys.stderr)
-        return 2
-    document = dist_bench_document(
-        args.instance, node_counts, args.workers_per_node,
-        budget=args.budget, kill_instance=args.kill_instance,
-        kill_after=args.kill_after)
-    if args.json:
-        import json
-        with open(args.json, "w") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
-        print("wrote {}".format(args.json), file=sys.stderr)
-    for point in document["points"]:
-        print("nodes={}  workers/node={}  {:8s} {:8.3f}s  {} cubes, "
-              "{} lemmas shared, {} stolen, {} reassignment(s)".format(
-                  point["nodes"], point["workers_per_node"],
-                  point["status"], point["seconds"], point["cubes"],
-                  point["lemmas_shared"], point["steals"],
-                  point.get("reassigned", 0)))
-    print("speedup ({}n vs {}n): {}".format(
-        node_counts[0], node_counts[-1],
-        document["speedup"] if document["speedup"] is not None else "n/a"))
-    kill = document["kill_round"]
-    print("kill round [{}]: {} in {:.3f}s — killed {} at {:.1f}s, "
-          "{} reassigned, {} duplicate(s) discarded, lost={}, "
-          "double_counted={} -> {}".format(
-              kill["instance"], kill["status"], kill["seconds"],
-              kill.get("killed_node"), kill.get("killed_at_seconds") or 0,
-              kill["reassigned"], kill["duplicates_discarded"],
-              kill["lost"], kill["double_counted"],
-              "ok" if kill["ok"] else "FAILED"))
-    return 0 if (document["speedup"] is not None and kill["ok"]) else 1
-
-
 def cmd_chaos(args) -> int:
     """Kill → restart → recover loops asserting the durability contract."""
     import json
@@ -1092,48 +1022,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    from .serve.loadgen import export_serve_bench, serve_bench_document
-    try:
-        workers_list = [int(w) for w in args.workers.split(",")]
-    except ValueError:
-        print("error: --workers wants e.g. '1,4'", file=sys.stderr)
-        return 2
-    document = serve_bench_document(
-        seed=args.seed, requests=args.requests,
-        workers_list=workers_list, concurrency=args.concurrency,
-        max_seconds=args.budget, differential=not args.no_differential)
-    for point in document["points"]:
-        print("workers={:2d} {:4s}  {:6.1f} req/s  p50={:8.2f}ms "
-              "p95={:8.2f}ms  hits={}/{} errors={}".format(
-                  point["workers"], point["cache"], point["rps"] or 0.0,
-                  point["p50_ms"], point["p95_ms"], point["cache_hits"],
-                  point["requests"], point["errors"]))
-    print("warm speedup (p50 cold/warm at {} workers): {}".format(
-        max(workers_list), document["warm_speedup"] or "n/a"))
-    if args.json:
-        export_serve_bench(document, args.json)
-        print("wrote {}".format(args.json))
-    if args.slo:
-        from .obs.export import export_slo
-        from .serve.loadgen import slo_bench_document
-        slo = slo_bench_document(
-            seed=args.seed, requests=args.requests,
-            workers=max(workers_list), concurrency=args.concurrency,
-            max_seconds=args.budget,
-            differential=not args.no_differential)
-        for name, entry in slo["classes"].items():
-            print("slo {:11s}  p50={:8.2f}ms p95={:8.2f}ms "
-                  "p99={:8.2f}ms  errors={}/{} budget_used={}".format(
-                      name, entry["p50_ms"], entry["p95_ms"],
-                      entry["p99_ms"], entry["errors"],
-                      entry["requests"], entry["error_budget_used"]))
-        export_slo(slo, args.slo)
-        print("wrote {}".format(args.slo))
-        document["ok"] = document["ok"] and slo["ok"]
-    return 0 if document["ok"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -1198,10 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "unset (default 8)")
     p.add_argument("--max-depth", type=int, default=12, metavar="D",
                    help="cube tree depth cutoff (default 12)")
-    p.add_argument("--compare-workers", metavar="LIST", default=None,
-                   help="run the same instance at several worker counts "
-                        "and report the speedup, e.g. '1,4' "
-                        "(requires --instance)")
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="write cube/worker lifecycle events here (JSONL)")
     p.add_argument("--json", action="store_true",
@@ -1519,50 +1403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full dist report as JSON on stdout")
     _add_common(p)
     p.set_defaults(func=cmd_dist, preset="implicit")
-
-    p = sub.add_parser("dist-bench",
-                       help="multi-node speedup + node-kill round; "
-                            "exports BENCH_dist.json")
-    p.add_argument("--instance", default="mult7.arith",
-                   help="speedup instance (default mult7.arith)")
-    p.add_argument("--nodes-list", metavar="LIST", default="1,2",
-                   help="comma-separated node counts (default '1,2')")
-    p.add_argument("--workers-per-node", type=int, default=2, metavar="N",
-                   help="workers on every node (default 2)")
-    p.add_argument("--kill-instance", default="mult6.arith",
-                   help="node-kill round instance (default mult6.arith)")
-    p.add_argument("--kill-after", type=float, default=3.0, metavar="SEC",
-                   help="SIGKILL one node this far into the kill round "
-                        "(default 3.0)")
-    p.add_argument("--budget", type=float, default=None,
-                   help="wall-clock budget per measurement in seconds")
-    p.add_argument("--json", metavar="FILE", default=None,
-                   help="write the benchmark document here "
-                        "(BENCH_dist.json)")
-    p.set_defaults(func=cmd_dist_bench)
-
-    p = sub.add_parser("serve-bench",
-                       help="seeded load generation against in-process "
-                            "servers; exports BENCH_serve.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests", type=int, default=40,
-                   help="workload size per pass (default 40)")
-    p.add_argument("--workers", metavar="LIST", default="1,4",
-                   help="comma-separated server worker counts "
-                        "(default '1,4')")
-    p.add_argument("--concurrency", type=int, default=4,
-                   help="concurrent load-generating clients (default 4)")
-    p.add_argument("--budget", type=float, default=60.0,
-                   help="per-request budget in seconds (default 60)")
-    p.add_argument("--no-differential", action="store_true",
-                   help="skip the direct-solve differential reference")
-    p.add_argument("--json", metavar="FILE", default=None,
-                   help="write the benchmark document here "
-                        "(BENCH_serve.json)")
-    p.add_argument("--slo", metavar="FILE", default=None,
-                   help="also run one cold SLO pass and write the "
-                        "per-workload-class report here (BENCH_slo.json)")
-    p.set_defaults(func=cmd_serve_bench)
 
     p = sub.add_parser("chaos",
                        help="kill -9 a serve node / conquer driver at "

@@ -8,8 +8,8 @@ power.  The cube scheduler (:mod:`repro.cube.conquer`) then solves each
 cube under assumptions on endpoints — isolated :mod:`repro.runtime`
 workers here, conquer nodes for :mod:`repro.dist` — sharing correlations
 and proven lemmas between them (:mod:`repro.cube.sharing`) and pruning
-siblings with failed-assumption cores.  Speedup measurement lives in
-:mod:`repro.cube.bench`.
+siblings with failed-assumption cores.  perfbench's ``conquer_mult``
+workload measures the conquest end to end.
 """
 
 from .conquer import (CubeOutcome, CubeReport, PRUNED, REFUTED, SKIPPED,

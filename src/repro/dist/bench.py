@@ -1,51 +1,34 @@
-"""Distributed conquest measurement -> ``BENCH_dist.json``.
+"""A local conquer-node fleet, and the node-kill round that uses it.
 
-Two measurements back the fabric's claims:
+:func:`launch_local_nodes` starts real ``repro conquer-node``
+subprocesses on localhost and waits for each ``/health``; the fleet
+backs ``repro dist --spawn-local``, the dist tests, the dist-smoke CI
+job and perfbench's ``conquer_mult`` workload.  Process plumbing is
+:mod:`repro.durable.chaos`'s, so a node is killed the way the chaos
+harness kills: SIGKILL to its whole process group.
 
-* **Speedup** — wall clock of :func:`repro.dist.solve_distributed` on
-  one conquer node versus several (same worker count per node).  On a
-  single-CPU host the channel is the same one ``BENCH_cube.json``
-  exploits: the cutter sizes the partition by the *total* worker count
-  across nodes, so more nodes mean a superlinearly finer cube tree plus
-  more lemma exchange, and CDCL effort shrinks superlinearly with cube
-  hardness.  On real hardware the nodes additionally overlap in time.
-* **Kill round** — SIGKILL one node mid-conquest and assert the answer
-  still lands: the dead node's in-flight cubes are reassigned, no cube
-  result is lost, and no answer is double-counted.
-
-Nodes are real ``repro conquer-node`` subprocesses (the chaos-harness
-idiom), so the bench exercises the actual wire path, not an in-process
-shortcut.
+:func:`kill_round` SIGKILLs one of two nodes mid-conquest and asserts
+the answer still lands: the dead node's in-flight cubes are reassigned,
+no cube result is lost, and no answer is double-counted.
 """
 
 from __future__ import annotations
 
-import datetime
 import os
-import signal
-import socket
 import subprocess
-import sys
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..bench.instances import instance_by_name
-from ..cube.cutter import CutterOptions
-from ..obs.export import SCHEMA_VERSION, environment_info
+from ..durable.chaos import free_port, sigkill_group, spawn_repro
 from ..serve.client import ServeClient, ServeError
 from .coordinator import solve_distributed
 
-DEFAULT_INSTANCE = "mult7.arith"
-DEFAULT_NODE_COUNTS: Sequence[int] = (1, 2)
 DEFAULT_WORKERS_PER_NODE = 2
 KILL_INSTANCE = "mult6.arith"
 
-
-# ----------------------------------------------------------------------
-# Local node fleet (subprocess plumbing shared with repro.durable.chaos)
-# ----------------------------------------------------------------------
 
 class LocalNode:
     """One ``repro conquer-node`` subprocess and its address."""
@@ -57,36 +40,11 @@ class LocalNode:
 
     def sigkill(self) -> None:
         """Kill the whole process group — node and in-flight workers."""
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except (OSError, ProcessLookupError):
-            try:
-                self.proc.kill()
-            except OSError:
-                pass
-        self.proc.wait()
+        sigkill_group(self.proc)
 
     def stop(self) -> None:
         if self.proc.poll() is None:
             self.sigkill()
-
-
-def _free_port() -> int:
-    sock = socket.socket()
-    try:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-    finally:
-        sock.close()
-
-
-def _repro_env() -> Dict[str, str]:
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    current = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + current if current else "")
-    return env
 
 
 def launch_local_nodes(count: int,
@@ -101,19 +59,13 @@ def launch_local_nodes(count: int,
     nodes: List[LocalNode] = []
     try:
         for i in range(count):
-            port = _free_port()
+            port = free_port()
             log_path = os.path.join(workdir, "node-{}.log".format(i))
-            log = open(log_path, "ab")
-            try:
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro", "conquer-node",
-                     "--port", str(port), "--workers", str(workers),
-                     "--preset", preset, "--backend", backend,
-                     "--name", "bench-node-{}".format(i)],
-                    stdout=log, stderr=subprocess.STDOUT,
-                    env=_repro_env(), start_new_session=True)
-            finally:
-                log.close()
+            proc = spawn_repro(
+                ["conquer-node", "--port", str(port),
+                 "--workers", str(workers), "--preset", preset,
+                 "--backend", backend, "--name", "bench-node-{}".format(i)],
+                log_path)
             nodes.append(LocalNode(proc, "http://127.0.0.1:{}".format(port),
                                    log_path))
         deadline = time.monotonic() + startup_timeout
@@ -141,47 +93,6 @@ def launch_local_nodes(count: int,
         for node in nodes:
             node.stop()
         raise
-
-
-# ----------------------------------------------------------------------
-# Measurements
-# ----------------------------------------------------------------------
-
-def measure_dist_point(circuit, node_count: int,
-                       workers_per_node: int = DEFAULT_WORKERS_PER_NODE,
-                       *,
-                       cutter: Optional[CutterOptions] = None,
-                       budget: Optional[float] = None,
-                       **solve_kwargs) -> Dict[str, Any]:
-    """One (instance, node count) wall-clock measurement."""
-    fleet = launch_local_nodes(node_count, workers_per_node)
-    try:
-        t0 = time.perf_counter()
-        report = solve_distributed(circuit,
-                                   nodes=[n.url for n in fleet],
-                                   cutter=cutter, budget=budget,
-                                   **solve_kwargs)
-        wall = time.perf_counter() - t0
-    finally:
-        for node in fleet:
-            node.stop()
-    return {
-        "nodes": node_count,
-        "workers_per_node": workers_per_node,
-        "total_workers": report.total_workers,
-        "status": report.result.status,
-        "seconds": round(wall, 4),
-        "cubes": len(report.cubes),
-        "generation_seconds": round(report.generation_seconds, 4),
-        "lemmas_shared": report.lemmas_shared,
-        "pruned": report.pruned,
-        "steals": report.steals,
-        "duplicates": report.duplicates,
-        "double_counted": report.double_counted,
-        "certified": report.certified,
-        "conflicts": report.result.stats.conflicts,
-        "decisions": report.result.stats.decisions,
-    }
 
 
 def kill_round(instance: str = KILL_INSTANCE,
@@ -243,55 +154,3 @@ def kill_round(instance: str = KILL_INSTANCE,
         "ok": (report.result.status == inst.expected
                and report.lost == 0 and report.double_counted == 0),
     }
-
-
-def dist_bench_document(instance: str = DEFAULT_INSTANCE,
-                        node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
-                        workers_per_node: int = DEFAULT_WORKERS_PER_NODE,
-                        *,
-                        cutter: Optional[CutterOptions] = None,
-                        budget: Optional[float] = None,
-                        kill_instance: str = KILL_INSTANCE,
-                        kill_after: float = 3.0,
-                        **solve_kwargs) -> Dict[str, Any]:
-    """Run the sweep + kill round, shaped like the other BENCH docs.
-
-    ``speedup`` is wall-clock of the *first* node count over the *last*
-    (canonically 1 node vs 2); null when either run failed to answer.
-    """
-    inst = instance_by_name(instance)
-    circuit = inst.build()
-    points = [measure_dist_point(circuit, count, workers_per_node,
-                                 cutter=cutter, budget=budget,
-                                 **solve_kwargs)
-              for count in node_counts]
-    speedup = None
-    base, best = points[0], points[-1]
-    if base["status"] == inst.expected and best["status"] == inst.expected \
-            and best["seconds"] > 0:
-        speedup = round(base["seconds"] / best["seconds"], 3)
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "bench_dist",
-        "source": "repro.dist.bench",
-        "instance": instance,
-        "expected": inst.expected,
-        "datetime": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "environment": environment_info(),
-        "points": points,
-        "speedup": speedup,
-        "kill_round": kill_round(kill_instance,
-                                 workers_per_node=workers_per_node,
-                                 kill_after=kill_after, budget=budget),
-    }
-
-
-def export_dist_bench(out_path: str = "BENCH_dist.json",
-                      **kwargs) -> Dict[str, Any]:
-    """Run the sweep and write the document; returns it."""
-    import json
-    document = dist_bench_document(**kwargs)
-    with open(out_path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    return document

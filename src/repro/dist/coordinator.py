@@ -8,9 +8,7 @@ pruning, retry with reseed, reassignment and checkpointing — but here
 every endpoint is a :class:`~repro.dist.node.ConquerNode` HTTP service
 whose slots are its workers.  The cube tree is sized by the **total**
 worker count across nodes, so adding a node refines the partition
-exactly as adding local workers would (the granularity channel that
-gives the single-host speedup in ``BENCH_cube.json`` carries over
-unchanged).
+exactly as adding local workers would.
 
 What a remote endpoint adds to the shared loop:
 

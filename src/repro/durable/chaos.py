@@ -28,7 +28,9 @@ cleanup, no atexit, no flushed buffers):
 
 Nothing here is imported by the serving or solving layers — the harness
 sits strictly above them (``repro chaos`` CLI and the chaos-smoke CI
-job).
+job).  Its subprocess plumbing (:func:`free_port`, :func:`spawn_repro`,
+:func:`sigkill_group`) also spawns the local conquer-node fleet of
+:mod:`repro.dist.bench`.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class ChaosReport:
 # Subprocess plumbing
 # ----------------------------------------------------------------------
 
-def _free_port() -> int:
+def free_port() -> int:
     sock = socket.socket()
     try:
         sock.bind(("127.0.0.1", 0))
@@ -123,7 +125,8 @@ def _repro_env() -> Dict[str, str]:
     return env
 
 
-def _spawn(argv: List[str], log_path: str) -> subprocess.Popen:
+def spawn_repro(argv: List[str], log_path: str) -> subprocess.Popen:
+    """``python -m repro <argv>`` in a new session, output to the log."""
     log = open(log_path, "ab")
     try:
         return subprocess.Popen(
@@ -134,7 +137,8 @@ def _spawn(argv: List[str], log_path: str) -> subprocess.Popen:
         log.close()
 
 
-def _sigkill(proc: subprocess.Popen) -> None:
+def sigkill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the process group: the process and every child it forked."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except (OSError, ProcessLookupError):
@@ -173,7 +177,7 @@ def chaos_serve(rounds: int = 2,
     workdir = workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     journal = os.path.join(workdir, "serve.journal")
     log_path = os.path.join(workdir, "serve.log")
-    port = _free_port()
+    port = free_port()
 
     def say(message: str) -> None:
         report.notes.append(message)
@@ -190,16 +194,16 @@ def chaos_serve(rounds: int = 2,
     finished_once: Dict[str, str] = {}
 
     def start_node() -> subprocess.Popen:
-        proc = _spawn(["serve", "--host", "127.0.0.1",
-                       "--port", str(port), "--workers", str(workers),
-                       "--journal", journal], log_path)
+        proc = spawn_repro(["serve", "--host", "127.0.0.1",
+                            "--port", str(port), "--workers", str(workers),
+                            "--journal", journal], log_path)
         client = ServeClient("127.0.0.1", port, timeout=5.0,
                              retries=8, backoff=0.1, backoff_max=1.0,
                              jitter_seed=seed)
         try:
             client.health()
         except ServeError:
-            _sigkill(proc)
+            sigkill_group(proc)
             raise ChaosError("serve node never became healthy "
                              "(see {})".format(log_path))
         return proc
@@ -241,7 +245,7 @@ def chaos_serve(rounds: int = 2,
             delay = kill.delay_for(rnd)
             say("round {}: killing node after {:.2f}s".format(rnd, delay))
             time.sleep(delay)
-            _sigkill(proc)
+            sigkill_group(proc)
             proc = None
             report.kills += 1
 
@@ -277,12 +281,12 @@ def chaos_serve(rounds: int = 2,
                 break
             time.sleep(0.1)
         else:
-            _sigkill(proc)
+            sigkill_group(proc)
             say("final node ignored drain; killed")
         proc = None
     finally:
         if proc is not None:
-            _sigkill(proc)
+            sigkill_group(proc)
 
     _verify_serve_invariants(report, journal, keys, seen)
     return report
@@ -363,10 +367,10 @@ def chaos_conquer(instance: str = "mult6.arith",
             print(message, file=log)
 
     report.rounds = 1
-    proc = _spawn(["cube", "--instance", instance,
-                   "--workers", str(workers),
-                   "--checkpoint", checkpoint, "--checkpoint-every", "1"],
-                  log_path)
+    proc = spawn_repro(["cube", "--instance", instance,
+                        "--workers", str(workers),
+                        "--checkpoint", checkpoint, "--checkpoint-every", "1"],
+                       log_path)
     deadline = time.monotonic() + budget / 2
     closed = 0
     try:
@@ -384,12 +388,12 @@ def chaos_conquer(instance: str = "mult6.arith",
                 "({} closed)".format(closed))
         else:
             say("killing driver with {} cube(s) closed".format(closed))
-            _sigkill(proc)
+            sigkill_group(proc)
             report.kills += 1
             proc = None
     finally:
         if proc is not None and proc.poll() is None:
-            _sigkill(proc)
+            sigkill_group(proc)
 
     if _closed_cubes(checkpoint) < 1:
         report.violate("no usable checkpoint survived the kill")
@@ -404,7 +408,7 @@ def chaos_conquer(instance: str = "mult6.arith",
     try:
         resume.wait(timeout=budget)
     except subprocess.TimeoutExpired:
-        _sigkill(resume)
+        sigkill_group(resume)
         report.violate("resumed run exceeded its {}s budget".format(budget))
         return report
     try:

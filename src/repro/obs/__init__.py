@@ -17,7 +17,7 @@ The observability layer both engines report through:
 * :mod:`repro.obs.context` — trace/span identifiers that cross the
   subprocess-worker boundary;
 * :mod:`repro.obs.export` — machine-readable benchmark output
-  (``BENCH_micro.json``, ``BENCH_slo.json``, per-table JSON).
+  (``BENCH_micro.json``, per-table JSON).
 
 This package sits *below* the engines in the import graph (the engines
 import it, never the reverse), so it must stay free of solver imports.
@@ -25,9 +25,8 @@ See ``docs/observability.md`` for the event schema and overhead notes.
 """
 
 from .context import SpanContext, child_context, context_of, new_id
-from .export import (environment_info, export_micro, export_slo,
-                     export_table, micro_document, slo_document,
-                     table_document)
+from .export import (environment_info, export_micro, export_table,
+                     micro_document, table_document)
 from .metrics import (MetricsRegistry, default_registry, disable_metrics,
                       enable_metrics, observe_solve, parse_exposition)
 from .progress import ProgressPrinter, ProgressSnapshot
@@ -43,8 +42,8 @@ __all__ = [
     "SEARCH_PHASES", "SpanContext", "SpanNode", "SpanTree", "TraceSummary",
     "Tracer", "build_span_tree", "child_context", "complete_phases",
     "context_of", "default_registry", "disable_metrics", "enable_metrics",
-    "environment_info", "export_micro", "export_slo", "export_table",
-    "make_tracer", "micro_document", "new_id", "observe_solve",
-    "parse_exposition", "read_trace", "slo_document", "span_tree_of",
-    "summarize_events", "summarize_trace", "table_document",
+    "environment_info", "export_micro", "export_table", "make_tracer",
+    "micro_document", "new_id", "observe_solve", "parse_exposition",
+    "read_trace", "span_tree_of", "summarize_events", "summarize_trace",
+    "table_document",
 ]

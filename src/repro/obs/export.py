@@ -125,49 +125,6 @@ def export_table(table_result, out_path: str) -> Dict[str, Any]:
     return document
 
 
-def slo_document(classes: Dict[str, Dict[str, Any]],
-                 objective: float = 0.99,
-                 **extra: Any) -> Dict[str, Any]:
-    """The ``BENCH_slo.json`` shape: per-workload-class SLO numbers.
-
-    ``classes`` maps class name -> point dict carrying at least
-    ``requests``/``errors``/``p50_ms``/``p95_ms``/``p99_ms`` (the load
-    generator's :meth:`~repro.serve.loadgen.LoadReport.slo_classes`
-    produces exactly this).  ``objective`` is the availability target
-    the error budget is measured against: with objective 0.99 a class
-    has a budget of 1% errors, and ``error_budget_used`` reports the
-    fraction of that budget its measured error rate consumed (>1 means
-    the SLO was violated).
-    """
-    out_classes: Dict[str, Dict[str, Any]] = {}
-    for name, point in sorted(classes.items()):
-        requests = point.get("requests", 0) or 0
-        errors = point.get("errors", 0) or 0
-        error_rate = errors / requests if requests else 0.0
-        budget = 1.0 - objective
-        entry = dict(point)
-        entry["error_rate"] = round(error_rate, 6)
-        entry["error_budget_used"] = (round(error_rate / budget, 4)
-                                      if budget > 0 else None)
-        out_classes[name] = entry
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": "bench_slo",
-        "objective": objective,
-        "environment": environment_info(),
-        "classes": out_classes,
-    }
-    document.update(extra)
-    return document
-
-
-def export_slo(document: Dict[str, Any],
-               out_path: str = "BENCH_slo.json") -> Dict[str, Any]:
-    """Write one SLO report (see :func:`slo_document`)."""
-    _write(document, out_path)
-    return document
-
-
 def _write(document: Dict[str, Any], out_path: str) -> None:
     with open(out_path, "w") as fh:
         json.dump(document, fh, indent=2, sort_keys=False)

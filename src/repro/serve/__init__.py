@@ -13,8 +13,8 @@ package turns the repo's one-shot machinery into that long-lived service:
   graceful drain;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib
   JSON-over-HTTP protocol behind ``repro serve`` and ``repro submit``;
-* :mod:`repro.serve.loadgen` — seeded mixed-traffic load generation and
-  the ``BENCH_serve.json`` exporter.
+* :mod:`repro.serve.loadgen` — seeded mixed-traffic load generation
+  with differentially checked answers.
 
 See ``docs/serving.md`` for the protocol, the fingerprint definition,
 and the cache soundness contract.

@@ -1,12 +1,14 @@
 """Seeded load generation for the serve subsystem.
 
 Produces the mixed traffic a deployed equivalence-checking service sees —
-satisfiable random DAGs, unsatisfiable self-miters, and *renamed
+satisfiable random DAGs, unsatisfiable multiplier miters, and *renamed
 duplicates* of earlier requests (the regime the fingerprint cache
-exists for) — drives a live server with concurrent clients, checks
+exists for) — drives a live server with concurrent clients, and checks
 every answer (differentially against a direct in-process solve for
-instances whose status is not known by construction), and exports
-throughput/latency percentiles to ``BENCH_serve.json``.
+instances whose status is not known by construction).  The HTTP
+end-to-end tests and the durable-log soak drive the server with it;
+the service's performance is measured by perfbench's ``serve_cold``
+and ``serve_warm`` workloads.
 
 Everything is deterministic in the campaign seed: the same seed yields
 the same instances, the same duplicate structure, and the same
@@ -15,19 +17,16 @@ submission order.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..circuit.bench_io import write_bench
 from ..circuit.miter import miter
 from ..circuit.netlist import Circuit
 from ..circuit.topo import append_circuit
 from ..gen.random_circuit import random_dag
-from ..obs.export import SCHEMA_VERSION, environment_info
 from ..result import SAT, UNSAT
 from .client import ServeClient, ServeError
 
@@ -200,45 +199,15 @@ def mutated_miter_items(seed: int = 0, count: int = 8, width: int = 4,
     return items
 
 
-#: The workload classes an SLO is tracked against, keyed by the label
-#: prefixes :func:`build_workload` assigns.
-WORKLOAD_CLASSES = ("unsat_miter", "cnf_phase", "random_dag",
-                    "duplicate", "mutated_miter")
-
-
-def workload_class(label: str, dup_of: Optional[str] = None) -> str:
-    """Map a workload label to its SLO class.
-
-    Renamed duplicates are their own class regardless of base flavour:
-    their latency story (fingerprint hit or dedup) is what the cache
-    subsystem is accountable for.
-    """
-    if dup_of is not None or "#dup" in label:
-        return "duplicate"
-    if label.startswith("mut"):
-        return "mutated_miter"
-    if label.startswith("unsat"):
-        return "unsat_miter"
-    if label.startswith("cnf"):
-        return "cnf_phase"
-    return "random_dag"
-
-
 @dataclass
 class RequestRecord:
-    """Measured outcome of one submitted request."""
+    """Checked outcome of one submitted request."""
 
     label: str
     status: str = "?"
-    seconds: float = 0.0
     cached: bool = False
-    deduped: bool = False
     ok: bool = True
     detail: str = ""
-
-    @property
-    def workload_class(self) -> str:
-        return workload_class(self.label)
 
 
 @dataclass
@@ -246,74 +215,6 @@ class LoadReport:
     """One pass of the workload against one server configuration."""
 
     records: List[RequestRecord] = field(default_factory=list)
-    wall_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-    def latencies(self, cached: Optional[bool] = None) -> List[float]:
-        records = self.records if cached is None else \
-            [r for r in self.records if r.cached == cached]
-        return sorted(r.seconds for r in records)
-
-    def percentile(self, q: float,
-                   cached: Optional[bool] = None) -> float:
-        lat = self.latencies(cached=cached)
-        if not lat:
-            return 0.0
-        index = min(len(lat) - 1, max(0, int(round(q * (len(lat) - 1)))))
-        return lat[index]
-
-    def slo_classes(self) -> Dict[str, Dict[str, Any]]:
-        """Per-workload-class latency/error points for the SLO report.
-
-        The shape is exactly what :func:`repro.obs.export.slo_document`
-        consumes: requests/errors plus p50/p95/p99 in milliseconds.
-        """
-        grouped: Dict[str, List[RequestRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.workload_class, []).append(record)
-        classes: Dict[str, Dict[str, Any]] = {}
-        for name, records in grouped.items():
-            lat = sorted(r.seconds for r in records)
-
-            def pct(q: float) -> float:
-                index = min(len(lat) - 1,
-                            max(0, int(round(q * (len(lat) - 1)))))
-                return round(lat[index] * 1e3, 3)
-
-            classes[name] = {
-                "requests": len(records),
-                "errors": sum(1 for r in records if not r.ok),
-                "cache_hits": sum(1 for r in records if r.cached),
-                "deduped": sum(1 for r in records if r.deduped),
-                "p50_ms": pct(0.50),
-                "p95_ms": pct(0.95),
-                "p99_ms": pct(0.99),
-            }
-        return classes
-
-    def as_point(self, **extra: Any) -> Dict[str, Any]:
-        point = {
-            "requests": len(self.records),
-            "errors": sum(1 for r in self.records if not r.ok),
-            "cache_hits": sum(1 for r in self.records if r.cached),
-            "deduped": sum(1 for r in self.records if r.deduped),
-            "wall_seconds": round(self.wall_seconds, 6),
-            "rps": round(len(self.records) / self.wall_seconds, 3)
-            if self.wall_seconds > 0 else None,
-            "p50_ms": round(self.percentile(0.50) * 1e3, 3),
-            "p95_ms": round(self.percentile(0.95) * 1e3, 3),
-            # The cache headline splits: what a real solve costs here vs
-            # what a fingerprint hit costs.
-            "p50_solve_ms": round(self.percentile(0.50, cached=False) * 1e3,
-                                  3),
-            "p50_hit_ms": round(self.percentile(0.50, cached=True) * 1e3,
-                                3),
-        }
-        point.update(extra)
-        return point
 
 
 def run_load(client: ServeClient, workload: List[WorkItem],
@@ -338,7 +239,6 @@ def run_load(client: ServeClient, workload: List[WorkItem],
                 cursor["next"] = index + 1
             item = workload[index]
             record = RequestRecord(label=item.label)
-            started = time.perf_counter()
             try:
                 snap = client.submit(
                     circuit_text=item.text, engine=engine, preset=preset,
@@ -348,11 +248,9 @@ def run_load(client: ServeClient, workload: List[WorkItem],
                 if snap.get("state") != "DONE":
                     snap = client.wait_for(snap["job"],
                                            timeout=max_seconds + 60.0)
-                record.seconds = time.perf_counter() - started
                 result = snap.get("result") or {}
                 record.status = result.get("status", "?")
                 record.cached = bool(result.get("cached"))
-                record.deduped = bool(snap.get("deduped"))
                 want = (expected or {}).get(item.label) or item.expect
                 if want is not None and record.status != want:
                     record.ok = False
@@ -363,20 +261,17 @@ def run_load(client: ServeClient, workload: List[WorkItem],
                     record.detail = "no decisive answer: {}".format(
                         result.get("failures"))
             except ServeError as exc:
-                record.seconds = time.perf_counter() - started
                 record.ok = False
                 record.detail = str(exc)
             with lock:
                 report.records.append(record)
 
-    started = time.perf_counter()
     threads = [threading.Thread(target=pump, daemon=True)
                for _ in range(max(1, concurrency))]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    report.wall_seconds = time.perf_counter() - started
     return report
 
 
@@ -400,115 +295,3 @@ def reference_answers(workload: List[WorkItem],
         if item.dup_of is not None and item.dup_of in answers:
             answers[item.label] = answers[item.dup_of]
     return answers
-
-
-def serve_bench_document(seed: int = 0, requests: int = 40,
-                         workers_list: Optional[List[int]] = None,
-                         concurrency: int = 4,
-                         max_seconds: float = 60.0,
-                         differential: bool = True) -> Dict[str, Any]:
-    """The BENCH_serve.json producer: cold vs warm cache, 1 vs N workers.
-
-    For each worker count, one server is started in-process, the seeded
-    workload is replayed **cold** (empty cache) and then **warm**
-    (identical traffic again: every request should now be a fingerprint
-    hit), and both passes are differentially checked.
-    """
-    from .server import ReproServer
-    workers_list = workers_list or [1, 4]
-    workload = build_workload(seed=seed, count=requests)
-    expected = reference_answers(workload, max_seconds=max_seconds) \
-        if differential else {}
-    points: List[Dict[str, Any]] = []
-    ok = True
-    for workers in workers_list:
-        server = ReproServer(host="127.0.0.1", port=0, workers=workers,
-                             max_queue=max(64, requests * 2)).start()
-        try:
-            client = ServeClient(server.host, server.port,
-                                 timeout=max_seconds + 60.0)
-            for phase in ("cold", "warm"):
-                report = run_load(client, workload,
-                                  concurrency=concurrency,
-                                  max_seconds=max_seconds,
-                                  expected=expected)
-                ok = ok and report.ok
-                points.append(report.as_point(workers=workers,
-                                              cache=phase))
-        finally:
-            server.stop(drain=True)
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": "bench_serve",
-        "seed": seed,
-        "requests": requests,
-        "concurrency": concurrency,
-        "environment": environment_info(),
-        "differential": differential,
-        "ok": ok,
-        "points": points,
-        "warm_speedup": _warm_speedup(points),
-    }
-    return document
-
-
-def slo_bench_document(seed: int = 0, requests: int = 40,
-                       workers: int = 4, concurrency: int = 4,
-                       max_seconds: float = 60.0,
-                       objective: float = 0.99,
-                       differential: bool = True) -> Dict[str, Any]:
-    """The ``BENCH_slo.json`` producer: one cold pass per workload class.
-
-    A single server replays the seeded workload once from an empty cache
-    (the pessimistic regime: every latency includes a real solve unless
-    the in-run duplicate structure saves it), and the per-class
-    percentiles plus error-budget burn go through
-    :func:`repro.obs.export.slo_document`.
-    """
-    from ..obs.export import slo_document
-    from .server import ReproServer
-    workload = build_workload(seed=seed, count=requests)
-    expected = reference_answers(workload, max_seconds=max_seconds) \
-        if differential else {}
-    server = ReproServer(host="127.0.0.1", port=0, workers=workers,
-                         max_queue=max(64, requests * 2)).start()
-    try:
-        client = ServeClient(server.host, server.port,
-                             timeout=max_seconds + 60.0)
-        report = run_load(client, workload, concurrency=concurrency,
-                          max_seconds=max_seconds, expected=expected)
-    finally:
-        server.stop(drain=True)
-    return slo_document(
-        report.slo_classes(), objective=objective, seed=seed,
-        requests=requests, workers=workers, concurrency=concurrency,
-        differential=differential, ok=report.ok,
-        wall_seconds=round(report.wall_seconds, 6))
-
-
-def _warm_speedup(points: List[Dict[str, Any]]) -> Optional[float]:
-    """The headline: p50 of a *cold solve* over p50 of a *warm hit*,
-    at the highest worker count.
-
-    Cold-pass cache hits (renamed duplicates of traffic seen seconds
-    earlier) and warm-pass records that still missed are excluded from
-    their sides, so the ratio measures what the cache actually buys —
-    fingerprint lookup plus re-certification instead of a subprocess
-    solve — rather than an average skewed by the traffic mix.
-    """
-    by_key = {(p["workers"], p["cache"]): p for p in points}
-    workers = max((p["workers"] for p in points), default=None)
-    if workers is None:
-        return None
-    cold = by_key.get((workers, "cold"))
-    warm = by_key.get((workers, "warm"))
-    if not cold or not warm or not warm["p50_hit_ms"]:
-        return None
-    return round(cold["p50_solve_ms"] / warm["p50_hit_ms"], 2)
-
-
-def export_serve_bench(document: Dict[str, Any],
-                       out_path: str = "BENCH_serve.json") -> None:
-    with open(out_path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -121,6 +121,20 @@ class TestBench:
         assert exc.value.code == 0
 
 
+class TestHelp:
+    def test_docstring_lists_every_subcommand(self):
+        import argparse
+        from repro import cli
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        # The "Commands" block: one "``name``" entry per subcommand.
+        block = cli.__doc__.split("--------\n\n", 1)[1].split("\n\n")[0]
+        listed = {line.split("``")[1] for line in block.splitlines()
+                  if line.startswith("``")}
+        assert set(sub.choices) - listed == set(), "missing from docstring"
+        assert listed - set(sub.choices) == set(), "not a subcommand"
+
+
 class TestProofWorkflow:
     def test_solve_proof_then_check(self, tmp_path, capsys):
         from repro.gen.iscas import equiv_miter

@@ -278,7 +278,7 @@ def test_workers_unretried_timeout_degrades_to_unknown():
 
 
 # ----------------------------------------------------------------------
-# Integrations: oracle, bench harness, CLI
+# Integrations: oracle, CLI
 # ----------------------------------------------------------------------
 
 def test_oracle_includes_cube_engine(full_adder):
@@ -287,26 +287,6 @@ def test_oracle_includes_cube_engine(full_adder):
     names = [a.name for a in report.answers]
     assert "cube" in names
     assert report.ok, report.summary()
-
-
-def test_bench_env_routes_through_cubes(monkeypatch):
-    from repro.bench import harness
-    monkeypatch.setenv("REPRO_BENCH_CUBES", "2")
-    assert harness.default_cube_workers() == 2
-    calls = {}
-    real_run_cube = harness.run_cube
-
-    def spy(circuit, workers, **kwargs):
-        calls["workers"] = workers
-        return real_run_cube(circuit, workers, **kwargs)
-
-    monkeypatch.setattr(harness, "run_cube", spy)
-    record = harness.run_csat(small_miter(3), "implicit", budget=60,
-                              instance="mult3")
-    assert calls["workers"] == 2
-    assert record.status == UNSAT
-    monkeypatch.setenv("REPRO_BENCH_CUBES", "nonsense")
-    assert harness.default_cube_workers() == 0
 
 
 def test_cli_solve_cubes(tmp_path):

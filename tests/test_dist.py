@@ -275,6 +275,22 @@ class TestNodeDeath:
         assert survivor.completed >= 1
 
 
+class TestLocalFleet:
+    def test_node_that_exits_at_startup_fails_fast(self, tmp_path):
+        from repro.dist.bench import launch_local_nodes
+        started = time.monotonic()
+        with pytest.raises(RuntimeError) as info:
+            launch_local_nodes(1, preset="not-a-preset",
+                               workdir=str(tmp_path), startup_timeout=60.0)
+        # The exit is seen by polling the child, not by the timeout.
+        assert time.monotonic() - started < 30.0
+        log_path = str(tmp_path / "node-0.log")
+        assert "exited with 2" in str(info.value)
+        assert log_path in str(info.value)
+        with open(log_path) as fh:
+            assert "invalid choice: 'not-a-preset'" in fh.read()
+
+
 # ----------------------------------------------------------------------
 # CLI integrations
 # ----------------------------------------------------------------------

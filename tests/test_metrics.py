@@ -1,4 +1,5 @@
-"""The metrics registry: semantics, exposition format, and the export CLI.
+"""The metrics registry: semantics, exposition format, the export CLI,
+and the shape of the committed benchmark baselines.
 
 The parse-back tests are the contract the ``/metrics`` endpoint serves
 under: everything the registry renders must round-trip through
@@ -7,7 +8,9 @@ Prometheus 0.0.4 text format) with values, labels, and histogram
 invariants intact.
 """
 
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -289,17 +292,24 @@ def test_environment_info_comparability_fields():
     assert "numpy" in env   # None when absent, version string otherwise
 
 
-def test_slo_document_error_budget():
-    from repro.obs.export import slo_document
-    doc = slo_document({
-        "unsat_miter": {"requests": 200, "errors": 1,
-                        "p50_ms": 10.0, "p95_ms": 40.0, "p99_ms": 80.0},
-        "duplicate": {"requests": 100, "errors": 0,
-                      "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0},
-    }, objective=0.99)
-    assert doc["kind"] == "bench_slo"
-    miter = doc["classes"]["unsat_miter"]
-    assert miter["error_rate"] == pytest.approx(0.005)
-    assert miter["error_budget_used"] == pytest.approx(0.5)
-    dup = doc["classes"]["duplicate"]
-    assert dup["error_budget_used"] == 0.0
+# ----------------------------------------------------------------------
+# Committed baselines: every BENCH_*.json is one the gate reads
+# ----------------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_committed_bench_files_load_through_the_gate():
+    spec = importlib.util.spec_from_file_location(
+        "check_regression", ROOT / "benchmarks" / "check_regression.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    unreadable = []
+    for path in paths:
+        try:
+            gate.load_medians(str(path))
+        except SystemExit as exc:   # no non-empty list of medians
+            unreadable.append(str(exc))
+    assert not unreadable
