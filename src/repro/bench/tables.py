@@ -574,11 +574,13 @@ def kernel_table(budget: Optional[float] = None) -> TableResult:
     """Flat kernel vs legacy C-SAT on the equivalence + VLIW instances.
 
     Both backends run plain VSIDS search (no J-node, no correlation
-    learning), so the comparison isolates the data-structure rewrite.
-    The shape checks demand verdict agreement and a net speedup.
+    learning; the kernel preset's explicit phase is switched off), so the
+    comparison isolates the data-structure rewrite.  The shape checks
+    demand verdict agreement and a net speedup.
     """
     instances = EQUIV_INSTANCES + VLIW_INSTANCES[:2]
-    configs = {"csat": "csat", "kernel": "kernel"}
+    configs = {"csat": "csat",
+               "kernel": preset("kernel", explicit_learning=False)}
     records = _run_matrix(instances, configs, budget)
     rows = []
     for i, inst in enumerate(instances):

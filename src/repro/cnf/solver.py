@@ -591,6 +591,9 @@ class CnfSolver:
                           if tracer is not None or self.progress is not None
                           else 0)
         conflicts_at_entry = self.stats.conflicts
+        # Budgets count from this call's entry, like max_conflicts.
+        decision_cap = (None if limits.max_decisions is None
+                        else self.stats.decisions + limits.max_decisions)
         restart_limit = self.restart_first
         conflicts_since_restart = 0
         while True:
@@ -660,8 +663,8 @@ class CnfSolver:
             if (limits.max_seconds is not None
                     and time.perf_counter() - start >= limits.max_seconds):
                 return UNKNOWN
-            if (limits.max_decisions is not None
-                    and self.stats.decisions >= limits.max_decisions):
+            if (decision_cap is not None
+                    and self.stats.decisions >= decision_cap):
                 return UNKNOWN
             if conflicts_since_restart >= restart_limit:
                 conflicts_since_restart = 0

@@ -200,4 +200,4 @@ def check_equivalence(left: Circuit, right: Circuit,
     counterexample model.
     """
     m = miter(left, right, style=style)
-    return CircuitSolver(m, options).solve()
+    return CircuitSolver(m, options).solve(limits=limits)

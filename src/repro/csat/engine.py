@@ -815,6 +815,15 @@ class CSatEngine:
             observe_solve(registry, "csat", status, elapsed, result.stats)
         return result
 
+    def solve_subproblem(self, assumptions: Sequence[int],
+                         limits: Optional[Limits] = None,
+                         max_learned: Optional[int] = None) -> SolverResult:
+        """One explicit-learning sub-problem (:mod:`repro.csat.explicit`):
+        a plain :meth:`solve`, whose J-node frontier (``use_jnode``) keeps
+        decisions in the cones of the assumed signals."""
+        return self.solve(assumptions=assumptions, limits=limits,
+                          max_learned=max_learned)
+
     def _note_backjump(self, jump_length: int) -> bool:
         """Paper's restart rule (Section IV-A): record one backtrack's jump
         length; once ``restart_window`` backtracks accumulate, compare the
@@ -849,7 +858,9 @@ class CSatEngine:
                           else 0)
         conflicts_at_entry = stats.conflicts
         learned_at_entry = stats.learned_clauses
-        max_decisions = limits.max_decisions
+        # Budgets count from this call's entry, like max_conflicts.
+        decision_cap = (None if limits.max_decisions is None
+                        else stats.decisions + limits.max_decisions)
         decision_check = 0
         while True:
             if not observed:
@@ -936,7 +947,7 @@ class CSatEngine:
             # Decision budgets are precise (checked every decision), so an
             # UNKNOWN result's partial stats land within one decision of
             # the limit rather than one 256-wide check window.
-            if max_decisions is not None and stats.decisions >= max_decisions:
+            if decision_cap is not None and stats.decisions >= decision_cap:
                 return UNKNOWN
             if len(self.learnt_idx) > self.max_learnts:
                 if timers is None:

@@ -16,8 +16,15 @@ each aborted after accumulating ``explicit_learn_limit`` learned gates
 (paper: 10).  Whenever a sub-problem is refuted outright, the negated
 assumption clause — e.g. ``(¬s_i ∨ s_j)``, one half of an equivalence — is
 recorded as a learned gate.  Everything learned persists into the main
-solve, where J-node decisions keep each sub-problem confined to the cones of
-its correlated signals.
+solve.  Each sub-problem stays confined to the cones of its correlated
+signals: J-node decisions do it on the legacy engine, and the flat kernel
+restricts free decisions to the signals' fan-in cone.
+
+The phase runs on any engine with ``options``, ``stats``, ``tracer``,
+``ok``, ``num_nodes``, ``solve_subproblem(assumptions, limits, max_learned)``
+and ``add_learned_clause(lits)``:
+:class:`~repro.csat.engine.CSatEngine` and
+:class:`~repro.kernel.circuit.KernelEngine`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from typing import List, Optional
 
 from ..result import Limits, UNSAT
 from ..sim.correlation import CorrelationSet
-from .engine import CSatEngine
 from .options import (ORDER_RANDOM, ORDER_REVERSE, ORDER_TOPOLOGICAL,
                       SolverOptions)
 
@@ -101,7 +107,7 @@ def order_subproblems(subs: List[SubProblem], options: SolverOptions,
     raise ValueError("unknown ordering {!r}".format(options.explicit_order))
 
 
-def run_explicit_learning(engine: CSatEngine,
+def run_explicit_learning(engine,
                           correlations: CorrelationSet,
                           deadline: Optional[float] = None) -> ExplicitReport:
     """Solve the sub-problem sequence on ``engine``, accumulating learning.
@@ -123,8 +129,8 @@ def run_explicit_learning(engine: CSatEngine,
             break
         limits = Limits(max_seconds=(None if deadline is None
                                      else max(0.0, deadline - time.perf_counter())))
-        result = engine.solve(assumptions=sub.assumptions, limits=limits,
-                              max_learned=options.explicit_learn_limit)
+        result = engine.solve_subproblem(
+            sub.assumptions, limits, max_learned=options.explicit_learn_limit)
         report.subproblems_run += 1
         engine.stats.subproblems_solved += 1
         engine.stats.subproblem_conflicts += result.stats.conflicts

@@ -89,8 +89,9 @@ class SolverOptions:
 
     # Search backend: "legacy" is the object-graph CSatEngine; "kernel" is
     # the flat-array CDCL core (repro.kernel) — same verdicts, same
-    # certification, several times faster, but plain search only (the
-    # correlation-learning phases require the legacy engine).
+    # certification, several times faster per conflict.  The kernel runs
+    # explicit learning; J-node decisions and implicit learning require
+    # the legacy engine.
     backend: str = "legacy"
     # Decision engine.
     use_jnode: bool = True
@@ -136,11 +137,10 @@ class SolverOptions:
         if self.backend not in ("legacy", "kernel"):
             raise SolverError("backend must be 'legacy' or 'kernel'")
         if self.backend == "kernel" and (self.use_jnode
-                                         or self.implicit_learning
-                                         or self.explicit_learning):
-            raise SolverError("the kernel backend is the plain search core: "
-                              "J-node decisions and correlation learning "
-                              "need backend='legacy'")
+                                         or self.implicit_learning):
+            raise SolverError("the kernel backend runs explicit learning "
+                              "only: J-node decisions and implicit "
+                              "learning need backend='legacy'")
         if self.progress_interval < 0:
             raise SolverError("progress_interval must be >= 0")
         if self.explicit_order not in _ORDERINGS:
@@ -165,11 +165,13 @@ def preset(name: str, **overrides) -> SolverOptions:
     ``explicit``        + explicit learning, both correlation types (Table V)
     ``explicit-pair``   explicit learning on signal pairs only
     ``explicit-const``  explicit learning on vs-constant correlations only
-    ``kernel``          flat-array CDCL core (repro.kernel), plain search
+    ``kernel``          flat-array CDCL core (repro.kernel) + explicit
+                        learning with the paper's defaults
     """
     presets = {
         "csat": SolverOptions(use_jnode=False),
-        "kernel": SolverOptions(backend="kernel", use_jnode=False),
+        "kernel": SolverOptions(backend="kernel", use_jnode=False,
+                                explicit_learning=True),
         "csat-jnode": SolverOptions(use_jnode=True),
         "implicit": SolverOptions(use_jnode=True, implicit_learning=True),
         "explicit": SolverOptions(use_jnode=True, implicit_learning=True,

@@ -405,6 +405,10 @@ def solve_cubes(circuit: Circuit,
     per-worker engine is the ``implicit`` preset: explicit learning's
     per-worker preparation does not amortize over one cube, while
     implicit learning rides the correlations seeded by the driver.
+    ``preset_name="kernel"`` runs that preparation in every worker: on
+    a 2-CPU VM with two workers, mult5 went from 3.5-4.4 s to 7.2-7.9 s
+    (about 2.3k to 15.9k conflicts over 37 cubes), while c3540.equiv
+    went from 3.8 s to 0.44 s (see docs/parallel.md).
 
     Never raises for worker misbehaviour; failed cubes carry their
     failure kind in the report and degrade the answer to UNKNOWN at

@@ -20,7 +20,8 @@ unchanged.
 :class:`KernelEngine` exposes the same surface
 :class:`~repro.core.solver.CircuitSolver` drives on the legacy
 :class:`~repro.csat.engine.CSatEngine` (stats, tracer, timers,
-``solve(assumptions, limits, proof_refutation)``), so the runtime, cube,
+``solve(assumptions, limits, proof_refutation)``, and the explicit-learning
+pair ``solve_subproblem`` / ``add_learned_clause``), so the runtime, cube,
 and serve layers pick the kernel up through ``SolverOptions.backend``
 with no changes of their own.
 """
@@ -38,9 +39,10 @@ class KernelEngine:
     """Flat-array CDCL search over one :class:`Circuit`.
 
     Drop-in engine for :class:`~repro.core.solver.CircuitSolver` when
-    ``SolverOptions.backend == "kernel"``.  Signal correlation learning
-    (implicit/explicit) stays with the legacy engine; the kernel preset
-    is the raw search core.
+    ``SolverOptions.backend == "kernel"``.  It runs the paper's explicit
+    learning (:mod:`repro.csat.explicit`) through :meth:`solve_subproblem`
+    and :meth:`add_learned_clause`; J-node decisions and implicit learning
+    stay with the legacy engine.
     """
 
     def __init__(self, circuit: Circuit, options=None, proof=None):
@@ -62,6 +64,9 @@ class KernelEngine:
             )
         self.solver = FlatSolver(n, proof=proof, **kwargs)
         self.proof = proof
+        #: Saved phases from before the first sub-problem since the last
+        #: solve(); see solve_subproblem.
+        self._phases_before_subproblems = None
         solver = self.solver
         bimp = solver.bimp
         for g in circuit.and_nodes():
@@ -123,5 +128,41 @@ class KernelEngine:
         Models map node ids to booleans (full assignments, like the CNF
         path); assumption cores come back in circuit literals.
         """
+        if self._phases_before_subproblems is not None:
+            self.solver.saved_phase = self._phases_before_subproblems
+            self._phases_before_subproblems = None
         return self.solver.solve(assumptions=assumptions, limits=limits,
                                  proof_refutation=proof_refutation)
+
+    def solve_subproblem(self, assumptions: Sequence[int],
+                         limits: Optional[Limits] = None,
+                         max_learned: Optional[int] = None) -> SolverResult:
+        """One explicit-learning sub-problem, confined to its signals.
+
+        Free decisions come only from the fan-in cone of the assumed
+        signals, the kernel's stand-in for the legacy engine's J-node
+        frontier.  Once that cone is fully assigned without a conflict the
+        assumptions are satisfiable: the cone's inputs fix every cone value
+        whatever the other inputs are, so the call returns SAT with the
+        cone's partial model.  The cone is built at the first free
+        decision, so a sub-problem refuted while its assumptions propagate
+        never pays for it.
+
+        Sub-problems assert values their signals are unlikely to take, so
+        the polarities they save would mislead the main search: the next
+        :meth:`solve` starts from the saved phases of before the first
+        sub-problem.  VSIDS activities are kept.
+        """
+        solver = self.solver
+        if self._phases_before_subproblems is None:
+            self._phases_before_subproblems = list(solver.saved_phase)
+        return solver.solve(assumptions=assumptions, limits=limits,
+                            max_learned=max_learned,
+                            cone=lambda: self.circuit.cone(assumptions))
+
+    def add_learned_clause(self, lits: Sequence[int]) -> bool:
+        """Attach a sound clause at decision level 0 (a refuted
+        sub-problem's negated assumptions): DRUP-logged, counted in
+        ``learned_clauses``/``learned_literals`` and traced as ``learn``.
+        Returns False once the clause database is refuted."""
+        return self.solver.add_learned(lits)

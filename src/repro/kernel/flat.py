@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from array import array
 from heapq import heapify, heappop, heappush
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import SolverError
 from ..obs import PhaseTimers, ProgressSnapshot, complete_phases, make_tracer
@@ -162,6 +162,12 @@ class FlatSolver:
         self.ok = True
         self._seen: List[bool] = [False] * n
         self._core: Optional[List[int]] = None
+        #: Decision confinement of the current solve() call (``cone``).
+        self._cone = None
+        self._cone_vars: Optional[List[int]] = None
+        self._in_cone: Optional[bytearray] = None
+        self._main_heap: Optional[List] = None
+        self._skipped: List[tuple] = []
         #: Verify every clause/trail invariant after each conflict (tests).
         self.debug_checks = debug_checks
 
@@ -268,12 +274,7 @@ class FlatSolver:
                 self.proof.add([])
             return False
         if len(out) == 1:
-            self._enqueue(out[0], NO_REASON)
-            self.ok = self._propagate() is None
-            if not self.ok and self.proof is not None \
-                    and not self.proof.complete:
-                self.proof.add([])
-            return self.ok
+            return self._assert_root(out[0])
         if len(out) == 2:
             a, b = out
             self.bimp[a ^ 1].append(b)
@@ -305,8 +306,8 @@ class FlatSolver:
         if self.tracer is not None:
             self.tracer.emit("learn", size=len(lits), lbd=lbd,
                              level=len(self.trail_lim))
-        if len(lits) == 1:
-            # Asserted directly by _record_learnt at the backjump level.
+        if len(lits) <= 1:
+            # Asserted directly by the caller (_record_learnt, add_learned).
             return
         if len(lits) == 2:
             a, b = lits
@@ -321,6 +322,37 @@ class FlatSolver:
         self.learnts.append(off)
         self.cla_act[off] = self.cla_inc
         self.cla_lbd[off] = lbd
+
+    def add_learned(self, lits: Sequence[int]) -> bool:
+        """Add a clause derived outside conflict analysis (root level only;
+        explicit learning's refuted sub-problems); False = UNSAT.
+
+        Root-false literals are dropped first, so the watched literals are
+        never false.  Logged, counted and traced like a conflict's clause.
+        """
+        if self.trail_lim:
+            raise SolverError("clauses may only be added at decision level 0")
+        if not self.ok:
+            return False
+        val = self.val
+        out = [lit for lit in lits if val[lit] != 0]
+        if not out:
+            # Every literal is false at the root: the empty clause.
+            self.ok = False
+            self._learn_clause(out, 0)
+            return False
+        self._learn_clause(out, len(out))
+        if len(out) == 1 and val[out[0]] < 0:
+            return self._assert_root(out[0])
+        return True
+
+    def _assert_root(self, lit: int) -> bool:
+        """Assert a unit clause at level 0 and propagate; False = UNSAT."""
+        self._enqueue(lit, NO_REASON)
+        self.ok = self._propagate() is None
+        if not self.ok and self.proof is not None and not self.proof.complete:
+            self.proof.add([])
+        return self.ok
 
     def _reduce_db(self) -> None:
         """Tiered reduction: keep glue, age the mid tier, halve the rest."""
@@ -691,13 +723,21 @@ class FlatSolver:
 
     def solve(self, assumptions: Sequence[int] = (),
               limits: Optional[Limits] = None,
-              proof_refutation: bool = False) -> SolverResult:
+              proof_refutation: bool = False,
+              max_learned: Optional[int] = None,
+              cone: Optional[Callable[[], Sequence[int]]] = None
+              ) -> SolverResult:
         """Search under internal-literal ``assumptions``.
 
         With ``proof_refutation`` an UNSAT-under-assumptions outcome
         completes the proof log (negated-assumption clause + empty
         clause), valid when the checking formula asserts the assumptions
-        as units.
+        as units.  ``max_learned`` returns UNKNOWN once the call has
+        learned that many clauses (explicit learning's per-sub-problem
+        limit).  ``cone``, called at the first free decision, returns the
+        only variables free decisions may take; once they are all assigned
+        without a conflict the call returns SAT with their partial model
+        (see :meth:`repro.kernel.circuit.KernelEngine.solve_subproblem`).
         """
         start = time.perf_counter()
         stats0 = self.stats.copy()
@@ -715,11 +755,12 @@ class FlatSolver:
                         learned_db=len(self.learnts) + self.n_bin_learnt)
         interrupted = False
         self._core = None
+        self._cone = cone
         if limits.exhausted_on_entry():
             status = UNKNOWN
         else:
             try:
-                status = self._search(assume, limits, start)
+                status = self._search(assume, limits, start, max_learned)
             except KeyboardInterrupt:
                 status = UNKNOWN
                 interrupted = True
@@ -731,8 +772,23 @@ class FlatSolver:
         model = None
         if status == SAT:
             val = self.val
-            model = {v: val[2 * v] == 1 for v in range(self.num_vars)
+            model = {v: val[2 * v] == 1
+                     for v in (self._cone_vars or range(self.num_vars))
                      if val[2 * v] >= 0}
+        if self._main_heap is not None:
+            # Back to the main heap; _cancel_until(0) below re-pushes the
+            # trail, so only unassigned variables need their entries kept.
+            heap = self._main_heap
+            val = self.val
+            act = self.act
+            for entry in self.heap + self._skipped:
+                var = entry[1]
+                if val[2 * var] < 0 and -entry[0] == act[var]:
+                    heappush(heap, entry)
+            self.heap = heap
+            self._main_heap = None
+            self._skipped = []
+        self._cone = self._cone_vars = self._in_cone = None
         self._cancel_until(0)
         elapsed = time.perf_counter() - start
         result = SolverResult(status=status, model=model,
@@ -769,8 +825,8 @@ class FlatSolver:
         return {"core": core + self.n_bin_learnt, "mid": mid,
                 "local": local}
 
-    def _search(self, assume: List[int], limits: Limits,
-                start: float) -> str:
+    def _search(self, assume: List[int], limits: Limits, start: float,
+                max_learned: Optional[int]) -> str:
         if not self.ok:
             self._core = []
             return UNSAT
@@ -783,9 +839,14 @@ class FlatSolver:
                           if tracer is not None or self.progress is not None
                           else 0)
         conflicts_at_entry = stats.conflicts
+        learned_at_entry = stats.learned_clauses
         restart_limit = self.restart_base * _luby(self._luby_index)
         conflicts_since_restart = 0
-        max_decisions = limits.max_decisions
+        # Budgets count from this call's entry, like max_conflicts.
+        decision_cap = (None if limits.max_decisions is None
+                        else stats.decisions + limits.max_decisions)
+        pick_branch = (self._pick_branch if self._cone is None
+                       else self._pick_in_cone)
         decision_check = 0
         while True:
             if not observed:
@@ -810,6 +871,11 @@ class FlatSolver:
                 if tracer is not None:
                     tracer.emit("conflict", level=level,
                                 trail=self.trail_len)
+                # Before the exits below: explicit-learning sub-problems
+                # mostly end on a conflict among their assumptions.
+                if progress_every \
+                        and stats.conflicts % progress_every == 0:
+                    self._emit_progress(start)
                 if level == 0:
                     self.ok = False
                     if self.proof is not None:
@@ -840,9 +906,10 @@ class FlatSolver:
                     for off in self.cla_act:
                         self.cla_act[off] *= 1e-100
                     self.cla_inc *= 1e-100
-                if progress_every \
-                        and stats.conflicts % progress_every == 0:
-                    self._emit_progress(start)
+                if max_learned is not None and (
+                        stats.learned_clauses - learned_at_entry
+                        >= max_learned):
+                    return UNKNOWN
                 if (stats.conflicts & 255) == 0:
                     if (limits.max_conflicts is not None
                             and stats.conflicts - conflicts_at_entry
@@ -861,8 +928,7 @@ class FlatSolver:
                     and limits.max_seconds is not None \
                     and clock() - start >= limits.max_seconds:
                 return UNKNOWN
-            if max_decisions is not None \
-                    and stats.decisions >= max_decisions:
+            if decision_cap is not None and stats.decisions >= decision_cap:
                 return UNKNOWN
             if conflicts_since_restart >= restart_limit \
                     and len(self.trail_lim) > len(assume):
@@ -899,7 +965,7 @@ class FlatSolver:
                     next_lit = a
                     break
             if next_lit is None:
-                next_lit = self._pick_branch()
+                next_lit = pick_branch()
             if timers is not None:
                 timers.decision += clock() - t0
             if next_lit is None:
@@ -936,6 +1002,38 @@ class FlatSolver:
         if var is None:
             return None
         return 2 * var + self.saved_phase[var]
+
+    def _pick_in_cone(self) -> Optional[int]:
+        """:meth:`_pick_branch` over the call's cone; None once the cone is
+        fully assigned.  The first pick swaps in a heap of the cone's
+        unassigned variables; out-of-cone entries pushed on it later are
+        set aside, and solve() merges both back into the main heap."""
+        val = self.val
+        act = self.act
+        in_cone = self._in_cone
+        if in_cone is None:
+            self._cone_vars = list(self._cone())
+            in_cone = self._in_cone = bytearray(self.num_vars)
+            cone_heap = []
+            for v in self._cone_vars:
+                in_cone[v] = 1
+                if val[2 * v] < 0:
+                    cone_heap.append((-act[v], v))
+            heapify(cone_heap)
+            self._main_heap = self.heap
+            self.heap = cone_heap
+        heap = self.heap
+        skipped = self._skipped
+        while heap:
+            neg_act, cand = heappop(heap)
+            if val[2 * cand] < 0 and -neg_act == act[cand]:
+                if in_cone[cand]:
+                    return 2 * cand + self.saved_phase[cand]
+                skipped.append((neg_act, cand))
+        for cand in self._cone_vars:
+            if val[2 * cand] < 0:
+                return 2 * cand + self.saved_phase[cand]
+        return None
 
     # ------------------------------------------------------------------
     # Debug invariants (tests call this after every conflict)

@@ -195,6 +195,11 @@ def test_kernel_preset_certifies_end_to_end():
 
 
 def test_kernel_preset_rejects_learning_knobs():
+    # The kernel runs explicit learning, by default in its preset ...
+    assert preset("kernel").explicit_learning
+    SolverOptions(backend="kernel", use_jnode=False,
+                  explicit_learning=True).validate()
+    # ... but J-node decisions and implicit learning stay legacy-only.
     with pytest.raises(SolverError):
         SolverOptions(backend="kernel", use_jnode=True).validate()
     with pytest.raises(SolverError):

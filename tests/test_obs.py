@@ -153,10 +153,11 @@ def _count_kinds(path):
 
 
 class TestCircuitEngineTracing:
-    def test_event_counts_match_stats_exactly(self, tmp_path):
+    @pytest.mark.parametrize("name", ["explicit", "kernel"])
+    def test_event_counts_match_stats_exactly(self, tmp_path, name):
         path = str(tmp_path / "c432.jsonl")
         m = equiv_miter("c432")
-        solver = CircuitSolver(m, preset("explicit", trace=path))
+        solver = CircuitSolver(m, preset(name, trace=path))
         result = solver.solve()
         solver.engine.tracer.close()
         assert result.status == UNSAT
@@ -169,9 +170,10 @@ class TestCircuitEngineTracing:
         # Explicit-learning sub-problems are individually visible.
         assert counts.get("subproblem", 0) == stats.subproblems_solved
 
-    def test_phase_seconds_sum_to_time_seconds(self):
+    @pytest.mark.parametrize("name", ["explicit", "kernel"])
+    def test_phase_seconds_sum_to_time_seconds(self, name):
         m = equiv_miter("c432")
-        solver = CircuitSolver(m, preset("explicit", phase_timers=True))
+        solver = CircuitSolver(m, preset(name, phase_timers=True))
         result = solver.solve()
         assert set(result.phase_seconds) == set(ALL_PHASES)
         assert sum(result.phase_seconds.values()) == pytest.approx(
@@ -440,8 +442,10 @@ class TestKernelProgress:
         N-conflict cadence, with live search state in every snapshot."""
         snaps = []
         m = equiv_miter("c499")
-        options = preset("kernel", progress_interval=10,
-                         progress=snaps.append)
+        # The main search: refuted explicit-learning sub-problems make no
+        # back-jumps, and the back-jump window is per call.
+        options = preset("kernel", explicit_learning=False,
+                         progress_interval=10, progress=snaps.append)
         result = CircuitSolver(m, options).solve(
             limits=Limits(max_conflicts=200))
         assert result.stats.conflicts >= 10
