@@ -20,8 +20,8 @@ from repro import CnfSolver, Limits, tseitin
 from repro.csat.engine import CSatEngine
 from repro.csat.options import SolverOptions
 from repro.gen.iscas import circuit_by_name, equiv_miter
-from repro.kernel import HAVE_NUMPY, FlatCnfSolver, KernelEngine
-from repro.kernel.simd import find_correlations_wide
+from repro.kernel import FlatCnfSolver, KernelEngine
+from repro.kernel.simd import HAVE_NUMPY, find_correlations_wide
 from repro.sim.bitsim import random_input_words, simulate_words
 from repro.sim.correlation import find_correlations
 from repro.circuit.miter import miter_identical

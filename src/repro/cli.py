@@ -72,6 +72,7 @@ from .circuit.cnf_convert import cnf_to_circuit
 from .core.solver import CircuitSolver, check_equivalence
 from .core.sweep import sat_sweep
 from .csat.options import preset
+from .cube.conquer import CUBE_PRESET
 from .errors import CircuitError, ParseError, ReproError, SolverError
 from .result import Limits
 
@@ -81,7 +82,7 @@ _PRESETS = ("csat", "csat-jnode", "implicit", "explicit", "explicit-pair",
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=_PRESETS, default="explicit",
-                        help="solver configuration (default: explicit)")
+                        help="solver configuration (default: %(default)s)")
     parser.add_argument("--budget", type=float, default=None,
                         help="wall-clock budget in seconds")
 
@@ -245,7 +246,6 @@ def _run_cubes(args, circuit, label: str, workers: int, tracer=None) -> int:
         report = solve_cubes(
             circuit, workers=workers, cutter=cutter,
             kind=getattr(args, "engine", "csat"), preset_name=args.preset,
-            backend=getattr(args, "backend", "legacy"),
             budget=args.budget, mem_limit_mb=args.mem_limit,
             grace_seconds=args.grace, max_retries=args.retries,
             certify=args.certify, faults=faults, trace=tracer,
@@ -806,9 +806,7 @@ def cmd_status(args) -> int:
         node = payload["node"]
         print("{} at {}  [conquer-node]".format(node.get("name", "?"),
                                                 client.url))
-        print("  workers: {}  engine: {}/{} backend={}".format(
-            node.get("workers"), node.get("kind"), node.get("preset"),
-            node.get("backend")))
+        print("  workers: {}".format(node.get("workers")))
         print("  queue: {} queued, {} running, {} done of {} jobs{}".format(
             node.get("queued"), node.get("running"), node.get("done"),
             node.get("jobs"), "  (draining)" if node.get("draining")
@@ -844,17 +842,14 @@ def cmd_conquer_node(args) -> int:
     try:
         node = ConquerNode(
             host=args.host, port=args.port, workers=args.workers,
-            kind=args.engine, preset_name=args.preset,
-            backend=args.backend, mem_limit_mb=args.mem_limit,
-            grace_seconds=args.grace, certify=args.certify,
-            max_queue=args.max_queue, name=args.name, tracer=tracer)
+            mem_limit_mb=args.mem_limit, grace_seconds=args.grace,
+            certify=args.certify, max_queue=args.max_queue, name=args.name,
+            tracer=tracer)
     except SolverError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2
-    print("repro conquer-node: {} listening on {} ({} workers, "
-          "{}/{} backend={})".format(node.name, node.address, node.workers,
-                                     node.kind, node.preset_name,
-                                     node.backend), file=sys.stderr)
+    print("repro conquer-node: {} listening on {} ({} workers)".format(
+        node.name, node.address, node.workers), file=sys.stderr)
 
     def _graceful(signum, frame):
         print("repro conquer-node: caught signal {}, draining..."
@@ -905,9 +900,7 @@ def cmd_dist(args) -> int:
     if args.spawn_local:
         from .dist.bench import launch_local_nodes
         fleet = launch_local_nodes(args.spawn_local,
-                                   workers=args.node_workers,
-                                   preset=args.preset,
-                                   backend=args.backend)
+                                   workers=args.node_workers)
         urls = [n.url for n in fleet]
         print("spawned {} local conquer node(s): {}".format(
             len(urls), ", ".join(urls)), file=sys.stderr)
@@ -915,8 +908,7 @@ def cmd_dist(args) -> int:
         urls = [u.strip() for u in args.nodes.split(",") if u.strip()]
     try:
         report = solve_distributed(
-            circuit, nodes=urls, kind=args.engine,
-            preset_name=args.preset, backend=args.backend,
+            circuit, nodes=urls, kind=args.engine, preset_name=args.preset,
             cutter=cutter, budget=args.budget, certify=args.certify,
             steal_after=args.steal_after,
             exchange_every=args.exchange_every,
@@ -1072,12 +1064,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", metavar="NAME", default=None,
                    help="built-in benchmark instance, e.g. mult6.arith")
     p.add_argument("--engine", choices=("csat", "cnf"), default="csat",
-                   help="per-cube engine (default: csat)")
-    p.add_argument("--backend", choices=("legacy", "kernel"),
-                   default="legacy",
-                   help="CDCL implementation for --engine cnf workers "
-                        "(csat workers pick the flat kernel via "
-                        "--preset kernel instead)")
+                   help="per-cube engine: csat runs --preset, cnf runs "
+                        "the flat kernel on the CNF encoding "
+                        "(default: csat)")
     p.add_argument("--max-cubes", type=int, default=None, metavar="N",
                    help="hard cap on open cubes (default: scale with "
                         "workers)")
@@ -1101,10 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "from a different circuit/objectives)")
     _add_common(p)
     _add_runtime(p)
-    # Cube workers default to the implicit preset (correlations are seeded
-    # by the driver; per-worker explicit learning does not amortize) and to
-    # a 4-way split.
-    p.set_defaults(func=cmd_cube, preset="implicit", workers=4)
+    p.set_defaults(func=cmd_cube, preset=CUBE_PRESET, workers=4)
 
     p = sub.add_parser("solve-cnf", help="solve a DIMACS CNF file")
     p.add_argument("file")
@@ -1323,14 +1309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2, metavar="N",
                    help="concurrent cube workers, each an isolated "
                         "subprocess (default 2)")
-    p.add_argument("--engine", choices=("csat", "cnf"), default="csat",
-                   help="per-cube engine (default: csat)")
-    p.add_argument("--preset", choices=_PRESETS, default="implicit",
-                   help="solver configuration (default: implicit — the "
-                        "cube-worker default)")
-    p.add_argument("--backend", choices=("legacy", "kernel"),
-                   default="legacy",
-                   help="CDCL implementation for --engine cnf workers")
     p.add_argument("--mem-limit", type=int, default=None, metavar="MB",
                    help="hard per-worker address-space cap in MB")
     p.add_argument("--grace", type=float, default=1.0, metavar="SEC",
@@ -1364,10 +1342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-workers", type=int, default=2, metavar="N",
                    help="workers per node with --spawn-local (default 2)")
     p.add_argument("--engine", choices=("csat", "cnf"), default="csat",
-                   help="per-cube engine (default: csat)")
-    p.add_argument("--backend", choices=("legacy", "kernel"),
-                   default="legacy",
-                   help="CDCL implementation for --engine cnf workers")
+                   help="per-cube engine on every node: csat runs "
+                        "--preset, cnf runs the flat kernel on the CNF "
+                        "encoding (default: csat)")
     p.add_argument("--certify", choices=("off", "sat"), default="sat",
                    help="coordinator-side re-certification of node "
                         "answers (default: sat models)")
@@ -1402,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the full dist report as JSON on stdout")
     _add_common(p)
-    p.set_defaults(func=cmd_dist, preset="implicit")
+    p.set_defaults(func=cmd_dist, preset=CUBE_PRESET)
 
     p = sub.add_parser("chaos",
                        help="kill -9 a serve node / conquer driver at "

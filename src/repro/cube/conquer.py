@@ -85,6 +85,11 @@ MAX_REDUNDANCY = 2
 #: Pool lemmas one cube payload carries back to the scheduler.
 PAYLOAD_LEMMAS = 128
 
+#: The preset of csat cube workers unless the driver picks another:
+#: explicit learning's per-worker preparation does not amortize over one
+#: cube, while implicit learning rides the correlations the driver seeds.
+CUBE_PRESET = "implicit"
+
 
 @dataclass
 class CubeOutcome:
@@ -378,8 +383,7 @@ def solve_cubes(circuit: Circuit,
                 workers: int = 4,
                 cutter: Optional[CutterOptions] = None,
                 kind: str = KIND_CSAT,
-                preset_name: str = "implicit",
-                backend: str = "legacy",
+                preset_name: str = CUBE_PRESET,
                 options: Optional[SolverOptions] = None,
                 budget: Optional[float] = None,
                 limits: Optional[Limits] = None,
@@ -401,11 +405,11 @@ def solve_cubes(circuit: Circuit,
     ``workers == 0`` solves them sequentially on one shared in-process
     engine (used by the differential oracle).  ``budget`` is the shared
     wall-clock budget for the whole run; ``limits`` are *per-cube*
-    cooperative budgets (conflicts/decisions/seconds).  The default
-    per-worker engine is the ``implicit`` preset: explicit learning's
-    per-worker preparation does not amortize over one cube, while
-    implicit learning rides the correlations seeded by the driver.
-    ``preset_name="kernel"`` runs that preparation in every worker: on
+    cooperative budgets (conflicts/decisions/seconds).  ``kind`` and
+    ``preset_name`` alone pick every cube's engine: ``kind="cnf"`` runs
+    the flat kernel on the Tseitin encoding, ``kind="csat"`` runs
+    ``preset_name`` (:data:`CUBE_PRESET` by default).
+    ``preset_name="kernel"`` runs explicit learning in every worker: on
     a 2-CPU VM with two workers, mult5 went from 3.5-4.4 s to 7.2-7.9 s
     (about 2.3k to 15.9k conflicts over 37 cubes), while c3540.equiv
     went from 3.8 s to 0.44 s (see docs/parallel.md).
@@ -432,7 +436,7 @@ def solve_cubes(circuit: Circuit,
     endpoints = []
     if workers:
         endpoints.append(_LocalEndpoint(
-            workers, kind=kind, preset_name=preset_name, backend=backend,
+            workers, kind=kind, preset_name=preset_name,
             options=options, mem_limit_mb=mem_limit_mb,
             grace_seconds=grace_seconds, certify=certify,
             faults=faults or NO_FAULTS, start_method=start_method,
@@ -553,14 +557,13 @@ class _LocalEndpoint:
     """Isolated worker processes on this host, ``slots`` at a time."""
 
     def __init__(self, slots: int, *, kind: str, preset_name: str,
-                 backend: str, options: Optional[SolverOptions],
+                 options: Optional[SolverOptions],
                  mem_limit_mb: Optional[int], grace_seconds: float,
                  certify: str, faults: FaultPlan,
                  start_method: Optional[str], share_lemmas: bool):
         self.info = NodeInfo(url="local", workers=slots)
         self.kind = kind
         self.preset_name = preset_name
-        self.backend = backend
         self.options = options
         self.mem_limit_mb = mem_limit_mb
         self.grace_seconds = grace_seconds
@@ -584,7 +587,7 @@ class _LocalEndpoint:
         job = WorkerJob(
             circuit=conquest.circuit, name="cube-{}".format(cube.index),
             kind=self.kind, preset_name=self.preset_name,
-            backend=self.backend, options=self.options,
+            options=self.options,
             objectives=list(conquest.objectives), limits=limits,
             mem_limit_mb=self.mem_limit_mb,
             fault=self.faults.fault_for(index),

@@ -24,7 +24,8 @@ below guarantee that:
   cube's assumption literals.
 * cnf workers export the same from the Tseitin encoding, whose clause
   set is exactly ``circuit AND objectives`` (objectives are asserted as
-  unit clauses), translated back to circuit literals.
+  unit clauses); the flat kernel numbers its variables so that these
+  are circuit literals already.
 
 All cubes in one run share the same objectives, so injection preserves
 both SAT models and UNSAT verdicts within the run.  The lemmas are *not*
@@ -109,7 +110,7 @@ def collect_csat_lemmas(engine: CSatEngine,
     the flat kernel's ``KernelEngine`` (same node-literal space).
     """
     if hasattr(engine, "solver"):  # repro.kernel.circuit.KernelEngine
-        return _collect_kernel_lemmas(engine.solver, limit)
+        return _collect_flat_lemmas(engine.solver, engine.num_nodes, limit)
     frame = engine.frame
     lemmas: List[List[int]] = []
     for lit in frame.trail:
@@ -127,8 +128,26 @@ def collect_csat_lemmas(engine: CSatEngine,
     return lemmas
 
 
-def _collect_kernel_lemmas(solver, limit: int) -> List[List[int]]:
-    """Kernel flavour: root trail units + the recorded learned binaries."""
+def collect_cnf_lemmas(solver, num_nodes: int,
+                       limit: int = MAX_SHARED_LEMMAS) -> List[List[int]]:
+    """Same as :func:`collect_csat_lemmas` for a ``cnf`` worker's
+    :class:`~repro.kernel.cnf.FlatCnfSolver`.
+
+    Its internal variable ``v`` encodes Tseitin variable ``v + 1``, which
+    encodes circuit node ``v`` — so an internal kernel literal *is* the
+    circuit literal.
+    """
+    return _collect_flat_lemmas(solver.solver, num_nodes, limit)
+
+
+def _collect_flat_lemmas(solver, num_nodes: int,
+                         limit: int) -> List[List[int]]:
+    """Root trail units + recorded learned binaries of a flat-kernel
+    :class:`~repro.kernel.flat.FlatSolver` over node literals.
+
+    The constant node and variables at or past ``num_nodes`` (if an
+    encoding ever adds helpers) are not exported.
+    """
     lemmas: List[List[int]] = []
     level = solver.level
     for idx in range(solver.trail_len):
@@ -136,90 +155,15 @@ def _collect_kernel_lemmas(solver, limit: int) -> List[List[int]]:
         node = lit >> 1
         if level[node] != 0:
             break  # trail is level-ordered; root prefix ends here
-        if node != 0:
+        if 0 < node < num_nodes:
             lemmas.append([lit])
             if len(lemmas) >= limit:
                 return lemmas
     for a, b in solver.learnt_binaries:
-        lemmas.append([a, b])
-        if len(lemmas) >= limit:
-            break
-    return lemmas
-
-
-def collect_cnf_lemmas(solver, num_nodes: int,
-                       limit: int = MAX_SHARED_LEMMAS) -> List[List[int]]:
-    """Same as :func:`collect_csat_lemmas` for the CNF baseline.
-
-    Tseitin variable ``node + 1`` encodes circuit node ``node``; variables
-    beyond ``num_nodes`` (if an encoding ever adds helpers) and the
-    constant node are not exported.
-
-    Works for both CNF backends — the legacy :class:`CnfSolver` and the
-    flat kernel's ``FlatCnfSolver`` (whose internal variable ``v``
-    encodes Tseitin variable ``v + 1``, i.e. circuit node ``v``, so an
-    internal kernel literal *is* the circuit literal).
-    """
-    if hasattr(solver, "solver"):  # repro.kernel.cnf.FlatCnfSolver
-        return _collect_flat_cnf_lemmas(solver.solver, num_nodes, limit)
-
-    def to_circuit(lit: int) -> Optional[int]:
-        var = lit >> 1
-        node = var - 1
-        if node < 1 or node >= num_nodes:
-            return None
-        return 2 * node + (lit & 1)
-
-    lemmas: List[List[int]] = []
-    for lit in solver.trail:
-        if solver.level[lit >> 1] != 0:
-            continue
-        mapped = to_circuit(lit)
-        if mapped is not None:
-            lemmas.append([mapped])
+        if 0 < a >> 1 < num_nodes and 0 < b >> 1 < num_nodes:
+            lemmas.append([a, b])
             if len(lemmas) >= limit:
-                return lemmas
-    for ci in solver.learnt_idx:
-        clause = solver.clauses[ci]
-        if clause is None or len(clause) != 2:
-            continue
-        mapped_clause = [to_circuit(l) for l in clause]
-        if None in mapped_clause:
-            continue
-        lemmas.append(mapped_clause)
-        if len(lemmas) >= limit:
-            break
-    return lemmas
-
-
-def _collect_flat_cnf_lemmas(solver, num_nodes: int,
-                             limit: int) -> List[List[int]]:
-    """Kernel-CNF flavour of :func:`collect_cnf_lemmas`."""
-
-    def to_circuit(lit: int) -> Optional[int]:
-        node = lit >> 1
-        if node < 1 or node >= num_nodes:
-            return None
-        return lit
-
-    lemmas: List[List[int]] = []
-    level = solver.level
-    for idx in range(solver.trail_len):
-        lit = solver.trail[idx]
-        if level[lit >> 1] != 0:
-            break  # trail is level-ordered; root prefix ends here
-        mapped = to_circuit(lit)
-        if mapped is not None:
-            lemmas.append([mapped])
-            if len(lemmas) >= limit:
-                return lemmas
-    for a, b in solver.learnt_binaries:
-        mapped_clause = [to_circuit(a), to_circuit(b)]
-        if None in mapped_clause:
-            continue
-        lemmas.append(mapped_clause)
-        if len(lemmas) >= limit:
-            break
+                break
     return lemmas
 
 

@@ -50,8 +50,6 @@ class LocalNode:
 def launch_local_nodes(count: int,
                        workers: int = DEFAULT_WORKERS_PER_NODE,
                        *,
-                       preset: str = "implicit",
-                       backend: str = "legacy",
                        workdir: Optional[str] = None,
                        startup_timeout: float = 30.0) -> List[LocalNode]:
     """Spawn ``count`` conquer-node subprocesses and wait for /health."""
@@ -63,8 +61,8 @@ def launch_local_nodes(count: int,
             log_path = os.path.join(workdir, "node-{}.log".format(i))
             proc = spawn_repro(
                 ["conquer-node", "--port", str(port),
-                 "--workers", str(workers), "--preset", preset,
-                 "--backend", backend, "--name", "bench-node-{}".format(i)],
+                 "--workers", str(workers),
+                 "--name", "bench-node-{}".format(i)],
                 log_path)
             nodes.append(LocalNode(proc, "http://127.0.0.1:{}".format(port),
                                    log_path))

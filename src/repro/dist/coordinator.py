@@ -40,8 +40,9 @@ from typing import Any, ClassVar, Dict, List, Optional, Sequence
 from ..circuit.bench_io import write_bench
 from ..circuit.netlist import Circuit
 from ..csat.options import preset
-from ..cube.conquer import (Conquest, CubeReport, EndpointDown, NodeInfo,
-                            _conquer, validate_cube_args)
+from ..cube.conquer import (CUBE_PRESET, Conquest, CubeReport,
+                            EndpointDown, NodeInfo, _conquer,
+                            validate_cube_args)
 from ..cube.cutter import Cube, CutterOptions
 from ..durable.checkpoint import exact_hash
 from ..errors import SolverError
@@ -113,13 +114,12 @@ class _RemoteEndpoint:
     """One conquer node: probe, register, dispatch, poll and exchange."""
 
     def __init__(self, client: ServeClient, *, kind: str, preset_name: str,
-                 backend: str, share_lemmas: bool, exchange_every: float,
+                 share_lemmas: bool, exchange_every: float,
                  poll_seconds: float, label: str):
         self.info = NodeInfo(url=client.url)
         self.client = client
         self.kind = kind
         self.preset_name = preset_name
-        self.backend = backend
         self.share_lemmas = share_lemmas
         self.exchange_every = exchange_every
         self.poll_seconds = poll_seconds
@@ -194,7 +194,6 @@ class _RemoteEndpoint:
             "key": self.key, "cube": list(cube.literals), "attempt": attempt,
             "idempotency_key": key, "wait": self.poll_seconds,
             "kind": self.kind, "preset": self.preset_name,
-            "backend": self.backend,
         }
         if limits is not None:
             body["limits"] = {"max_seconds": limits.max_seconds,
@@ -285,8 +284,7 @@ def solve_distributed(circuit: Circuit,
                       *,
                       nodes: Sequence[str],
                       kind: str = KIND_CSAT,
-                      preset_name: str = "implicit",
-                      backend: str = "legacy",
+                      preset_name: str = CUBE_PRESET,
                       cutter: Optional[CutterOptions] = None,
                       budget: Optional[float] = None,
                       limits: Optional[Limits] = None,
@@ -306,6 +304,9 @@ def solve_distributed(circuit: Circuit,
                       label: str = "dist") -> DistReport:
     """Cube-and-conquer ``circuit`` across remote conquer ``nodes``.
 
+    ``kind`` and ``preset_name`` ride on every ``/conquer`` dispatch, so
+    they alone pick the engine of every remote worker.
+
     Never raises for node or worker misbehaviour once the fabric is up —
     failed cubes and dead nodes degrade the answer to UNKNOWN at worst
     and are recorded in the report.  Raises :class:`SolverError` when no
@@ -320,7 +321,7 @@ def solve_distributed(circuit: Circuit,
     endpoints = [_RemoteEndpoint(
         ServeClient.from_url(url, timeout=client_timeout,
                              retries=client_retries),
-        kind=kind, preset_name=preset_name, backend=backend,
+        kind=kind, preset_name=preset_name,
         share_lemmas=share_lemmas, exchange_every=exchange_every,
         poll_seconds=poll_seconds, label=label) for url in nodes]
     if not endpoints:

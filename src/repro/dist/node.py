@@ -22,10 +22,14 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
 ``POST /conquer``
     Solve one cube: ``{"key": ..., "cube": [literals], "attempt": n,
     "idempotency_key": ..., "limits": {...}, "lemmas": [...],
-    "wait": seconds}``.  Responds with the job snapshot; with ``wait``
-    the snapshot usually carries the final result already.  A re-issued
-    cube under the same idempotency key maps onto the existing job —
-    the work-stealing coordinator leans on this.
+    "kind": ..., "preset": ..., "wait": seconds}``.  ``kind`` and
+    ``preset`` pick the worker's engine (default: the cube-worker
+    defaults, ``csat`` and :data:`~repro.cube.conquer.CUBE_PRESET`); a
+    node holds no engine setting of its own.  Responds with the job
+    snapshot; with ``wait`` the snapshot usually carries the final
+    result already.  A re-issued cube under the same idempotency key
+    maps onto the existing job — the work-stealing coordinator leans on
+    this.
 ``GET /result/<job>?wait=<seconds>``
     Poll or block for a cube job's snapshot.
 ``POST /exchange``
@@ -39,10 +43,12 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
 
 Soundness: shared lemmas are consequences of ``circuit AND objectives``
 only — they are absorbed into the per-circuit pool and seeded into every
-worker regardless of which cube it solves.  SAT models are re-certified
-at the worker boundary (``certify="sat"``); the coordinator certifies
-them *again* on arrival, so a corrupted node cannot smuggle a wrong
-answer into the fabric.
+worker regardless of which cube it solves.  Cube literals and lemma
+batches are checked against the registered circuit before anything is
+queued or absorbed, so a malformed request is a 400 and never reaches
+the pool.  SAT models are re-certified at the worker boundary
+(``certify="sat"``); the coordinator certifies them *again* on arrival,
+so a corrupted node cannot smuggle a wrong answer into the fabric.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
-from ..cube.conquer import run_cube
+from ..csat.options import preset
+from ..cube.conquer import CUBE_PRESET, run_cube
 from ..cube.sharing import SharedKnowledge
 from ..durable.checkpoint import exact_hash
 from ..errors import CircuitError, ParseError, ReproError, SolverError
@@ -125,7 +132,7 @@ class NodeJob:
     def __init__(self, reg: _Registration, cube: List[int], attempt: int,
                  idempotency_key: Optional[str],
                  limits: Optional[Limits],
-                 overrides: Dict[str, Any],
+                 kind: str, preset_name: str,
                  trace_id: Optional[str], parent_span: Optional[str]):
         self.id = uuid.uuid4().hex[:12]
         self.reg = reg
@@ -133,7 +140,8 @@ class NodeJob:
         self.attempt = attempt
         self.key = idempotency_key
         self.limits = limits
-        self.overrides = overrides      # kind/preset/backend overrides
+        self.kind = kind
+        self.preset_name = preset_name
         self.trace_id = trace_id
         self.parent_span = parent_span
         self.state = QUEUED
@@ -168,9 +176,6 @@ class ConquerNode:
                  host: str = "127.0.0.1",
                  port: int = 0,
                  workers: int = 2,
-                 kind: str = KIND_CSAT,
-                 preset_name: str = "implicit",
-                 backend: str = "legacy",
                  mem_limit_mb: Optional[int] = None,
                  grace_seconds: float = 1.0,
                  certify: str = CERTIFY_SAT,
@@ -178,17 +183,11 @@ class ConquerNode:
                  name: Optional[str] = None,
                  tracer=None,
                  start_method: Optional[str] = None):
-        if kind not in (KIND_CSAT, KIND_CNF):
-            raise SolverError("conquer nodes solve csat or cnf cubes, "
-                              "not {!r}".format(kind))
         if certify not in CERTIFY_LEVELS or certify == CERTIFY_FULL:
             raise SolverError("conquer nodes certify 'off' or 'sat'; "
                               "cube refutations carry no closed proof")
         self.registry = enable_metrics()
         self.workers = max(1, int(workers))
-        self.kind = kind
-        self.preset_name = preset_name
-        self.backend = backend
         self.mem_limit_mb = mem_limit_mb
         self.grace_seconds = grace_seconds
         self.certify = certify
@@ -304,7 +303,7 @@ class ConquerNode:
 
     def submit(self, reg: _Registration, cube: List[int], attempt: int,
                idempotency_key: Optional[str], limits: Optional[Limits],
-               lemmas, overrides: Dict[str, Any],
+               lemmas, kind: str, preset_name: str,
                trace_id: Optional[str],
                parent_span: Optional[str]) -> Tuple[NodeJob, bool]:
         """Queue one cube; returns ``(job, deduped)``.
@@ -332,7 +331,8 @@ class ConquerNode:
                                   self.max_queue))
                 else:
                     job = NodeJob(reg, cube, attempt, idempotency_key,
-                                  limits, overrides, trace_id, parent_span)
+                                  limits, kind, preset_name, trace_id,
+                                  parent_span)
                     self._jobs[job.id] = job
                     if idempotency_key:
                         self._by_key[idempotency_key] = job
@@ -389,17 +389,14 @@ class ConquerNode:
 
     def _build_worker_job(self, job: NodeJob) -> WorkerJob:
         reg = job.reg
-        kind = str(job.overrides.get("kind") or self.kind)
         return WorkerJob(
             circuit=reg.circuit,
             name="cube@{}".format(self.name),
-            kind=kind,
-            preset_name=str(job.overrides.get("preset") or self.preset_name),
-            backend=str(job.overrides.get("backend") or self.backend),
+            kind=job.kind, preset_name=job.preset_name,
             objectives=list(reg.objectives),
             limits=job.limits, mem_limit_mb=self.mem_limit_mb,
             assumptions=list(job.cube),
-            seed_classes=reg.classes if kind == KIND_CSAT else None,
+            seed_classes=reg.classes if job.kind == KIND_CSAT else None,
             seed_lemmas=reg.pool.snapshot(),
             export_lemmas=True)
 
@@ -462,9 +459,6 @@ class ConquerNode:
                 "name": self.name,
                 "role": "conquer-node",
                 "workers": self.workers,
-                "kind": self.kind,
-                "preset": self.preset_name,
-                "backend": self.backend,
                 "queued": len(self._queue),
                 "running": self._running,
                 "done": done,
@@ -474,6 +468,25 @@ class ConquerNode:
                 "counts": dict(self._counts),
                 "draining": self._draining,
             }
+
+
+_BAD_LEMMAS = ("'lemmas' must be a list of non-empty clauses of the "
+               "circuit's literals")
+
+
+def _literals_ok(literals, num_nodes: int) -> bool:
+    """True when ``literals`` is a list of the registered circuit's
+    literals: ints in ``[2, 2 * num_nodes)`` (the constant node is never
+    a cube literal or part of a shared lemma)."""
+    return isinstance(literals, list) and all(
+        type(lit) is int and 2 <= lit < 2 * num_nodes for lit in literals)
+
+
+def _lemmas_ok(batch, num_nodes: int) -> bool:
+    """True when ``batch`` is absent or a list of non-empty clauses of
+    the registered circuit's literals."""
+    return batch is None or isinstance(batch, list) and all(
+        clause and _literals_ok(clause, num_nodes) for clause in batch)
 
 
 class AdmissionRejected(ReproError):
@@ -545,17 +558,32 @@ class _NodeHandler(JsonHandler):
                         "no circuit registered under that key; "
                         "POST /circuit first")
             return
+        num_nodes = reg.circuit.num_nodes
         cube = body.get("cube")
-        if not isinstance(cube, list):
-            self._error(400, "bad-request", "'cube' must be a literal list")
+        if not _literals_ok(cube, num_nodes):
+            self._error(400, "bad-request",
+                        "'cube' must be a list of the circuit's literals")
+            return
+        lemmas = body.get("lemmas")
+        if not _lemmas_ok(lemmas, num_nodes):
+            self._error(400, "bad-request", _BAD_LEMMAS)
+            return
+        kind = str(body.get("kind") or KIND_CSAT)
+        preset_name = str(body.get("preset") or CUBE_PRESET)
+        try:
+            if kind not in (KIND_CSAT, KIND_CNF):
+                raise SolverError("conquer nodes solve csat or cnf cubes, "
+                                  "not {!r}".format(kind))
+            preset(preset_name)
+        except SolverError as exc:
+            self._error(400, "bad-request", str(exc))
             return
         try:
-            cube_literals = [int(l) for l in cube]
             attempt = int(body.get("attempt") or 0)
             wait = min(float(body.get("wait") or 0), MAX_WAIT_SECONDS)
         except (TypeError, ValueError):
             self._error(400, "bad-request",
-                        "cube literals, attempt and wait must be numeric")
+                        "attempt and wait must be numeric")
             return
         limits = None
         raw = body.get("limits")
@@ -568,14 +596,11 @@ class _NodeHandler(JsonHandler):
             except (AttributeError, TypeError, SolverError):
                 self._error(400, "bad-limits", "invalid limits object")
                 return
-        overrides = {k: body[k] for k in ("kind", "preset", "backend")
-                     if body.get(k)}
         key = body.get("idempotency_key")
         try:
             job, deduped = node.submit(
-                reg, cube_literals, attempt,
-                str(key)[:200] if key else None, limits,
-                body.get("lemmas"), overrides,
+                reg, cube, attempt, str(key)[:200] if key else None, limits,
+                lemmas, kind, preset_name,
                 body.get("trace_id"), body.get("parent_span"))
         except AdmissionRejected as exc:
             self._send_json(exc.status, {"error": {"code": exc.code,
@@ -594,17 +619,21 @@ class _NodeHandler(JsonHandler):
             self._error(400, "unknown-circuit",
                         "no circuit registered under that key")
             return
-        absorbed = reg.pool.absorb(body.get("lemmas"))
-        if absorbed:
-            node._metric_counter(
-                "repro_dist_node_lemmas_total",
-                "Lemmas absorbed into the node pool",
-                ("source",)).labels("exchange").inc(absorbed)
+        lemmas = body.get("lemmas")
+        if not _lemmas_ok(lemmas, reg.circuit.num_nodes):
+            self._error(400, "bad-request", _BAD_LEMMAS)
+            return
         try:
             since = max(0, int(body.get("since") or 0))
         except (TypeError, ValueError):
             self._error(400, "bad-request", "since must be an integer")
             return
+        absorbed = reg.pool.absorb(lemmas)
+        if absorbed:
+            node._metric_counter(
+                "repro_dist_node_lemmas_total",
+                "Lemmas absorbed into the node pool",
+                ("source",)).labels("exchange").inc(absorbed)
         fresh, cursor = reg.snapshot_since(since)
         stats = node.stats()
         self._send_json(200, {"ok": True, "lemmas": fresh, "next": cursor,

@@ -8,7 +8,7 @@ a logarithmic barrel shifter against the ALU's single-step shift.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..circuit.netlist import Circuit, FALSE, lit_not
 from ..errors import CircuitError
@@ -123,9 +123,3 @@ def barrel_shifter(width: int, name: Optional[str] = None,
     for i, bit in enumerate(bus):
         c.add_output(bit, "y{}".format(i))
     return c
-
-
-def wallace_like_reference(width: int) -> Tuple[Circuit, Circuit]:
-    """Convenience pair for equivalence workloads: (array, booth)."""
-    from .arith import array_multiplier
-    return array_multiplier(width), booth_multiplier(width)

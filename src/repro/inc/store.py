@@ -233,10 +233,6 @@ class KnowledgeStore:
             self._facts.move_to_end(key)
             return key, record
 
-    def has_digest(self, digest: str) -> bool:
-        with self._lock:
-            return digest in self._by_digest
-
     # ------------------------------------------------------------------
     # Seen digests (the changed-region baseline)
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""CNF adapter for the flat kernel: ``CnfSolver``'s fast backend.
+"""CNF adapter for the flat kernel: the solver every ``cnf`` worker runs.
 
 :class:`FlatCnfSolver` speaks the same public surface as the legacy
 :class:`~repro.cnf.solver.CnfSolver` — DIMACS literals in, a
@@ -8,8 +8,13 @@ hooks — but runs the :class:`~repro.kernel.flat.FlatSolver` underneath.
 DIMACS variable ``v`` maps to internal variable ``v - 1`` (so proof
 logging's ``internal + 1`` convention round-trips exactly).
 
-Construct directly, or through :func:`repro.cnf.solver.make_solver`
-with ``backend="kernel"``.
+Who runs which CNF solver: the isolated ``cnf`` workers of
+:mod:`repro.runtime` (cube and dist cubes, serve ``engine=cnf`` jobs,
+the portfolio's ``cnf`` rung) build this class directly.  The legacy
+``CnfSolver`` stays the paper's ZChaff baseline, the differential
+oracle's ``cnf`` voter and the default of ``repro solve-cnf``, whose
+``--backend kernel`` reaches this class through
+:func:`repro.cnf.solver.make_solver`.
 """
 
 from __future__ import annotations
@@ -123,10 +128,3 @@ class FlatCnfSolver:
         elif result.status == UNSAT and not assumptions:
             require(certify_cnf_unsat(self.formula, self.proof),
                     context=self.formula.name)
-
-
-def solve_formula_flat(formula: CnfFormula,
-                       limits: Optional[Limits] = None,
-                       **solver_kwargs) -> SolverResult:
-    """One-shot convenience wrapper over the kernel backend."""
-    return FlatCnfSolver(formula, **solver_kwargs).solve(limits=limits)

@@ -14,9 +14,10 @@ production deployment needs:
   CRASHED / CORRUPT_ANSWER / LOST), and boundary re-certification of
   answers via :mod:`repro.verify`;
 * :mod:`repro.runtime.portfolio` — races or sequences engine configs
-  (csat presets, CNF baseline, brute/BDD for tiny cones) under one shared
-  deadline, with retry-with-reseed on crash and a graceful-degradation
-  ladder that still returns a structured UNKNOWN when everything fails;
+  (csat presets, the flat kernel on CNF, brute/BDD for tiny cones) under
+  one shared deadline, with retry-with-reseed on crash and a
+  graceful-degradation ladder that still returns a structured UNKNOWN
+  when everything fails;
 * :mod:`repro.runtime.faults` — seeded, deterministic fault injection at
   the worker boundary so every supervisor path is testable in CI.
 

@@ -77,9 +77,10 @@ def default_ladder(circuit: Circuit,
                    bdd_max_gates: int = 300) -> List[EngineSpec]:
     """The standard failover ladder, strongest config first.
 
-    csat presets in the paper's quality order, then the CNF baseline
-    (shares no hot-path code with the circuit engine), then brute-force
-    enumeration and BDDs for tiny cones.
+    csat presets in the paper's quality order, then the ``cnf`` rung
+    (the flat kernel's ``FlatCnfSolver`` on the Tseitin encoding; it
+    shares no hot-path code with the legacy csat rungs), then
+    brute-force enumeration and BDDs for tiny cones.
     """
     ladder = [
         EngineSpec("explicit", KIND_CSAT, "explicit"),

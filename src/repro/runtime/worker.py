@@ -55,19 +55,21 @@ KIND_SWEEP = "sweep"
 class WorkerJob:
     """Everything one worker needs, picklable under fork and spawn alike.
 
-    ``options`` (a :class:`~repro.csat.options.SolverOptions`) takes
-    precedence over ``preset_name``; observability callables must not be
-    attached to it (they cannot cross the process boundary).
+    ``kind`` picks the engine: ``csat`` runs a
+    :class:`~repro.core.solver.CircuitSolver` configured by
+    ``preset_name`` (``"kernel"`` selects the flat kernel), ``cnf`` runs
+    the flat kernel's :class:`~repro.kernel.cnf.FlatCnfSolver` on the
+    Tseitin encoding, ``brute`` and ``bdd`` are the exhaustive engines
+    for tiny cones.  ``options`` (a
+    :class:`~repro.csat.options.SolverOptions`) takes precedence over
+    ``preset_name``; observability callables must not be attached to it
+    (they cannot cross the process boundary).
     """
 
     circuit: Circuit
     name: str = "explicit"            # display name for events/provenance
     kind: str = KIND_CSAT
     preset_name: str = "explicit"
-    #: CNF CDCL implementation for ``kind == "cnf"``: the legacy
-    #: object-graph solver or the flat-array kernel (csat kinds pick the
-    #: kernel via ``preset_name="kernel"`` instead).
-    backend: str = "legacy"
     options: Optional[Any] = None     # SolverOptions, or None for preset
     overrides: Dict[str, Any] = field(default_factory=dict)
     objectives: Optional[List[int]] = None
@@ -323,13 +325,12 @@ def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
             lemmas = collect_csat_lemmas(solver.engine)
     elif job.kind == KIND_CNF:
         from ..circuit.cnf_convert import tseitin
-        from ..cnf.solver import make_solver
+        from ..kernel.cnf import FlatCnfSolver
         formula, _ = tseitin(circuit, objectives=objectives)
         if job.collect_proof:
             from ..proof import ProofLog
             proof = ProofLog()
-        solver = make_solver(formula, backend=job.backend,
-                             proof=proof, trace=tracer)
+        solver = FlatCnfSolver(formula, proof=proof, trace=tracer)
         if job.seed_lemmas:
             for clause in job.seed_lemmas:
                 # Shared lemmas hold for circuit AND objectives — exactly

@@ -293,25 +293,6 @@ class ServeClient:
                                                                  since),
                              deadline=deadline)
 
-    def stream_events(self, job_id: str, poll: float = 0.2,
-                      timeout: float = 300.0):
-        """Generator: yield events as the job produces them, until done.
-
-        ``timeout`` is the hard deadline for the whole stream; each
-        underlying poll inherits it, so a dead server surfaces as a
-        ``ServeError`` instead of an endless silent loop.
-        """
-        since = 0
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            chunk = self.events(job_id, since=since, deadline=deadline)
-            for event in chunk.get("events", []):
-                yield event
-            since = chunk.get("next", since)
-            if chunk.get("state") in ("DONE", "CANCELLED"):
-                return
-            time.sleep(poll)
-
     def shutdown(self, drain: bool = True) -> Dict[str, Any]:
         # Never retried: a connection error usually means the server is
         # already gone, which is the goal.

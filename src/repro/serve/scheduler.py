@@ -795,10 +795,6 @@ class SolveScheduler:
     # Shutdown
     # ------------------------------------------------------------------
 
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {"submitted": self.submitted,

@@ -261,6 +261,30 @@ def test_workers_sat_early_cancel():
     assert sum(1 for c in report.cubes if c.status == SAT) >= 1
 
 
+@pytest.mark.parametrize("expected", [SAT, UNSAT])
+def test_cnf_workers_answer_and_share_circuit_literals(tmp_path, expected):
+    from repro.durable.checkpoint import load_checkpoint
+    circuit = small_miter(4)
+    if expected == SAT:
+        circuit = next(c for c in (build_random_circuit(
+            seed, num_inputs=8, num_gates=50, num_outputs=1)
+            for seed in range(20)) if CircuitSolver(c).solve().status == SAT)
+    path = str(tmp_path / "cnf.ckpt")
+    report = solve_cubes(circuit, workers=2, kind="cnf",
+                         cutter=CutterOptions(max_cubes=6), budget=60,
+                         checkpoint_path=path, checkpoint_every=1)
+    assert report.result.status == expected
+    if expected == SAT:
+        assert certify_sat_model(circuit, report.result.model,
+                                 list(circuit.outputs)).ok
+    # The pool the workers exported: clauses of circuit literals only.
+    lemmas = load_checkpoint(path).lemmas
+    assert all(clause and all(2 <= lit < 2 * circuit.num_nodes
+                              for lit in clause) for clause in lemmas)
+    if expected == UNSAT:
+        assert lemmas
+
+
 def test_workers_fault_injection_failover():
     report = solve_cubes(small_miter(3), workers=2,
                          cutter=CutterOptions(max_cubes=4), budget=60,

@@ -146,6 +146,66 @@ class TestConquerNode:
         assert again["absorbed"] == 0
         assert again["lemmas"] == []
 
+    @pytest.mark.parametrize("lemmas", [
+        [5], "x", [[4, "a"]], [[10 ** 9]], [[]], [[1]]], ids=[
+        "bare-int", "string", "non-int", "out-of-range", "empty-clause",
+        "constant-node"])
+    def test_malformed_lemmas_are_a_400_and_never_pooled(self, node,
+                                                         lemmas):
+        circuit = small_miter(3)
+        client = client_for(node)
+        key = register(client, circuit)["key"]
+        cube = generate_cubes(circuit,
+                              options=CutterOptions(max_cubes=4)).cubes[0]
+        for path, body in (
+                ("/exchange", {"key": key, "lemmas": lemmas}),
+                ("/conquer", {"key": key, "cube": list(cube.literals),
+                              "lemmas": lemmas})):
+            with pytest.raises(ServeError) as info:
+                client.call("POST", path, body=body, retries=0)
+            assert (info.value.status, info.value.code) == \
+                (400, "bad-request"), path
+        status = client.status()["node"]
+        assert status["lemma_pools"] == {key: 0}
+        assert status["jobs"] == 0
+        # The pool is intact: the cube still gets a real answer.
+        snap = client.call("POST", "/conquer",
+                           body={"key": key, "cube": list(cube.literals),
+                                 "wait": 60})
+        assert snap["result"]["status"] in (SAT, UNSAT)
+
+    @pytest.mark.parametrize("field", [
+        {"cube": [10 ** 9]}, {"cube": [0]}, {"cube": ["2"]}, {"cube": 2},
+        {"kind": "brute"}, {"preset": "not-a-preset"}], ids=[
+        "out-of-range", "constant-node", "non-int", "not-a-list",
+        "unknown-kind", "unknown-preset"])
+    def test_bad_cube_or_engine_is_a_400(self, node, field):
+        client = client_for(node)
+        key = register(client, small_miter(3))["key"]
+        body = dict({"key": key, "cube": [2]}, **field)
+        with pytest.raises(ServeError) as info:
+            client.call("POST", "/conquer", body=body, retries=0)
+        assert (info.value.status, info.value.code) == (400, "bad-request")
+        assert client.status()["node"]["jobs"] == 0
+
+    def test_engine_rides_on_the_dispatch(self, node):
+        circuit = small_miter(3)
+        client = client_for(node)
+        key = register(client, circuit)["key"]
+        # The node holds no engine setting: /status names none, and each
+        # dispatch runs the engine its body names.
+        assert not {"kind", "preset", "backend"} & set(
+            client.status()["node"])
+        cube = generate_cubes(circuit,
+                              options=CutterOptions(max_cubes=4)).cubes[0]
+        for kind, preset_name in (("cnf", None), ("csat", "kernel")):
+            body = {"key": key, "cube": list(cube.literals), "wait": 60,
+                    "kind": kind}
+            if preset_name:
+                body["preset"] = preset_name
+            snap = client.call("POST", "/conquer", body=body)
+            assert snap["result"]["status"] in (SAT, UNSAT)
+
     def test_rejects_full_certification(self):
         with pytest.raises(SolverError):
             ConquerNode(certify="full")
@@ -280,7 +340,7 @@ class TestLocalFleet:
         from repro.dist.bench import launch_local_nodes
         started = time.monotonic()
         with pytest.raises(RuntimeError) as info:
-            launch_local_nodes(1, preset="not-a-preset",
+            launch_local_nodes(1, workers="x",
                                workdir=str(tmp_path), startup_timeout=60.0)
         # The exit is seen by polling the child, not by the timeout.
         assert time.monotonic() - started < 30.0
@@ -288,7 +348,7 @@ class TestLocalFleet:
         assert "exited with 2" in str(info.value)
         assert log_path in str(info.value)
         with open(log_path) as fh:
-            assert "invalid choice: 'not-a-preset'" in fh.read()
+            assert "invalid int value: 'x'" in fh.read()
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +404,12 @@ class TestCli:
 
 class TestKernelBackend:
     def test_cnf_kernel_cubes_through_a_node(self):
-        node = ConquerNode(workers=1, kind="cnf", backend="kernel",
-                           name="kern").start()
+        node = ConquerNode(workers=1, name="kern").start()
         try:
             report = solve_distributed(
                 small_miter(3), nodes=[node.address], kind="cnf",
-                backend="kernel", cutter=CutterOptions(max_cubes=4),
-                budget=60, poll_seconds=1.0)
+                cutter=CutterOptions(max_cubes=4), budget=60,
+                poll_seconds=1.0)
         finally:
             node.stop(drain=False)
         assert report.result.status == UNSAT

@@ -358,11 +358,12 @@ class TestCubeResume:
 # ----------------------------------------------------------------------
 
 class TestLemmaSalvage:
-    def test_watchdog_kill_salvages_lemmas(self, registry):
+    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    def test_watchdog_kill_salvages_lemmas(self, registry, kind):
         from repro.runtime.supervisor import spawn_worker
         from repro.runtime.worker import WorkerJob
         circuit = instance_by_name("mult6.arith").build()
-        job = WorkerJob(circuit=circuit, name="salvage", kind="csat",
+        job = WorkerJob(circuit=circuit, name="salvage", kind=kind,
                         preset_name="implicit",
                         limits=Limits(max_seconds=1000),  # never self-stop
                         export_lemmas=True)
@@ -373,6 +374,8 @@ class TestLemmaSalvage:
         assert outcome.failure is not None
         assert outcome.failure.kind == "TIMEOUT"
         assert outcome.lemmas, "dying worker should donate its pool"
+        assert all(2 <= lit < 2 * circuit.num_nodes
+                   for clause in outcome.lemmas for lit in clause)
         assert job.salvage_path is None   # read exactly once, then deleted
         families = parse_exposition(registry.render())
         assert families["repro_lemmas_salvaged_total"]["samples"][0][2] \

@@ -226,3 +226,54 @@ def test_kernel_incremental_solves_share_learned_clauses():
     assert solver.solve().status == UNSAT
     # Second call reuses the database: little to no new learning.
     assert solver.stats.learned_clauses <= learned_once * 2
+
+
+# ----------------------------------------------------------------------
+# Import footprint and the optional wide simulator
+# ----------------------------------------------------------------------
+
+def test_kernel_import_loads_no_numpy():
+    # Every freshly forked cnf or kernel worker imports the kernel; numpy
+    # would cost each one its import time and memory before any search.
+    import os
+    import subprocess
+    import sys
+    script = ("import sys\n"
+              "import repro.kernel, repro.kernel.flat, repro.kernel.circuit\n"
+              "import repro.kernel.cnf\n"
+              "print('numpy' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("path", ["numpy", "fallback"])
+def test_wide_correlations_hold_on_exhaustive_simulation(monkeypatch,
+                                                         path):
+    from repro.circuit.miter import miter_identical
+    from repro.kernel import simd
+    from repro.sim.bitsim import truth_tables
+    if path == "numpy":
+        pytest.importorskip("numpy")
+    else:
+        monkeypatch.setattr(simd, "_np", None)
+    circuits = [build_random_circuit(seed, num_inputs=6, num_gates=40)
+                for seed in range(4)]
+    circuits.append(miter_identical(build_full_adder()))
+    classes_seen = 0
+    for circuit in circuits:
+        mask = (1 << (1 << circuit.num_inputs)) - 1
+        table = truth_tables(circuit)
+        found = simd.find_correlations_wide(circuit, seed=3,
+                                            include_inputs=True)
+        for cls in found.classes:
+            # Every member, phase-adjusted, has one and the same function.
+            functions = {table[node] ^ (mask if phase else 0)
+                         for node, phase in cls}
+            assert len(functions) == 1, (circuit.name, cls)
+        classes_seen += len(found.classes)
+    assert classes_seen > 0

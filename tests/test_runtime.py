@@ -67,8 +67,9 @@ class TestSupervisorHealthy:
             wall_seconds=30)
         assert outcome.ok and outcome.result.status == SAT
 
-    def test_full_certification_accepts_honest_unsat(self):
-        outcome = run_supervised(job_for(build_unsat_circuit()),
+    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    def test_full_certification_accepts_honest_unsat(self, kind):
+        outcome = run_supervised(job_for(build_unsat_circuit(), kind=kind),
                                  wall_seconds=30, certify="full")
         assert outcome.ok and outcome.result.status == UNSAT
 
