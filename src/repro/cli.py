@@ -71,7 +71,7 @@ from .cnf.solver import CnfSolver
 from .circuit.cnf_convert import cnf_to_circuit
 from .core.solver import CircuitSolver, check_equivalence
 from .core.sweep import sat_sweep
-from .csat.options import preset
+from .csat.options import DEFAULT_PRESET, preset
 from .cube.conquer import CUBE_PRESET
 from .errors import CircuitError, ParseError, ReproError, SolverError
 from .result import Limits
@@ -1259,7 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine, or 'sweep' to reduce the circuit into "
                         "the server's knowledge store instead of "
                         "solving it")
-    p.add_argument("--preset", choices=_PRESETS, default="explicit")
+    p.add_argument("--preset", choices=_PRESETS, default=None,
+                   help="solver configuration of a csat job (default: "
+                        "the server's, {}; a sweep job ignores it)"
+                        .format(DEFAULT_PRESET))
     p.add_argument("--budget", type=float, default=None,
                    help="per-request wall-clock budget in seconds")
     p.add_argument("--priority", type=int, default=0,

@@ -3,9 +3,10 @@
 A natural application of the paper's machinery (and the classical
 equivalence-checking "check-point matching" it contrasts itself against in
 Section V): random simulation proposes equivalent / anti-equivalent signal
-pairs and likely constants, the circuit solver proves or refutes each
-candidate in topological order, and proven candidates are merged into a
-smaller, functionally identical circuit.
+pairs and likely constants, the flat kernel
+(:class:`~repro.kernel.circuit.KernelEngine`) proves or refutes each
+candidate, and proven candidates are merged into a smaller, functionally
+identical circuit.
 
 Compared to the paper's explicit learning this *completes* every
 sub-problem (no 10-learned-gate abort) because here the lemma itself — the
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit, lit_not
-from ..csat.engine import CSatEngine
-from ..csat.options import SolverOptions
 from ..result import Limits, SAT, UNSAT
 from ..sim.correlation import CorrelationSet, find_correlations
 
@@ -73,7 +72,7 @@ class SweepResult:
         }
 
 
-def _prove_equal(engine: CSatEngine, rep_lit: int, node: int,
+def _prove_equal(engine, rep_lit: int, node: int,
                  limits: Limits) -> Optional[bool]:
     """Is ``node`` functionally equal to literal ``rep_lit``?
 
@@ -97,11 +96,9 @@ def _prove_equal(engine: CSatEngine, rep_lit: int, node: int,
 
 def sat_sweep(circuit: Circuit,
               correlations: Optional[CorrelationSet] = None,
-              options: Optional[SolverOptions] = None,
               per_candidate_conflicts: int = 2000,
               seed: int = 1,
               export_lemmas: bool = False,
-              constants_first: bool = True,
               seed_lemmas: Optional[List[List[int]]] = None,
               certify: Optional[Callable[[List[int]], Optional[bool]]]
               = None) -> SweepResult:
@@ -113,11 +110,13 @@ def sat_sweep(circuit: Circuit,
     The returned circuit has the same inputs (order and names preserved)
     and the same outputs.
 
-    ``constants_first=False`` proves pair candidates before constant
-    candidates — the right order when the candidates come from a warm
-    knowledge store: once the mid-level pairs are merged (and taught to
-    the engine as equivalence clauses), a deep constant like a miter
-    output reduces by propagation instead of by a fresh CDCL proof.
+    Pair candidates are proved before constant candidates (the paper's
+    Table VI ordering result): once the mid-level pairs are merged and
+    taught to the engine as equivalence clauses, a deep constant like a
+    miter output reduces by propagation instead of by a fresh CDCL
+    proof.  Proving the deep constants first is the paper's "reverse
+    order" — on c6288.equiv it leaves candidates undecided at budgets
+    where pairs-first merges every one.
 
     ``seed_lemmas`` are clauses injected into the proof engine before
     any candidate is attempted.  **They must be known valid for the bare
@@ -135,10 +134,12 @@ def sat_sweep(circuit: Circuit,
     probes benefit.
     """
     start = time.perf_counter()
-    options = options or SolverOptions(implicit_learning=True)
     if correlations is None:
         correlations = find_correlations(circuit, seed=seed)
-    engine = CSatEngine(circuit, options)
+    # Imported here, as CircuitSolver does, so ``import repro`` does not
+    # load the kernel.
+    from ..kernel.circuit import KernelEngine
+    engine = KernelEngine(circuit)
     for clause in seed_lemmas or ():
         engine.add_learned_clause(list(clause))
     limits = Limits(max_conflicts=per_candidate_conflicts)
@@ -175,7 +176,6 @@ def sat_sweep(circuit: Circuit,
         return None
 
     def prove_constants() -> None:
-        # Constants are the cheapest, strongest reductions.
         for node, likely in correlations.constant_correlations():
             verdict = decide_constant(node, likely)
             if verdict is True:
@@ -222,12 +222,8 @@ def sat_sweep(circuit: Circuit,
             else:
                 result.undecided += 1
 
-    if constants_first:
-        prove_constants()
-        prove_pairs()
-    else:
-        prove_pairs()
-        prove_constants()
+    prove_pairs()
+    prove_constants()
 
     # Rebuild the reduced circuit.
     out = Circuit(circuit.name + ".swept", strash=True)

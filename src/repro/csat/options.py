@@ -156,6 +156,12 @@ class SolverOptions:
         return replace(self, **kwargs)
 
 
+#: The preset a served solve runs when its request names none: the
+#: serve scheduler, the ``/submit`` body and journal recovery default to
+#: it, and the portfolio's default ladder starts with it.
+DEFAULT_PRESET = "kernel"
+
+
 def preset(name: str, **overrides) -> SolverOptions:
     """Named solver configurations matching the paper's table columns.
 

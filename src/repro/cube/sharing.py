@@ -46,6 +46,19 @@ from ..sim.correlation import CorrelationSet
 MAX_SHARED_LEMMAS = 512
 
 
+def literals_ok(literals, num_nodes: int) -> bool:
+    """True when ``literals`` is a list of a ``num_nodes``-node circuit's
+    literals: ints in ``[2, 2 * num_nodes)``.  The constant node is never
+    a cube literal or part of a shared lemma.
+
+    The rule a conquer node applies to the cubes and lemma batches it is
+    sent, and a resumed checkpoint to its cubes and lemma pool; an
+    out-of-range literal would crash every worker it reaches.
+    """
+    return isinstance(literals, list) and all(
+        type(lit) is int and 2 <= lit < 2 * num_nodes for lit in literals)
+
+
 def serialize_classes(correlations: Optional[CorrelationSet]) \
         -> Optional[List[List[Tuple[int, int]]]]:
     """CorrelationSet -> plain nested lists for the worker job pickle."""

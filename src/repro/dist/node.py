@@ -64,7 +64,7 @@ from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import preset
 from ..cube.conquer import CUBE_PRESET, run_cube
-from ..cube.sharing import SharedKnowledge
+from ..cube.sharing import SharedKnowledge, literals_ok
 from ..durable.checkpoint import exact_hash
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.context import SpanContext
@@ -474,19 +474,11 @@ _BAD_LEMMAS = ("'lemmas' must be a list of non-empty clauses of the "
                "circuit's literals")
 
 
-def _literals_ok(literals, num_nodes: int) -> bool:
-    """True when ``literals`` is a list of the registered circuit's
-    literals: ints in ``[2, 2 * num_nodes)`` (the constant node is never
-    a cube literal or part of a shared lemma)."""
-    return isinstance(literals, list) and all(
-        type(lit) is int and 2 <= lit < 2 * num_nodes for lit in literals)
-
-
 def _lemmas_ok(batch, num_nodes: int) -> bool:
     """True when ``batch`` is absent or a list of non-empty clauses of
     the registered circuit's literals."""
     return batch is None or isinstance(batch, list) and all(
-        clause and _literals_ok(clause, num_nodes) for clause in batch)
+        clause and literals_ok(clause, num_nodes) for clause in batch)
 
 
 class AdmissionRejected(ReproError):
@@ -560,7 +552,7 @@ class _NodeHandler(JsonHandler):
             return
         num_nodes = reg.circuit.num_nodes
         cube = body.get("cube")
-        if not _literals_ok(cube, num_nodes):
+        if not literals_ok(cube, num_nodes):
             self._error(400, "bad-request",
                         "'cube' must be a list of the circuit's literals")
             return

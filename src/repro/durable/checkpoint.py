@@ -21,6 +21,13 @@ unless all match:
   canonical digest is isomorphism-invariant, but lemma literals are
   raw node ids, so an isomorphic-but-renumbered circuit must still be
   refused) plus the exact objectives list.
+
+The record's own literals are checked too: every pooled lemma must be a
+non-empty clause, and every cube a list, of the circuit's literals
+(:func:`repro.cube.sharing.literals_ok`, the rule a conquer node applies
+to its wire input).  A record written through :func:`save_checkpoint`
+passes its checksum whatever it holds, and one out-of-range literal in
+the pool would crash every resumed worker.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ class CubeCheckpoint:
 
     def validate_for(self, circuit: Circuit,
                      objectives: Sequence[int]) -> None:
-        """Refuse to resume against the wrong circuit or objectives."""
+        """Refuse to resume against the wrong circuit or objectives, or
+        a record holding a literal that circuit does not have."""
         if self.version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 "checkpoint has version {}; this build reads version {} — "
@@ -112,6 +120,22 @@ class CubeCheckpoint:
                 "({} vs {}); shared lemmas are only valid for "
                 "circuit AND objectives".format(
                     list(self.objectives), list(objectives)))
+        from ..cube.sharing import literals_ok
+        bound = 2 * circuit.num_nodes
+        for clause in self.lemmas:
+            if not clause or not literals_ok(clause, circuit.num_nodes):
+                raise CheckpointError(
+                    "checkpoint lemma {!r} is not a non-empty clause of "
+                    "this circuit's literals (ints in [2, {})); refusing "
+                    "to inject it into resumed cubes".format(clause, bound))
+        for raw in self.cubes:
+            literals = raw.get("literals") if isinstance(raw, dict) \
+                else raw
+            if not literals_ok(literals, circuit.num_nodes):
+                raise CheckpointError(
+                    "checkpoint cube literals {!r} are not a list of this "
+                    "circuit's literals (ints in [2, {}))".format(
+                        literals, bound))
 
 
 def save_checkpoint(path: str, checkpoint: CubeCheckpoint) -> None:

@@ -14,11 +14,11 @@ structure:
    signals (plus their fanin boundary) — the classic incremental-sweep
    move that lets a function-preserving edit collapse back out;
 3. matching store facts become candidate constants/equivalences, fed to
-   :func:`repro.core.sweep.sat_sweep` with ``constants_first=False`` —
-   pairs merge first (taught to the engine as equivalence clauses), so
-   a deep constant then reduces by propagation instead of a fresh CDCL
-   proof.  Every candidate is **proved on the requesting circuit**
-   before it is merged;
+   :func:`repro.core.sweep.sat_sweep` — pairs in rounds first (taught to
+   the engine as equivalence clauses), constants last, so a deep
+   constant then reduces by propagation instead of a fresh CDCL proof.
+   Every candidate is **proved on the requesting circuit** before it is
+   merged;
 4. after a round that merged something, digests are recomputed on the
    reduced circuit and deeper facts get their chance;
 5. matching stored lemmas are re-proved on the final (reduced) circuit
@@ -45,8 +45,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..circuit.netlist import Circuit, lit_not
 from ..core.sweep import SweepResult, sat_sweep
-from ..csat.engine import CSatEngine
-from ..csat.options import SolverOptions
 from ..obs.metrics import default_registry
 from ..result import Limits, SAT, UNSAT
 from ..serve.fingerprint import cone_fingerprint, cone_keys
@@ -309,7 +307,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
                         max_lemmas: int = MAX_SEED_LEMMAS,
                         max_rounds: int = MAX_ROUNDS,
                         canon_roots: int = CANON_ROOTS,
-                        options: Optional[SolverOptions] = None,
                         seed: int = 1,
                         absorb: bool = True) -> PrepassOutcome:
     """Look up, re-prove, and merge stored facts for one query.
@@ -339,7 +336,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
     stream of revisions keeps enriching it.
     """
     start = time.perf_counter()
-    options = options or SolverOptions(implicit_learning=True)
     outcome = PrepassOutcome(original=circuit, circuit=circuit)
     current = circuit
 
@@ -407,7 +403,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
         certifier = ConeCertifier(current)
         sweep = sat_sweep(current,
                           correlations=CorrelationSet(classes=pair_classes),
-                          options=options,
                           per_candidate_conflicts=per_candidate_conflicts,
                           certify=certifier.clause)
         outcome.rounds = round_no + 1
@@ -444,8 +439,7 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
         facts = store.lookup(node_of)
         certifier = ConeCertifier(current)
         seeds = _replay_lemmas(current, facts, node_of, max_lemmas,
-                               lemma_conflicts, options, store, outcome,
-                               certifier)
+                               lemma_conflicts, store, outcome, certifier)
 
         # --------------------------------------------------- phase 3
         const_classes: List[List[Tuple[int, int]]] = []
@@ -480,7 +474,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
             sweep = sat_sweep(current,
                               correlations=CorrelationSet(
                                   classes=const_classes),
-                              options=options,
                               per_candidate_conflicts=per_candidate_conflicts,
                               seed_lemmas=seeds,
                               certify=certifier.clause)
@@ -583,8 +576,8 @@ def _count_hits(outcome: PrepassOutcome, facts, node_of) -> None:
 
 
 def _replay_lemmas(circuit: Circuit, facts: Dict, node_of: Dict[str, int],
-                   max_lemmas: int, budget: int, options: SolverOptions,
-                   store: KnowledgeStore, outcome: PrepassOutcome,
+                   max_lemmas: int, budget: int, store: KnowledgeStore,
+                   outcome: PrepassOutcome,
                    certifier: Optional[ConeCertifier] = None
                    ) -> List[List[int]]:
     """Re-prove candidate lemmas on the circuit they will seed.
@@ -624,7 +617,8 @@ def _replay_lemmas(circuit: Circuit, facts: Dict, node_of: Dict[str, int],
         verdict = certifier.clause(lits) if certifier is not None else None
         if verdict is None:
             if engine is None:
-                engine = CSatEngine(circuit, options)
+                from ..kernel.circuit import KernelEngine
+                engine = KernelEngine(circuit)
                 for clause in seeds:
                     engine.add_learned_clause(list(clause))
             probe = engine.solve(assumptions=[lit_not(l) for l in lits],

@@ -69,6 +69,7 @@ class KernelEngine:
         self._phases_before_subproblems = None
         solver = self.solver
         bimp = solver.bimp
+        attach = solver._attach_arena
         for g in circuit.and_nodes():
             f0, f1 = circuit.fanins(g)
             ng = 2 * g + 1
@@ -81,15 +82,18 @@ class KernelEngine:
                 else:
                     solver.add_clause([ng])
                 continue
-            # (~g | f0), (~g | f1): straight into the implication lists —
-            # add_clause would route them there too, but the gates are the
-            # bulk of construction, so skip its normalisation scans.
+            # (~g | f0), (~g | f1) straight into the implication lists and
+            # (g | ~f0 | ~f1) straight into the arena — add_clause would
+            # put them there too, but the gates are the bulk of
+            # construction, so skip its normalisation scans.  They are
+            # no-ops here: nothing is assigned until the constant node
+            # below, and g, f0 and f1 are three distinct nodes.
             bimp[2 * g].append(f0)
             bimp[f0 ^ 1].append(ng)
             bimp[2 * g].append(f1)
             bimp[f1 ^ 1].append(ng)
             solver.n_bin_problem += 2
-            solver.add_clause([2 * g, f0 ^ 1, f1 ^ 1])
+            attach([2 * g, f0 ^ 1, f1 ^ 1])
         # Constant node 0 is FALSE: asserting literal 1 ("node0 = 0") after
         # the gates are wired propagates constants through the netlist at
         # the root level, like the legacy engine's pre-seeded trail entry.

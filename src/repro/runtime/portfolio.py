@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
+from ..csat.options import DEFAULT_PRESET
 from ..errors import CORRUPT_ANSWER, CRASHED, LOST, WorkerFailure
 from ..obs.metrics import default_registry
 from ..result import Limits, SolverResult, SolverStats, UNKNOWN
@@ -77,12 +78,15 @@ def default_ladder(circuit: Circuit,
                    bdd_max_gates: int = 300) -> List[EngineSpec]:
     """The standard failover ladder, strongest config first.
 
-    csat presets in the paper's quality order, then the ``cnf`` rung
-    (the flat kernel's ``FlatCnfSolver`` on the Tseitin encoding; it
-    shares no hot-path code with the legacy csat rungs), then
-    brute-force enumeration and BDDs for tiny cones.
+    The ``kernel`` preset (:data:`~repro.csat.options.DEFAULT_PRESET`,
+    the fastest on every paper row), then the legacy csat presets in
+    the paper's quality order, then the ``cnf`` rung (the flat kernel's
+    ``FlatCnfSolver`` on the Tseitin encoding; it shares no hot-path
+    code with the legacy csat rungs), then brute-force enumeration and
+    BDDs for tiny cones.
     """
     ladder = [
+        EngineSpec(DEFAULT_PRESET, KIND_CSAT, DEFAULT_PRESET),
         EngineSpec("explicit", KIND_CSAT, "explicit"),
         EngineSpec("csat-jnode", KIND_CSAT, "csat-jnode"),
         EngineSpec("implicit", KIND_CSAT, "implicit"),

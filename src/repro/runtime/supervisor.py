@@ -39,7 +39,8 @@ from ..obs.context import SpanContext, context_of
 from ..obs.metrics import (MEMORY_BUCKETS, default_registry, observe_solve)
 from ..obs.summary import read_trace
 from ..result import Limits, SAT, SolverResult, UNSAT
-from .worker import KIND_CNF, WorkerJob, payload_to_result, run_worker
+from .worker import (KIND_CNF, KIND_SWEEP, WorkerJob, payload_to_result,
+                     run_worker)
 
 #: Certification levels for answers crossing the worker boundary.
 CERTIFY_OFF = "off"      # trust the worker
@@ -417,7 +418,7 @@ def spawn_worker(job: WorkerJob,
                                             suffix=".json")
         os.close(fd)
         job.salvage_path = salvage_path
-    if job.kind == KIND_CNF or job.preset_name == "kernel":
+    if job.kind in (KIND_CNF, KIND_SWEEP) or job.preset_name == "kernel":
         # Import the flat kernel here, once per process: forked workers
         # inherit it instead of each importing (and, without a bytecode
         # cache, compiling) it again, which costs about a cube's search.

@@ -356,13 +356,9 @@ def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
     elif job.kind == KIND_SWEEP:
         from ..circuit.bench_io import write_bench
         from ..core.sweep import sat_sweep
-        from ..csat.options import preset
-        if job.options is not None:
-            options = (job.options.replace(**job.overrides)
-                       if job.overrides else job.options)
-        else:
-            options = preset(job.preset_name, **job.overrides)
-        sweep = sat_sweep(circuit, options=options, export_lemmas=True,
+        # Sweeps always prove on the flat kernel: preset_name, options
+        # and overrides select nothing here.
+        sweep = sat_sweep(circuit, export_lemmas=True,
                           seed_lemmas=job.seed_lemmas)
         # Primitives only: the reduced circuit crosses the pipe as bench
         # text, the substitutions as a plain dict, so the parent can

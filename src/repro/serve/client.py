@@ -201,7 +201,7 @@ class ServeClient:
                circuit_text: Optional[str] = None,
                instance: Optional[str] = None,
                engine: str = "csat",
-               preset: str = "explicit",
+               preset: Optional[str] = None,
                limits: Optional[Dict[str, Any]] = None,
                priority: int = 0,
                label: Optional[str] = None,
@@ -218,6 +218,11 @@ class ServeClient:
         With ``wait > 0`` the server blocks up to that many seconds and
         the snapshot usually carries the final result already.
 
+        ``preset`` picks a csat job's solver configuration; ``None``
+        leaves the field out and the server runs its default
+        (:data:`~repro.csat.options.DEFAULT_PRESET`, the flat ``kernel``).
+        A sweep job ignores it.
+
         When the effective retry count is non-zero an idempotency key is
         minted automatically (unless one is supplied), so a submit
         retried after an ambiguous failure — crash, timeout, 503 — maps
@@ -229,9 +234,10 @@ class ServeClient:
         if idempotency_key is None and retries > 0:
             idempotency_key = uuid.uuid4().hex
         wait = min(wait, self.max_wait)
-        body: Dict[str, Any] = {"engine": engine, "preset": preset,
-                                "priority": priority,
+        body: Dict[str, Any] = {"engine": engine, "priority": priority,
                                 "cube_workers": cube_workers}
+        if preset is not None:
+            body["preset"] = preset
         if circuit_text is not None:
             body["circuit"] = circuit_text
         if instance is not None:

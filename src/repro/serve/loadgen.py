@@ -219,12 +219,14 @@ class LoadReport:
 
 def run_load(client: ServeClient, workload: List[WorkItem],
              concurrency: int = 4, engine: str = "csat",
-             preset: str = "explicit", max_seconds: float = 60.0,
+             preset: Optional[str] = None, max_seconds: float = 60.0,
              expected: Optional[Dict[str, str]] = None) -> LoadReport:
     """Fire the workload at a live server with ``concurrency`` clients.
 
-    ``expected`` maps labels to SAT/UNSAT answers (from construction or a
-    previous differential pass); any mismatch marks the record not-ok.
+    ``preset`` is sent with every request; ``None`` leaves it out, so
+    the server's default preset (``kernel``) answers.  ``expected`` maps
+    labels to SAT/UNSAT answers (from construction or a previous
+    differential pass); any mismatch marks the record not-ok.
     """
     report = LoadReport()
     lock = threading.Lock()
@@ -277,7 +279,12 @@ def run_load(client: ServeClient, workload: List[WorkItem],
 
 def reference_answers(workload: List[WorkItem],
                       max_seconds: float = 60.0) -> Dict[str, str]:
-    """Direct in-process solves: the differential reference for the run."""
+    """Direct in-process solves: the differential reference for the run.
+
+    They run legacy ``explicit`` on purpose: the server answers on the
+    kernel by default, and a differential reference must not be the
+    engine under test.
+    """
     from ..circuit.source import read_circuit_text
     from ..core.solver import CircuitSolver
     from ..csat.options import preset as make_preset

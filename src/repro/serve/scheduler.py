@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..circuit.netlist import Circuit
+from ..csat.options import DEFAULT_PRESET
 from ..errors import SolverError
 from ..result import Limits, SAT, UNKNOWN, UNSAT
 from ..runtime.supervisor import (CERTIFY_LEVELS, CERTIFY_SAT,
@@ -102,7 +103,9 @@ class JobRequest:
 
     circuit: Circuit
     engine: str = "csat"
-    preset: str = "explicit"
+    #: Read by csat jobs only: cube jobs conquer on the cube preset and
+    #: sweep jobs always prove on the flat kernel.
+    preset: str = DEFAULT_PRESET
     limits: Optional[Limits] = None
     priority: int = 0
     label: str = "request"
@@ -680,7 +683,7 @@ class SolveScheduler:
         wall = self._wall_seconds(request.limits)
         worker_job = WorkerJob(
             circuit=request.circuit, name=ENGINE_SWEEP, kind=KIND_SWEEP,
-            preset_name=request.preset, limits=request.limits,
+            limits=request.limits,
             mem_limit_mb=self.mem_limit_mb, fault=request.fault)
         outcome = run_supervised(worker_job, wall_seconds=wall,
                                  grace_seconds=self.grace_seconds,

@@ -10,9 +10,10 @@ request/response) so any EDA tool with an HTTP client can drive it:
 ``POST /submit``
     Body: ``{"circuit": <text>}`` or ``{"instance": <name>}`` plus
     optional ``format`` (bench/aiger/dimacs; sniffed otherwise),
-    ``engine`` (csat/cnf/brute/bdd/cube/sweep), ``preset``, ``limits``,
-    ``incremental`` (false opts this job out of the knowledge-store
-    pre-pass),
+    ``engine`` (csat/cnf/brute/bdd/cube/sweep), ``preset`` (csat jobs;
+    default :data:`~repro.csat.options.DEFAULT_PRESET`, ``kernel``; a
+    sweep job ignores it), ``incremental`` (false opts this job out of
+    the knowledge-store pre-pass), ``limits``
     (``{"max_seconds": ..., "max_conflicts": ..., "max_decisions": ...}``),
     ``priority``, ``label``, ``wait`` (seconds to block for the result),
     ``cube_workers`` and ``fault`` (test-only fault injection).
@@ -44,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
+from ..csat.options import DEFAULT_PRESET
 from ..durable.journal import Journal, ReplayState, replay_journal
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.metrics import default_registry, enable_metrics
@@ -174,7 +176,7 @@ class ReproServer:
         try:
             return JobRequest(
                 circuit=circuit, engine=str(record.get("engine") or "csat"),
-                preset=str(record.get("preset") or "explicit"),
+                preset=str(record.get("preset") or DEFAULT_PRESET),
                 limits=limits, priority=int(record.get("priority") or 0),
                 label=label,
                 cube_workers=int(record.get("cube_workers") or 2),
@@ -379,7 +381,8 @@ class _ServeHandler(JsonHandler):
                   else {"circuit": str(text), "format": body.get("format")})
         request = JobRequest(
             circuit=circuit, engine=str(body.get("engine") or "csat"),
-            preset=str(body.get("preset") or "explicit"), limits=limits,
+            preset=str(body.get("preset") or DEFAULT_PRESET),
+            limits=limits,
             priority=priority, label=label,
             fault=body.get("fault"), cube_workers=cube_workers, fp=fp,
             idempotency_key=idempotency_key, source=source,

@@ -216,6 +216,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("clause", [[10 ** 9], [], [1], [5, -4]],
+                             ids=["out-of-range", "empty-clause",
+                                  "constant-node", "negative"])
+    def test_bad_lemma_pool_refused(self, tmp_path, clause):
+        # Written through save_checkpoint, so the checksum holds: only
+        # the literal rule can catch it.
+        circuit = build_full_adder()
+        path = str(tmp_path / "c.ckpt")
+        checkpoint = self._checkpoint_for(circuit)
+        checkpoint.lemmas.append(clause)
+        save_checkpoint(path, checkpoint)
+        with pytest.raises(CheckpointError, match="lemma") as err:
+            load_checkpoint(path).validate_for(circuit,
+                                               list(circuit.outputs))
+        assert repr(clause) in str(err.value)
+
+    @pytest.mark.parametrize("literals", [[10 ** 9], [0], ["4"], "4", None],
+                             ids=["out-of-range", "constant-node", "non-int",
+                                  "not-a-list", "missing"])
+    def test_bad_cube_literals_refused(self, literals):
+        circuit = build_full_adder()
+        checkpoint = self._checkpoint_for(circuit)
+        checkpoint.cubes[0]["literals"] = literals
+        with pytest.raises(CheckpointError, match="cube literals"):
+            checkpoint.validate_for(circuit, list(circuit.outputs))
+
 
 # ----------------------------------------------------------------------
 # Server recovery (simulated crash: abandon the node, boot a new one)
@@ -275,6 +301,41 @@ class TestServerRecovery:
         families = parse_exposition(registry.render())
         assert families["repro_recovery_replayed_total"]["samples"][0][2] \
             == 1.0
+
+    def test_recovered_job_keeps_its_preset(self, tmp_path):
+        # A journaled preset is honoured; a record without one (written
+        # by a client that left the field out) takes the server default.
+        journal_path = str(tmp_path / "serve.wal")
+        # Two structures, so the second job is not deduplicated into the
+        # first.
+        wide = Circuit("wide-contradiction")
+        a, b = wide.add_input("a"), wide.add_input("b")
+        wide.add_output(wide.add_and(wide.add_and(a, b), a ^ 1), "out")
+        circuits = {"named": build_unsat(), "unnamed": wide}
+        journal = Journal(journal_path)
+        for key, extra in (("named", {"preset": "explicit"}),
+                           ("unnamed", {})):
+            journal.append(KIND_ADMITTED, key=key, job=key, engine="csat",
+                           label=key, source={"circuit": write_bench(
+                               circuits[key]), "format": "bench"}, **extra)
+        journal.close()
+        srv = ReproServer(port=0, workers=1,
+                          journal_path=journal_path).start()
+        try:
+            assert srv.recovery["replayed"] == 2
+            engines = {}
+            for key in ("named", "unnamed"):
+                # Same key: the scheduler hands back the recovered job.
+                job = srv.scheduler.submit(JobRequest(
+                    circuit=circuits[key], engine="csat",
+                    idempotency_key=key))
+                assert job.wait(30.0)
+                assert job.result["status"] == UNSAT
+                engines[key] = job.result["engine"]
+        finally:
+            srv.stop()
+        assert engines == {"named": "csat:explicit",
+                           "unnamed": "csat:kernel"}
 
     def test_replay_twice_is_idempotent(self, tmp_path):
         """Booting twice off the same journal must not duplicate work."""
@@ -343,6 +404,32 @@ class TestCubeResume:
         solve_cubes(circuit, workers=0, checkpoint_path=path)
         with pytest.raises(CheckpointError, match="different instance"):
             solve_cubes(build_full_adder(), workers=0, resume_from=path)
+
+    def test_resume_refuses_out_of_range_pool(self, tmp_path):
+        # A fresh conquest's record, built directly (no wall-clock budget
+        # decides what it holds): every cube open, one planted lemma.
+        from repro.circuit.miter import miter
+        from repro.cube.cutter import generate_cubes
+        from repro.gen.arith import array_multiplier, csa_multiplier
+        circuit = miter(array_multiplier(4), csa_multiplier(4))
+        objectives = list(circuit.outputs)
+        cubes = generate_cubes(circuit, objectives, workers=2).cubes
+        assert cubes
+        checkpoint = CubeCheckpoint(
+            digest=fingerprint(circuit).digest, exact=exact_hash(circuit),
+            objectives=objectives,
+            cubes=[{"index": c.index, "literals": list(c.literals),
+                    "status": "SKIPPED", "depth": c.depth} for c in cubes],
+            lemmas=[[10 ** 9]])
+        path = str(tmp_path / "cube.ckpt")
+        save_checkpoint(path, checkpoint)
+        with pytest.raises(CheckpointError, match=str(10 ** 9)):
+            solve_cubes(circuit, workers=0, resume_from=path)
+        # The same record with a clean pool resumes and proves the miter.
+        checkpoint.lemmas = []
+        save_checkpoint(path, checkpoint)
+        report = solve_cubes(circuit, workers=0, resume_from=path)
+        assert report.result.status == UNSAT
 
     def test_checkpoint_carries_lemma_pool(self, tmp_path):
         circuit = instance_by_name("mult5.arith").build()

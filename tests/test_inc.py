@@ -360,6 +360,37 @@ class TestSchedulerIntegration:
         prepass = [e for e in job.events if e["kind"] == "inc_prepass"]
         assert prepass and prepass[0]["equivs_replayed"] > 0
 
+    def test_fully_certified_revisions_on_the_default_preset(self,
+                                                             tmp_path):
+        # The prepass's seed lemmas reach the kernel as problem clauses;
+        # full certification replays each UNSAT proof against the
+        # circuit the worker solved, so a bad seed would surface here.
+        from repro.gen.arith import array_multiplier, csa_multiplier
+        from repro.serve.cache import AnswerCache
+        from repro.serve.scheduler import JobRequest, SolveScheduler
+        store = KnowledgeStore(str(tmp_path / "store.jsonl"))
+        sched = SolveScheduler(workers=2, cache=AnswerCache(), max_queue=8,
+                               store=store, certify="full")
+        try:
+            base = miter(array_multiplier(4), csa_multiplier(4))
+            sweep_job = sched.submit(JobRequest(circuit=base,
+                                                engine="sweep"))
+            assert sweep_job.wait(60)
+            assert "error" not in sweep_job.result["absorbed"]
+            seeded = 0
+            for seed in (41, 42, 43):
+                mutant = mutate_circuit(base, seed=seed, edits=2)
+                job = sched.submit(JobRequest(circuit=mutant,
+                                              label="rev{}".format(seed)))
+                assert job.wait(120)
+                assert job.result["status"] == UNSAT, job.result
+                assert job.result["engine"] == "csat:kernel"
+                seeded += sum(e.get("seed_lemmas", 0) for e in job.events
+                              if e["kind"] == "inc_prepass")
+            assert seeded > 0
+        finally:
+            sched.close(drain=False, timeout=20)
+
     def test_no_incremental_escape_hatch(self, warm_scheduler):
         sched, store, JobRequest = warm_scheduler
         base = small_miter()

@@ -291,6 +291,18 @@ class TestPortfolio:
         names = [spec.name for spec in default_ladder(big)]
         assert "brute" not in names  # too many inputs to enumerate
 
+    def test_default_ladder_starts_on_the_kernel(self, full_adder):
+        ladder = default_ladder(full_adder)
+        assert (ladder[0].name, ladder[0].kind, ladder[0].preset) \
+            == ("kernel", "csat", "kernel")
+        assert [s.preset for s in ladder[1:4]] \
+            == ["explicit", "csat-jnode", "implicit"]
+        # A rung named for a legacy preset still runs that preset.
+        job = EngineSpec("explicit").job(full_adder, None, 0, None, False,
+                                         None)
+        assert (job.kind, job.preset_name) == ("csat", "explicit")
+        assert solve_portfolio(full_adder, budget=30).winner == "kernel"
+
     def test_ladder_from_names(self):
         specs = ladder_from_names(["explicit", "cnf", "brute", "bdd"])
         assert [s.kind for s in specs] == ["csat", "cnf", "brute", "bdd"]

@@ -44,6 +44,8 @@ def build_and2(names=("a", "b", "y")) -> Circuit:
 def sat_model_of(circuit: Circuit):
     from repro.core.solver import CircuitSolver
     from repro.csat.options import preset
+    # Legacy explicit on purpose: the server solves on the kernel by
+    # default, and a reference must not be the engine under test.
     result = CircuitSolver(circuit, preset("explicit")).solve()
     assert result.status == SAT
     return result.model
@@ -343,6 +345,9 @@ def client(server):
 
 AND2_BENCH = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"
 AND2_RENAMED = "INPUT(p)\nINPUT(q)\nOUTPUT(z)\nz = AND(p, q)\n"
+AND3_BENCH = ("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n"
+              "t = AND(a, b)\ny = AND(t, c)\n")
+OR2_BENCH = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n"
 
 
 class TestHttp:
@@ -365,6 +370,16 @@ class TestHttp:
         # The model is in the *renamed* circuit's vocabulary: certified
         # against it, not just replayed blindly.
         assert snap["result"]["model_inputs"] == {"p": 1, "q": 1}
+
+    def test_server_default_preset_is_the_kernel(self, client):
+        # Structures no other test submits, so neither answer is cached.
+        snap = client.submit(circuit_text=AND3_BENCH, wait=30)
+        assert snap["result"]["status"] == SAT
+        assert snap["result"]["engine"] == "csat:kernel"
+        snap = client.submit(circuit_text=OR2_BENCH, preset="explicit",
+                             wait=30)
+        assert snap["result"]["status"] == SAT
+        assert snap["result"]["engine"] == "csat:explicit"
 
     def test_submit_instance_unsat(self, client):
         snap = client.submit(instance="c1355.equiv", wait=60)

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from repro import Circuit
-from repro.circuit.miter import miter_identical
+from repro.bench.instances import instance_by_name
+from repro.circuit.miter import miter, miter_identical
 from repro.circuit.rewrite import optimize
 from repro.core.sweep import sat_sweep
-from repro.gen.arith import ripple_adder
+from repro.gen.arith import array_multiplier, csa_multiplier, ripple_adder
 from repro.gen.iscas import circuit_by_name
 from repro.sim import circuits_equivalent_exhaustive
 from conftest import build_full_adder, build_random_circuit
@@ -137,7 +138,10 @@ class TestSweepSoundnessNet:
                 or starved.merged_pairs == full.merged_pairs)
 
     def test_undecided_counted_on_hard_miter(self):
-        m = miter_identical(circuit_by_name("c1355"))
+        # Array vs CSA multiplier: simulation proposes pairs that need
+        # real search, so a 1-conflict budget leaves some undecided (a
+        # starved c1355 miter decides everything once pairs go first).
+        m = miter(array_multiplier(4), csa_multiplier(4))
         starved = sat_sweep(m, per_candidate_conflicts=1)
         assert starved.undecided > 0
         # Soundness under starvation: random simulation still finds no
@@ -150,3 +154,12 @@ class TestSweepSoundnessNet:
                               random_input_words(starved.circuit, rng, 64),
                               64)
         assert output_words(starved.circuit, vals, 64) == [0]
+
+    def test_pairs_first_decides_c6288_on_a_small_budget(self):
+        # The paper's Table VI ordering result: with the pairs merged
+        # first, the miter's deep constant outputs reduce to propagation,
+        # so 20 conflicts per candidate decide every one of them.
+        c = instance_by_name("c6288.equiv").build()
+        result = sat_sweep(c, per_candidate_conflicts=20)
+        assert result.undecided == 0
+        assert result.merged_constants > 0
