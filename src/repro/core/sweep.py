@@ -8,21 +8,25 @@ pairs and likely constants, the flat kernel
 candidate, and proven candidates are merged into a smaller, functionally
 identical circuit.
 
-Compared to the paper's explicit learning this *completes* every
-sub-problem (no 10-learned-gate abort) because here the lemma itself — the
-equivalence — is the product, not a learning warm-up.  Refuting
-counterexamples are fed back into the simulation signatures so one bad
-candidate does not poison its whole class.
+The candidates are the paper's explicit-learning sub-problems, walked by
+the same loop (:func:`repro.csat.explicit.prove_subproblems`) in the same
+topological order.  Where explicit learning abandons a sub-problem after
+10 learned gates, a sweep gives each one a conflict budget, because here
+the lemma itself — the equivalence — is the product, not a learning
+warm-up.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..circuit.netlist import Circuit, lit_not
-from ..result import Limits, SAT, UNSAT
+from ..circuit.netlist import Circuit
+from ..csat.explicit import (SubProblem, build_subproblems,
+                             order_subproblems, prove_subproblems)
+from ..csat.options import SolverOptions
+from ..result import Limits
 from ..sim.correlation import CorrelationSet, find_correlations
 
 
@@ -72,26 +76,46 @@ class SweepResult:
         }
 
 
-def _prove_equal(engine, rep_lit: int, node: int,
-                 limits: Limits) -> Optional[bool]:
-    """Is ``node`` functionally equal to literal ``rep_lit``?
+def apply_substitutions(circuit: Circuit, subst: Dict[int, int]
+                        ) -> Tuple[Circuit, List[int]]:
+    """Rebuild ``circuit`` with each node of ``subst`` replaced by its
+    literal; return ``(rebuilt, node_map)``.
 
-    Returns True/False when decided, None when a probe hit its budget.
-    Both value combinations that would distinguish them are refuted:
-    (rep=1, node=0) and (rep=0, node=1).
+    Substitutions may chain (a node replaced by a node that is itself
+    replaced); the rebuild follows them.  The result is strashed, keeps
+    the inputs (order and names) and the outputs, and ``node_map[i]`` is
+    node i's literal in it.
     """
-    first = engine.solve(assumptions=[rep_lit, 2 * node + 1], limits=limits)
-    if first.status == SAT:
-        return False
-    if first.status != UNSAT:
-        return None
-    second = engine.solve(assumptions=[lit_not(rep_lit), 2 * node],
-                          limits=limits)
-    if second.status == SAT:
-        return False
-    if second.status != UNSAT:
-        return None
-    return True
+    out = Circuit(circuit.name + ".swept", strash=True)
+    node_map: List[int] = [0] * circuit.num_nodes
+
+    def mapped(lit: int) -> int:
+        node = lit >> 1
+        seen = set()
+        while node in subst and node not in seen:
+            seen.add(node)
+            lit = subst[node] ^ (lit & 1)
+            node = lit >> 1
+        return node_map[node] ^ (lit & 1)
+
+    for pi in circuit.inputs:
+        node_map[pi] = out.add_input(circuit.name_of(pi))
+    for n in circuit.and_nodes():
+        if n in subst:
+            continue  # materialized via its representative
+        f0, f1 = circuit.fanins(n)
+        node_map[n] = out.add_and(mapped(f0), mapped(f1))
+    for n in sorted(subst):
+        node_map[n] = mapped(2 * n)
+    for lit, name in zip(circuit.outputs, circuit.output_names):
+        out.add_output(mapped(lit), name)
+    return out, node_map
+
+
+def _pair(sub: SubProblem) -> Tuple[int, int, bool]:
+    """``(lo, hi, anti)`` of a pair sub-problem."""
+    a, b = sub.assumptions
+    return min(a, b) >> 1, sub.key, not (a ^ b) & 1
 
 
 def sat_sweep(circuit: Circuit,
@@ -105,18 +129,24 @@ def sat_sweep(circuit: Circuit,
     """Prove candidate equivalences and return a reduced circuit.
 
     ``correlations`` defaults to a fresh random-simulation pass.  Every
-    proof obligation is budgeted at ``per_candidate_conflicts`` conflicts;
-    undecided candidates are left unmerged (the result is always sound).
-    The returned circuit has the same inputs (order and names preserved)
-    and the same outputs.
+    candidate becomes the explicit-learning sub-problems that would
+    refute it — both polarities of a pair, the opposite value of a
+    constant — and every sub-problem is budgeted at
+    ``per_candidate_conflicts`` conflicts.  A pair merges (its later
+    signal into its earlier one) when both of its sub-problems are
+    refuted, a constant when its one sub-problem is; every other
+    candidate is counted as refuted or undecided and left unmerged (the
+    result is always sound).  The returned circuit has the same inputs
+    (order and names preserved) and the same outputs.
 
-    Pair candidates are proved before constant candidates (the paper's
-    Table VI ordering result): once the mid-level pairs are merged and
-    taught to the engine as equivalence clauses, a deep constant like a
-    miter output reduces by propagation instead of by a fresh CDCL
-    proof.  Proving the deep constants first is the paper's "reverse
-    order" — on c6288.equiv it leaves candidates undecided at budgets
-    where pairs-first merges every one.
+    Sub-problems run in the paper's topological order, with pairs and
+    constants interleaved by their signals' position (the Table VI
+    ordering result): each refutation is taught to the engine, so by the
+    time a deep constant like a miter output comes up, the merged pairs
+    below it reduce its proof to propagation.  Proving the deep
+    constants first is the paper's "reverse order" — on c6288.equiv it
+    leaves candidates undecided at budgets where the topological order
+    merges every one.
 
     ``seed_lemmas`` are clauses injected into the proof engine before
     any candidate is attempted.  **They must be known valid for the bare
@@ -129,9 +159,9 @@ def sat_sweep(circuit: Circuit,
     :class:`repro.inc.certify.ConeCertifier`): given a clause, it
     returns True (holds for every input — a proof, typically by
     exhausting a small cone), False (a concrete refutation exists), or
-    None (cannot decide cheaply).  Candidates it decides skip their SAT
-    probes; certified merges are still taught to the engine so later
-    probes benefit.
+    None (cannot decide cheaply).  Sub-problems it decides skip their
+    SAT probes; certified clauses are still taught to the engine so
+    later probes benefit.
     """
     start = time.perf_counter()
     if correlations is None:
@@ -142,114 +172,52 @@ def sat_sweep(circuit: Circuit,
     engine = KernelEngine(circuit)
     for clause in seed_lemmas or ():
         engine.add_learned_clause(list(clause))
-    limits = Limits(max_conflicts=per_candidate_conflicts)
+    options = SolverOptions()
+    subs = order_subproblems(build_subproblems(correlations, options),
+                             options, circuit.num_nodes)
 
     # subst[node] = literal (over original ids) this node is replaced by.
     subst: Dict[int, int] = {}
+    half_proved: Set[Tuple[int, int, bool]] = set()
     result = SweepResult(circuit=circuit, gates_before=circuit.num_ands)
 
-    def resolve(lit: int) -> int:
-        """Follow substitutions to a representative literal."""
-        node = lit >> 1
-        seen = set()
-        while node in subst and node not in seen:
-            seen.add(node)
-            target = subst[node]
-            lit = target ^ (lit & 1)
-            node = lit >> 1
-        return lit
-
-    def decide_constant(node: int, likely: int) -> Optional[bool]:
-        # A node is constant ``likely`` iff the unit clause asserting
-        # the *complement* of the observed polarity never fires — i.e.
-        # the literal of value ``likely`` is valid.
-        if certify is not None:
-            verdict = certify([2 * node + (1 - likely)])
-            if verdict is not None:
-                return verdict
-        probe = engine.solve(assumptions=[2 * node + likely],
-                             limits=limits)
-        if probe.status == UNSAT:
-            return True
-        if probe.status == SAT:
+    def wanted(sub: SubProblem) -> bool:
+        # A pair's second polarity runs only once its first is refuted.
+        if sub.key in subst:
             return False
-        return None
+        return (sub.kind == "const" or not sub.assumptions[0] & 1
+                or _pair(sub) in half_proved)
 
-    def prove_constants() -> None:
-        for node, likely in correlations.constant_correlations():
-            verdict = decide_constant(node, likely)
-            if verdict is True:
-                subst[node] = likely  # literal 0 = FALSE, 1 = TRUE
-                engine.add_learned_clause([2 * node + (1 - likely)])
+    walk = prove_subproblems(
+        engine, (sub for sub in subs if wanted(sub)),
+        limits=Limits(max_conflicts=per_candidate_conflicts),
+        certify=certify)
+    for sub, verdict in walk:
+        if sub.kind == "const":
+            likely = sub.assumptions[0] & 1   # asserted: 1 - likely
+            if verdict:
+                subst[sub.key] = likely   # literal 0 = FALSE, 1 = TRUE
                 result.merged_constants += 1
             elif verdict is False:
-                result.refuted += 1
-                result.refuted_constants.append((node, likely))
-            else:
-                result.undecided += 1
-
-    def prove_pairs() -> None:
-        # Pairs in topological order (the paper's ordering result
-        # applies: shallow cones first make deeper proofs cheap).
-        for n1, n2, anti in correlations.pair_correlations():
-            lo, hi = (n1, n2) if n1 < n2 else (n2, n1)
-            if hi in subst:
+                result.refuted_constants.append((sub.key, likely))
+        else:
+            lo, hi, anti = pair = _pair(sub)
+            if verdict and not sub.assumptions[0] & 1:
+                half_proved.add(pair)
                 continue
-            rep = resolve(2 * lo) ^ (1 if anti else 0)
-            if (rep >> 1) == hi:
-                continue
-            verdict = None
-            if certify is not None:
-                # rep == hi iff both implications are valid clauses.
-                fwd = certify([lit_not(rep), 2 * hi])
-                if fwd is False:
-                    verdict = False
-                elif fwd is True:
-                    back = certify([rep, 2 * hi + 1])
-                    if back is not None:
-                        verdict = back
-            if verdict is None:
-                verdict = _prove_equal(engine, rep, hi, limits)
-            if verdict is True:
-                subst[hi] = rep
-                # Teach the engine the equivalence for later proofs.
-                engine.add_learned_clause([lit_not(rep), 2 * hi])
-                engine.add_learned_clause([rep, 2 * hi + 1])
+            if verdict:
+                subst[hi] = 2 * lo + anti
                 result.merged_pairs += 1
             elif verdict is False:
-                result.refuted += 1
-                result.refuted_pairs.append((n1, n2, anti))
-            else:
-                result.undecided += 1
+                result.refuted_pairs.append(pair)
+        if verdict is False:
+            result.refuted += 1
+        elif verdict is None:
+            result.undecided += 1
 
-    prove_pairs()
-    prove_constants()
-
-    # Rebuild the reduced circuit.
-    out = Circuit(circuit.name + ".swept", strash=True)
-    node_map: List[int] = [0] * circuit.num_nodes
-    for pi in circuit.inputs:
-        node_map[pi] = out.add_input(circuit.name_of(pi))
-
-    def mapped(lit: int) -> int:
-        lit = resolve(lit)
-        return node_map[lit >> 1] ^ (lit & 1)
-
-    for n in circuit.and_nodes():
-        if n in subst:
-            continue  # materialized via its representative
-        f0, f1 = circuit.fanins(n)
-        node_map[n] = out.add_and(mapped(f0), mapped(f1))
-    # Substituted nodes resolve through their representatives on demand.
-    for n in sorted(subst):
-        node_map[n] = mapped(2 * n)
-    for lit, name in zip(circuit.outputs, circuit.output_names):
-        out.add_output(mapped(lit), name)
-
-    result.circuit = out
-    result.gates_after = out.num_ands
-    result.substitutions = dict(subst)
-    result.node_map = node_map
+    result.circuit, result.node_map = apply_substitutions(circuit, subst)
+    result.gates_after = result.circuit.num_ands
+    result.substitutions = subst
     if export_lemmas:
         # The engine proved everything on the bare circuit (assumptions
         # only): its root units and learned binaries are circuit facts.

@@ -11,19 +11,24 @@ sub-problems* is generated:
   contradicting the likely value.
 
 Sub-problems are solved one by one **in circuit topological order** (the
-paper's central claim; reverse/random orderings are the Table VI ablation),
-each aborted after accumulating ``explicit_learn_limit`` learned gates
-(paper: 10).  Whenever a sub-problem is refuted outright, the negated
-assumption clause — e.g. ``(¬s_i ∨ s_j)``, one half of an equivalence — is
-recorded as a learned gate.  Everything learned persists into the main
-solve.  Each sub-problem stays confined to the cones of its correlated
-signals: J-node decisions do it on the legacy engine, and the flat kernel
-restricts free decisions to the signals' fan-in cone.
+paper's central claim; reverse/random orderings are the Table VI ablation).
+Whenever a sub-problem is refuted outright, the negated assumption clause —
+e.g. ``(¬s_i ∨ s_j)``, one half of an equivalence — is recorded as a
+learned gate, and everything learned persists into later sub-problems.
+Each sub-problem stays confined to the cones of its correlated signals:
+J-node decisions do it on the legacy engine, and the flat kernel restricts
+free decisions to the signals' fan-in cone.
 
-The phase runs on any engine with ``options``, ``stats``, ``tracer``,
-``ok``, ``num_nodes``, ``solve_subproblem(assumptions, limits, max_learned)``
-and ``add_learned_clause(lits)``:
-:class:`~repro.csat.engine.CSatEngine` and
+:func:`prove_subproblems` is that walk.  Its three callers differ in their
+stop rule and in what they keep: :func:`run_explicit_learning` abandons
+each sub-problem after ``explicit_learn_limit`` learned gates (paper: 10)
+and keeps the lemmas for the main solve, :func:`repro.core.sweep.sat_sweep`
+budgets conflicts and merges what it proves, and the incremental prepass
+(:mod:`repro.inc.replay`) re-proves stored lemmas to seed a query.
+
+The walk runs on any engine with ``stats``, ``tracer``, ``ok``,
+``solve_subproblem(assumptions, limits, max_learned)`` and
+``add_learned_clause(lits)``: :class:`~repro.csat.engine.CSatEngine` and
 :class:`~repro.kernel.circuit.KernelEngine`.
 """
 
@@ -31,10 +36,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from ..result import Limits, UNSAT
+from ..result import Limits, SAT, UNSAT
 from ..sim.correlation import CorrelationSet
 from .options import (ORDER_RANDOM, ORDER_REVERSE, ORDER_TOPOLOGICAL,
                       SolverOptions)
@@ -46,7 +51,7 @@ class SubProblem:
 
     assumptions: List[int]  # circuit literals asserted true
     key: int                # topological position (highest node involved)
-    kind: str               # "pair" or "const"
+    kind: str               # "pair", "const" or "lemma"
 
 
 @dataclass
@@ -107,6 +112,74 @@ def order_subproblems(subs: List[SubProblem], options: SolverOptions,
     raise ValueError("unknown ordering {!r}".format(options.explicit_order))
 
 
+def prove_subproblems(engine, subs: Iterable[SubProblem],
+                      limits: Optional[Limits] = None,
+                      max_learned: Optional[int] = None,
+                      deadline: Optional[float] = None,
+                      certify: Optional[Callable[[List[int]],
+                                                 Optional[bool]]] = None
+                      ) -> Iterator[Tuple[SubProblem, Optional[bool]]]:
+    """Try to refute each sub-problem in turn; yield ``(sub, verdict)``.
+
+    The verdict is True when the assumptions are refuted (their negation,
+    then taught to the engine, holds in every satisfying assignment),
+    False when they are satisfiable and None when the budget ran out.
+    The exact oracle ``certify(clause) -> True | False | None`` is asked
+    about the negated assumptions first.  A sub-problem it leaves open
+    runs ``engine.solve_subproblem`` under ``limits``, ``max_learned`` and
+    the time left before ``deadline`` (a ``time.perf_counter()`` value),
+    counted in the engine's ``subproblems_*`` stats and ``subproblem``
+    trace events.  The walk stops at the deadline or once the engine is
+    refuted.
+
+    ``subs`` is read one sub-problem per verdict, so a caller may filter
+    it on the verdicts handed back so far.  ``engine`` may instead be a
+    zero-argument function that builds it: it is called at the first
+    sub-problem the oracle leaves open, and the clauses certified before
+    are taught to what it returns.
+    """
+    built = None if callable(engine) else engine
+    certified: List[List[int]] = []
+    budget = limits or Limits()
+    solved = 0
+    for sub in subs:
+        if deadline is not None and time.perf_counter() >= deadline:
+            return
+        if built is not None and not built.ok:
+            return
+        clause = [a ^ 1 for a in sub.assumptions]
+        verdict = certify(clause) if certify is not None else None
+        if verdict is None:
+            if built is None:
+                built = engine()
+                for lits in certified:
+                    built.add_learned_clause(lits)
+            step = budget if deadline is None else replace(
+                budget, max_seconds=max(0.0, deadline - time.perf_counter()))
+            result = built.solve_subproblem(sub.assumptions, step,
+                                            max_learned=max_learned)
+            solved += 1
+            built.stats.subproblems_solved += 1
+            built.stats.subproblem_conflicts += result.stats.conflicts
+            if built.tracer is not None:
+                built.tracer.emit("subproblem", index=solved - 1,
+                                  sub=sub.kind, status=result.status,
+                                  assumptions=sub.assumptions,
+                                  conflicts=result.stats.conflicts,
+                                  learned=result.stats.learned_clauses)
+            if result.status == UNSAT:
+                built.stats.subproblems_unsat += 1
+                verdict = True
+            elif result.status == SAT:
+                verdict = False
+        if verdict:
+            if built is None:
+                certified.append(clause)
+            else:
+                built.add_learned_clause(clause)
+        yield sub, verdict
+
+
 def run_explicit_learning(engine,
                           correlations: CorrelationSet,
                           deadline: Optional[float] = None) -> ExplicitReport:
@@ -122,30 +195,12 @@ def run_explicit_learning(engine,
     subs = order_subproblems(build_subproblems(correlations, options),
                              options, engine.num_nodes)
     report.subproblems_total = len(subs)
-    for sub in subs:
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        if not engine.ok:
-            break
-        limits = Limits(max_seconds=(None if deadline is None
-                                     else max(0.0, deadline - time.perf_counter())))
-        result = engine.solve_subproblem(
-            sub.assumptions, limits, max_learned=options.explicit_learn_limit)
+    for _sub, verdict in prove_subproblems(
+            engine, subs, max_learned=options.explicit_learn_limit,
+            deadline=deadline):
         report.subproblems_run += 1
-        engine.stats.subproblems_solved += 1
-        engine.stats.subproblem_conflicts += result.stats.conflicts
-        if engine.tracer is not None:
-            engine.tracer.emit("subproblem", index=report.subproblems_run - 1,
-                               sub=sub.kind, status=result.status,
-                               assumptions=sub.assumptions,
-                               conflicts=result.stats.conflicts,
-                               learned=result.stats.learned_clauses)
-        if result.status == UNSAT:
+        if verdict:
             report.subproblems_unsat += 1
-            engine.stats.subproblems_unsat += 1
-            # The refuted assumptions themselves are a sound lemma: at least
-            # one of them must be false in every satisfying assignment.
-            engine.add_learned_clause([a ^ 1 for a in sub.assumptions])
     report.learned_clauses = engine.stats.learned_clauses - learned_before
     report.seconds = time.perf_counter() - start
     return report

@@ -25,9 +25,11 @@ unless all match:
 The record's own literals are checked too: every pooled lemma must be a
 non-empty clause, and every cube a list, of the circuit's literals
 (:func:`repro.cube.sharing.literals_ok`, the rule a conquer node applies
-to its wire input).  A record written through :func:`save_checkpoint`
-passes its checksum whatever it holds, and one out-of-range literal in
-the pool would crash every resumed worker.
+to its wire input), and every objective an int.  A record written
+through :func:`save_checkpoint` passes its checksum whatever it holds,
+and one out-of-range literal in the pool would crash every resumed
+worker.  The load keeps the literals as read, so a ``"5"`` or ``5.7`` is
+refused rather than read as the literal 5.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class CubeCheckpoint:
                 "checkpoint circuit is isomorphic but differently "
                 "numbered; lemma literals do not transfer — regenerate "
                 "the circuit from the same source or start fresh")
-        if list(objectives) != list(self.objectives):
+        if (list(objectives) != list(self.objectives)
+                or any(type(lit) is not int for lit in self.objectives)):
             raise CheckpointError(
                 "checkpoint was cut under different objectives "
                 "({} vs {}); shared lemmas are only valid for "
@@ -181,10 +184,9 @@ def load_checkpoint(path: str) -> CubeCheckpoint:
     try:
         return CubeCheckpoint(
             digest=raw["digest"], exact=raw["exact"],
-            objectives=[int(l) for l in raw["objectives"]],
+            objectives=list(raw["objectives"]),
             cubes=list(raw.get("cubes") or []),
-            lemmas=[[int(l) for l in clause]
-                    for clause in raw.get("lemmas") or []],
+            lemmas=list(raw.get("lemmas") or []),
             completed=int(raw.get("completed", 0)),
             created=float(raw.get("created", 0.0)),
             version=int(version))

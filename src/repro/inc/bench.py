@@ -36,16 +36,17 @@ warm side is charged the sweep that seeded the store).  Honesty rules:
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..circuit.miter import miter
 from ..circuit.netlist import Circuit
 from ..core.sweep import sat_sweep
-from ..csat.engine import CSatEngine
-from ..csat.options import SolverOptions
 from ..durable.log import decode, encode
+from ..kernel.circuit import KernelEngine
 from ..obs.export import SCHEMA_VERSION, environment_info
 from ..result import UNSAT
 from ..sim.bitsim import circuits_equivalent_exhaustive, \
@@ -73,18 +74,11 @@ def _prove_unsat_exhaustively(circuit: Circuit) -> bool:
 def _solve_query(circuit: Circuit,
                  store: KnowledgeStore) -> Tuple[str, float, float]:
     """One stream query through the full pipeline: pre-pass, seeded
-    solve.  Returns (status, seconds, prepass_seconds).
-
-    The seeded solve stays on the legacy engine while the pre-pass
-    proves on the kernel: ``check_regression`` scales the gated medians
-    by their median ratio, so moving the cold and warm query medians
-    together with the seed sweep would read the unchanged warm medians
-    as slower.  The query engine moves in a change of its own.
-    """
+    solve on the flat kernel.  Returns (status, seconds,
+    prepass_seconds)."""
     started = time.perf_counter()
     outcome = incremental_prepass(circuit, store)
-    engine = CSatEngine(outcome.circuit,
-                        SolverOptions(implicit_learning=True))
+    engine = KernelEngine(outcome.circuit)
     for clause in outcome.seed_lemmas:
         engine.add_learned_clause(list(clause))
     result = engine.solve(assumptions=[outcome.circuit.outputs[0]])
@@ -156,9 +150,9 @@ def _mutants(base: Circuit, seeds: List[int], edits: int) -> List[Circuit]:
 def inc_bench_document(seed: int = 0, width: int = 5, queries: int = 8,
                        edits: int = 3,
                        differential: bool = True) -> Dict[str, Any]:
-    """Run the cold/warm/tampered campaign and build the document."""
-    import tempfile
-    import os
+    """Run the cold/warm/tampered campaign and build the document.
+
+    The stores live in a temporary directory, removed on every exit."""
     base = _base_miter(width)
     cold_seeds = [seed + 100 + i for i in range(queries)]
     warm_seeds = [seed + 500 + i for i in range(queries)]
@@ -186,36 +180,44 @@ def inc_bench_document(seed: int = 0, width: int = 5, queries: int = 8,
                 checks["answers_wrong"] += 1
                 ok = False
 
-    tmp = tempfile.mkdtemp(prefix="repro-inc-bench-")
-    store_path = os.path.join(tmp, "store.jsonl")
+    with tempfile.TemporaryDirectory(prefix="repro-inc-bench-") as tmp:
+        store_path = os.path.join(tmp, "store.jsonl")
 
-    # Cold: same pipeline, empty store.
-    cold_store = KnowledgeStore(os.path.join(tmp, "cold.jsonl"))
-    cold_mutants = _mutants(base, cold_seeds, edits)
-    cold = _run_stream(cold_mutants, cold_store)
-    check_answers(cold, cold_mutants)
+        # Cold: same pipeline, empty store.
+        cold_store = KnowledgeStore(os.path.join(tmp, "cold.jsonl"))
+        cold_mutants = _mutants(base, cold_seeds, edits)
+        try:
+            cold = _run_stream(cold_mutants, cold_store)
+        finally:
+            cold_store.close()
+        check_answers(cold, cold_mutants)
 
-    # Warm: sweep the base into the store first (the service path),
-    # then solve a disjoint, never-before-seen mutant set.
-    store = KnowledgeStore(store_path)
-    sweep_started = time.perf_counter()
-    sweep = sat_sweep(base, export_lemmas=True)
-    absorb_sweep(store, base, sweep)
-    sweep_seconds = time.perf_counter() - sweep_started
-    warm_mutants = _mutants(base, warm_seeds, edits)
-    warm = _run_stream(warm_mutants, store)
-    warm["sweep_seconds"] = round(sweep_seconds, 6)
-    check_answers(warm, warm_mutants)
-    healthy_rejected = store.rejected
-    store.close()
+        # Warm: sweep the base into the store first (the service path),
+        # then solve a disjoint, never-before-seen mutant set.
+        store = KnowledgeStore(store_path)
+        try:
+            sweep_started = time.perf_counter()
+            sweep = sat_sweep(base, export_lemmas=True)
+            absorb_sweep(store, base, sweep)
+            sweep_seconds = time.perf_counter() - sweep_started
+            warm_mutants = _mutants(base, warm_seeds, edits)
+            warm = _run_stream(warm_mutants, store)
+        finally:
+            store.close()
+        warm["sweep_seconds"] = round(sweep_seconds, 6)
+        check_answers(warm, warm_mutants)
+        healthy_rejected = store.rejected
 
-    # Tampered: every stored fact now claims the opposite of what was
-    # proven.  The replay layer must reject them (slower is fine) and
-    # the answers must not move.
-    tampered_facts = tamper_store_file(store_path)
-    tampered_store = KnowledgeStore(store_path)
-    tamper_mutants = _mutants(base, tamper_seeds, edits)
-    tampered = _run_stream(tamper_mutants, tampered_store)
+        # Tampered: every stored fact now claims the opposite of what was
+        # proven.  The replay layer must reject them (slower is fine) and
+        # the answers must not move.
+        tampered_facts = tamper_store_file(store_path)
+        tampered_store = KnowledgeStore(store_path)
+        tamper_mutants = _mutants(base, tamper_seeds, edits)
+        try:
+            tampered = _run_stream(tamper_mutants, tampered_store)
+        finally:
+            tampered_store.close()
     check_answers(tampered, tamper_mutants)
     answers_changed = sum(1 for status in tampered["statuses"]
                           if status != UNSAT)

@@ -14,9 +14,9 @@ structure:
    signals (plus their fanin boundary) — the classic incremental-sweep
    move that lets a function-preserving edit collapse back out;
 3. matching store facts become candidate constants/equivalences, fed to
-   :func:`repro.core.sweep.sat_sweep` — pairs in rounds first (taught to
-   the engine as equivalence clauses), constants last, so a deep
-   constant then reduces by propagation instead of a fresh CDCL proof.
+   :func:`repro.core.sweep.sat_sweep`, which proves them in the paper's
+   topological order, teaching each proof to its engine, so a deep
+   constant reduces by propagation instead of a fresh CDCL proof.
    Every candidate is **proved on the requesting circuit** before it is
    merged;
 4. after a round that merged something, digests are recomputed on the
@@ -41,12 +41,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..circuit.netlist import Circuit, lit_not
-from ..core.sweep import SweepResult, sat_sweep
+from ..circuit.netlist import Circuit
+from ..core.sweep import SweepResult, apply_substitutions, sat_sweep
+from ..csat.explicit import SubProblem, order_subproblems, prove_subproblems
+from ..csat.options import SolverOptions
 from ..obs.metrics import default_registry
-from ..result import Limits, SAT, UNSAT
+from ..result import Limits
 from ..serve.fingerprint import cone_fingerprint, cone_keys
 from .certify import ConeCertifier
 from ..sim.correlation import CorrelationSet, find_correlations
@@ -165,7 +167,7 @@ def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
                   if rep not in (0, 1)}
     view_keys: Dict[str, str] = {}
     if pair_subst:
-        view, view_map = _apply_substitutions(circuit, pair_subst)
+        view, view_map = apply_substitutions(circuit, pair_subst)
         vkeys = cone_keys(view)
 
         def view_key(node: int) -> Optional[Tuple[str, int]]:
@@ -202,42 +204,6 @@ def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
         seen.update(view_keys.values())
         counts["seen"] = store.note_seen(seen)
     return counts
-
-
-def _apply_substitutions(circuit: Circuit, subst: Dict[int, int]
-                         ) -> Tuple[Circuit, List[int]]:
-    """Rebuild with only ``subst`` applied; return (view, node -> lit).
-
-    The rebuild mirrors :func:`repro.core.sweep.sat_sweep`'s (strashed,
-    inputs recreated 1:1) so the resulting structure is exactly what a
-    near-duplicate query converges to after merging those same pairs.
-    """
-    out = Circuit(circuit.name + ".view", strash=True)
-    node_map: List[int] = [0] * circuit.num_nodes
-
-    def resolve(lit: int) -> int:
-        node = lit >> 1
-        seen = set()
-        while node in subst and node not in seen:
-            seen.add(node)
-            lit = subst[node] ^ (lit & 1)
-            node = lit >> 1
-        return lit
-
-    def mapped(lit: int) -> int:
-        lit = resolve(lit)
-        return node_map[lit >> 1] ^ (lit & 1)
-
-    for pi in circuit.inputs:
-        node_map[pi] = out.add_input(circuit.name_of(pi))
-    for n in circuit.and_nodes():
-        if n in subst:
-            continue
-        f0, f1 = circuit.fanins(n)
-        node_map[n] = out.add_and(mapped(f0), mapped(f1))
-    for n in sorted(subst):
-        node_map[n] = mapped(2 * n)
-    return out, node_map
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +365,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
 
         if not pair_classes:
             break
-        pair_classes.sort(key=lambda cls: max(n for n, _ in cls))
         certifier = ConeCertifier(current)
         sweep = sat_sweep(current,
                           correlations=CorrelationSet(classes=pair_classes),
@@ -439,7 +404,8 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
         facts = store.lookup(node_of)
         certifier = ConeCertifier(current)
         seeds = _replay_lemmas(current, facts, node_of, max_lemmas,
-                               lemma_conflicts, store, outcome, certifier)
+                               lemma_conflicts, store, outcome,
+                               certifier.clause)
 
         # --------------------------------------------------- phase 3
         const_classes: List[List[Tuple[int, int]]] = []
@@ -470,7 +436,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
                     add_const_candidate(match[0], match[1], node)
 
         if const_classes:
-            const_classes.sort(key=lambda cls: max(n for n, _ in cls))
             sweep = sat_sweep(current,
                               correlations=CorrelationSet(
                                   classes=const_classes),
@@ -578,63 +543,56 @@ def _count_hits(outcome: PrepassOutcome, facts, node_of) -> None:
 def _replay_lemmas(circuit: Circuit, facts: Dict, node_of: Dict[str, int],
                    max_lemmas: int, budget: int, store: KnowledgeStore,
                    outcome: PrepassOutcome,
-                   certifier: Optional[ConeCertifier] = None
+                   certify: Callable[[List[int]], Optional[bool]]
                    ) -> List[List[int]]:
     """Re-prove candidate lemmas on the circuit they will seed.
 
     A stored lemma was proven on some other bare circuit; cones matching
     by digest makes it extremely likely — but not certain — to hold
-    here.  Each clause gets one budgeted refutation probe: assuming all
-    its literals false must be UNSAT.  Probes run shallow-to-deep in one
-    engine, so every proof inherits the learned clauses of the previous
-    ones — the same ladder that made them cheap to derive originally.
-    Refuted clauses are evicted (corruption/collision); budget-outs are
-    skipped.
+    here.  Each clause becomes the sub-problem asserting all its
+    literals false, which must be refuted: ``certify`` (exhaustive cone
+    certification, exact and cheap for the small cones most lemmas live
+    on) is asked first, a budgeted probe runs otherwise.  Sub-problems
+    run shallow-to-deep in one engine, built only once the certifier
+    leaves one open, so every proof inherits the learned clauses of the
+    previous ones — the same ladder that made them cheap to derive
+    originally.  Refuted clauses are evicted (corruption/collision);
+    budget-outs are skipped.
     """
-    candidates: List[Tuple[Tuple, List[int]]] = []
+    subs: List[SubProblem] = []
+    source: Dict[Tuple[int, ...], Tuple] = {}
     for key in facts:
         if key[0] != KIND_LEMMA:
             continue
-        lits = []
+        negated = []
         for digest, neg in key[1]:
             node = node_of.get(digest)
             if node is None:
                 break
-            lits.append(2 * node + neg)
+            negated.append((2 * node + neg) ^ 1)
         else:
-            candidates.append((key, lits))
-        if len(candidates) >= max_lemmas:
+            source[tuple(negated)] = key
+            subs.append(SubProblem(negated, max(a >> 1 for a in negated),
+                                   "lemma"))
+        if len(subs) >= max_lemmas:
             break
-    if not candidates:
-        return []
-    candidates.sort(key=lambda item: max(l >> 1 for l in item[1]))
-    engine = None
-    limits = Limits(max_conflicts=budget)
+
+    def engine():
+        from ..kernel.circuit import KernelEngine
+        return KernelEngine(circuit)
+
     seeds: List[List[int]] = []
-    for key, lits in candidates:
-        # Exhaustive cone certification first (exact and cheap for the
-        # small cones most lemmas live on); SAT probe as fallback.
-        verdict = certifier.clause(lits) if certifier is not None else None
-        if verdict is None:
-            if engine is None:
-                from ..kernel.circuit import KernelEngine
-                engine = KernelEngine(circuit)
-                for clause in seeds:
-                    engine.add_learned_clause(list(clause))
-            probe = engine.solve(assumptions=[lit_not(l) for l in lits],
-                                 limits=limits)
-            if probe.status == SAT:
-                verdict = False
-            elif probe.status == UNSAT:
-                verdict = True
-        if verdict is False:
-            if store.evict(key, "lemma refuted on replay"):
+    options = SolverOptions()
+    walk = prove_subproblems(
+        engine, order_subproblems(subs, options, circuit.num_nodes),
+        limits=Limits(max_conflicts=budget), certify=certify)
+    for sub, verdict in walk:
+        if verdict:
+            seeds.append([a ^ 1 for a in sub.assumptions])
+        elif verdict is False:
+            if store.evict(source[tuple(sub.assumptions)],
+                           "lemma refuted on replay"):
                 outcome.rejected += 1
-            continue
-        if verdict is not True:
+        else:
             outcome.undecided += 1
-            continue
-        seeds.append(list(lits))
-        if engine is not None:
-            engine.add_learned_clause(list(lits))
     return seeds

@@ -216,9 +216,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("clause", [[10 ** 9], [], [1], [5, -4]],
+    @pytest.mark.parametrize("clause", [[10 ** 9], [], [1], [5, -4],
+                                        ["5"], [5.7]],
                              ids=["out-of-range", "empty-clause",
-                                  "constant-node", "negative"])
+                                  "constant-node", "negative",
+                                  "string-literal", "float-literal"])
     def test_bad_lemma_pool_refused(self, tmp_path, clause):
         # Written through save_checkpoint, so the checksum holds: only
         # the literal rule can catch it.
@@ -231,6 +233,19 @@ class TestCheckpoint:
             load_checkpoint(path).validate_for(circuit,
                                                list(circuit.outputs))
         assert repr(clause) in str(err.value)
+
+    @pytest.mark.parametrize("kind", [str, float])
+    def test_non_int_objectives_refused(self, tmp_path, kind):
+        # Equal in value (5.0 == 5), so only the literal type tells them
+        # apart once the load stops coercing.
+        circuit = build_full_adder()
+        path = str(tmp_path / "c.ckpt")
+        checkpoint = self._checkpoint_for(circuit)
+        checkpoint.objectives = [kind(lit) for lit in circuit.outputs]
+        save_checkpoint(path, checkpoint)
+        with pytest.raises(CheckpointError, match="objective"):
+            load_checkpoint(path).validate_for(circuit,
+                                               list(circuit.outputs))
 
     @pytest.mark.parametrize("literals", [[10 ** 9], [0], ["4"], "4", None],
                              ids=["out-of-range", "constant-node", "non-int",

@@ -302,6 +302,16 @@ class TestIncrementalPrepass:
             assert circuits_equivalent_exhaustive(mutant, outcome.circuit)
 
     def test_tampered_store_never_changes_answers(self, tmp_path):
+        self._check_tampered_store(tmp_path)
+
+    def test_tampered_store_caught_by_search_alone(self, tmp_path,
+                                                   monkeypatch):
+        # Without the exact cone oracle every replayed fact is re-proved
+        # by the kernel's sub-problem search, the path wide cones take.
+        monkeypatch.setattr(ConeCertifier, "clause", lambda self, lits: None)
+        self._check_tampered_store(tmp_path)
+
+    def _check_tampered_store(self, tmp_path):
         base = small_miter()
         path = str(tmp_path / "s.jsonl")
         store = KnowledgeStore(path)
@@ -317,6 +327,16 @@ class TestIncrementalPrepass:
                                       outcome.seed_lemmas).status == UNSAT
         # Corruption is detected and priced, not believed.
         assert tampered.rejected > 0
+
+
+def test_inc_bench_leaves_no_temp_files(tmp_path, monkeypatch):
+    import tempfile
+    from repro.inc.bench import inc_bench_document
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    document = inc_bench_document(width=3, queries=1, edits=1)
+    assert document["ok"]
+    assert os.listdir(str(tmp_path)) == []
 
 
 # ----------------------------------------------------------------------
