@@ -5,7 +5,7 @@ The CLI historically chose the parser from the file extension
 pipe instances over stdin or over HTTP, where there is no filename, so
 this module adds *content sniffing*: the format is recognized from the
 first meaningful line of the text.  The same helpers back ``repro solve -``,
-``repro solve-cnf -``, ``repro cube -``, ``repro submit`` and the server's
+``repro solve-cnf -``, ``repro submit`` and the server's
 ``/submit`` endpoint, so every entry point accepts the same inputs.
 """
 

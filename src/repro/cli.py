@@ -3,17 +3,11 @@
 Commands
 --------
 
-``solve``      solve a ``.bench`` circuit (objective: every output = 1);
-               ``--portfolio`` runs it fault-tolerantly in isolated worker
-               subprocesses with hard wall/memory limits
-``portfolio``  the full portfolio runner: race/sequence engine configs
-               with failover, retry and graceful degradation
-``cube``       cube-and-conquer: split the search space with a lookahead
-               cutter, conquer the cubes in parallel on isolated workers
-               (``solve --cubes N`` is the shortcut form)
-``solve-cnf``  solve a DIMACS file with the CNF baseline or via the circuit
-               solver (CNF-to-circuit conversion, as the paper does)
-``equiv``      SAT equivalence check of two ``.bench`` circuits
+``solve``      solve a circuit (objective: every output = 1): a file, two
+               files (their equivalence miter) or ``--instance NAME``, in
+               process, as a fault-tolerant portfolio, as cube-and-conquer
+               on local workers or across conquer nodes (see below)
+``solve-cnf``  solve a DIMACS file with the CNF baseline
 ``sweep``      SAT-sweep a circuit and write the reduced ``.bench``
 ``stats``      structural statistics of a circuit
 ``bmc``        bounded model check a sequential ``.bench`` (DFFs kept)
@@ -32,29 +26,38 @@ Commands
 ``submit``     submit an instance to a running ``repro serve`` and wait
                for (or poll) the answer
 ``status``     render a running node's ``/status`` (serve server or
-               conquer node)
+               conquer node); ``--metrics`` scrapes its ``/metrics``
 ``conquer-node``
-               serve cube solves for a distributed conquest
-``dist``       distributed cube-and-conquer across conquer nodes, with work
-               stealing and lemma exchange (``--spawn-local N`` starts a
-               localhost fleet)
+               serve cube solves for ``solve --nodes``
 ``chaos``      kill -9 a serve node or conquer driver at random points,
                restart it, and check that no answer was lost or solved twice
-``metrics``    scrape a running node's ``/metrics`` and pretty-print it
 
-``solve``, ``solve-cnf``, ``cube`` and ``submit`` accept ``-`` as the
-file argument to read the instance from stdin (format is sniffed).
+``solve`` takes one circuit file, two files (it solves their miter and
+then prints ``EQUIVALENT``, ``NOT EQUIVALENT`` or ``UNDECIDED``) or
+``--instance NAME``.  Its flags pick one mode:
 
-``solve`` and ``solve-cnf`` accept the observability flags ``--trace FILE``
-(structured event tracing), ``--progress [N]`` (a progress line every N
-conflicts) and ``--json`` (machine-readable result on stdout).
+* in process (the default), reading ``--preset``, ``--model``,
+  ``--proof`` and ``--progress``;
+* ``--portfolio``: isolated workers with hard limits and engine
+  failover; ``--ladder`` picks the configs, ``--workers`` races that
+  many at once;
+* ``--workers N``: cube-and-conquer on N isolated local workers (0 runs
+  the cubes in process);
+* ``--nodes URL,...`` or ``--spawn-local N``: cube-and-conquer across
+  conquer nodes, with work stealing and lemma exchange.
+
+Every mode reads ``--budget``, ``--trace`` and ``--json``; a flag the
+picked mode does not read exits 2.
+
+``solve``, ``solve-cnf`` and ``submit`` accept ``-`` as the file
+argument to read the instance from stdin (format is sniffed).
 
 Exit codes: 10 = SAT, 20 = UNSAT, 0 = success/UNKNOWN, 1 = check failed,
-2 = bad input (malformed file, unknown name, invalid circuit),
-130 = interrupted (Ctrl-C).  Malformed input never produces a traceback.
-``submit`` additionally maps an UNKNOWN answer caused by worker failures
-onto the failure taxonomy: 3 = TIMEOUT, 4 = MEMOUT, 5 = CRASHED,
-6 = CORRUPT_ANSWER, 7 = LOST.
+2 = bad input (malformed file, unknown name, invalid circuit, flags that
+do not fit together), 130 = interrupted (Ctrl-C).  Malformed input never
+produces a traceback.  ``submit`` additionally maps an UNKNOWN answer
+caused by worker failures onto the failure taxonomy: 3 = TIMEOUT,
+4 = MEMOUT, 5 = CRASHED, 6 = CORRUPT_ANSWER, 7 = LOST.
 """
 
 from __future__ import annotations
@@ -67,13 +70,11 @@ from . import __version__
 from .circuit.bench_io import write_bench
 from .circuit.sequential import bounded_model_check, read_bench_sequential
 from .circuit.validate import statistics, validate
-from .cnf.solver import CnfSolver
-from .circuit.cnf_convert import cnf_to_circuit
-from .core.solver import CircuitSolver, check_equivalence
+from .core.solver import CircuitSolver
 from .core.sweep import sat_sweep
 from .csat.options import DEFAULT_PRESET, preset
 from .cube.conquer import CUBE_PRESET
-from .errors import CircuitError, ParseError, ReproError, SolverError
+from .errors import CircuitError, ParseError, ReproError
 from .result import Limits
 
 _PRESETS = ("csat", "csat-jnode", "implicit", "explicit", "explicit-pair",
@@ -83,6 +84,10 @@ _PRESETS = ("csat", "csat-jnode", "implicit", "explicit", "explicit-pair",
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=_PRESETS, default="explicit",
                         help="solver configuration (default: %(default)s)")
+    _add_budget(parser)
+
+
+def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=float, default=None,
                         help="wall-clock budget in seconds")
 
@@ -91,12 +96,15 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a JSONL event trace here "
                              "(summarize with `repro trace FILE`)")
-    parser.add_argument("--progress", type=int, nargs="?", const=1000,
-                        default=0, metavar="N",
-                        help="print a progress line every N conflicts "
-                             "(default 1000) to stderr")
     parser.add_argument("--json", action="store_true",
                         help="print the result as JSON on stdout")
+
+
+def _add_progress(parser) -> None:
+    parser.add_argument("--progress", type=int, nargs="?", const=1000,
+                        default=None, metavar="N",
+                        help="print a progress line every N conflicts "
+                             "(default 1000) to stderr")
 
 
 def _limits(args) -> Optional[Limits]:
@@ -105,19 +113,23 @@ def _limits(args) -> Optional[Limits]:
     return Limits(max_seconds=args.budget)
 
 
-def _observability(args):
-    """(tracer, solver kwargs) from the --trace/--progress flags.
+def _observability(args, tracer):
+    """Solver kwargs from the --trace/--progress/--json flags.
 
-    The tracer is created here — not inside the solver — so the CLI owns
-    its lifetime and can close/report it after the solve.
+    The tracer is created by the caller — not inside the solver — so the
+    CLI owns its lifetime and can close/report it after the solve.
     """
-    from .obs import JsonlTracer, ProgressPrinter
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    kwargs = {"trace": tracer,
-              "phase_timers": tracer is not None or args.json,
-              "progress_interval": args.progress,
-              "progress": ProgressPrinter() if args.progress else None}
-    return tracer, kwargs
+    from .obs import ProgressPrinter
+    progress = args.progress or 0
+    return {"trace": tracer,
+            "phase_timers": tracer is not None or args.json,
+            "progress_interval": progress,
+            "progress": ProgressPrinter() if progress else None}
+
+
+def _open_trace(args):
+    from .obs import JsonlTracer
+    return JsonlTracer(args.trace) if args.trace else None
 
 
 def _finish_trace(tracer) -> None:
@@ -138,6 +150,33 @@ def _read_circuit(path: str):
     """
     from .circuit.source import load_circuit
     return load_circuit(path)
+
+
+def _check_input(files: List[str], instance: Optional[str]) -> None:
+    """Refuse anything but exactly one of circuit files or --instance."""
+    if bool(files) == bool(instance):
+        raise ReproError("give a circuit file OR --instance NAME")
+
+
+def _input_circuit(files: List[str], instance: Optional[str]):
+    """``(circuit, label)`` from circuit files or ``--instance NAME``.
+
+    Two files stand for their miter, the one
+    :func:`repro.core.solver.check_equivalence` solves: UNSAT exactly
+    when the circuits are equivalent.
+    """
+    _check_input(files, instance)
+    if len(files) > 2:
+        raise ReproError("give one circuit file, or two to check their "
+                         "equivalence")
+    if instance:
+        from .bench.instances import instance_by_name
+        return instance_by_name(instance).build(), instance
+    circuits = [_read_circuit(path) for path in files]
+    if len(circuits) == 1:
+        return circuits[0], files[0]
+    from .circuit.miter import miter
+    return miter(*circuits), " vs ".join(files)
 
 
 def _print_result(result, label: str = "result", as_json: bool = False) -> int:
@@ -168,105 +207,53 @@ def _print_result(result, label: str = "result", as_json: bool = False) -> int:
     return _status_code(result)
 
 
-def _add_runtime(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by ``solve --portfolio`` and the portfolio command."""
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="concurrent isolated workers; 1 walks the "
-                             "ladder sequentially (default 1)")
-    parser.add_argument("--mem-limit", type=int, default=None, metavar="MB",
-                        help="hard per-worker address-space cap in MB")
-    parser.add_argument("--grace", type=float, default=1.0, metavar="SEC",
-                        help="seconds between SIGTERM and SIGKILL when a "
-                             "worker overruns its budget (default 1.0)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="reseeded retries per config after a crash/"
-                             "corrupt/lost failure (default 1)")
-    parser.add_argument("--certify", choices=("off", "sat", "full"),
-                        default="sat",
-                        help="boundary re-certification of worker answers "
-                             "(default: sat models only)")
-    parser.add_argument("--inject-faults", metavar="SPEC", default=None,
-                        help="deterministic fault injection for testing, "
-                             "e.g. 'crash@0,hang-hard@2' or 'hang@*' "
-                             "(kinds: crash segv hang hang-hard membomb "
-                             "corrupt wrong-answer lost)")
-
-
-def _run_portfolio(args, circuit, tracer=None) -> int:
-    """Shared implementation of ``solve --portfolio`` and ``portfolio``."""
-    from .runtime import FaultPlan, ladder_from_names, solve_portfolio
-    try:
-        faults = FaultPlan.parse(getattr(args, "inject_faults", None))
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    ladder = None
-    if getattr(args, "ladder", None):
-        ladder = ladder_from_names(args.ladder.split(","))
-    report = solve_portfolio(
-        circuit, budget=args.budget, workers=args.workers,
-        mem_limit_mb=args.mem_limit, grace_seconds=args.grace,
-        ladder=ladder, max_retries=args.retries, certify=args.certify,
-        faults=faults, tracer=tracer)
-    if args.json:
+def _print_report(name: str, report, rows, label: str,
+                  as_json: bool) -> int:
+    """Print a portfolio, cube or dist report: its summary line and
+    ``rows``, then the result (or all of it as JSON)."""
+    if as_json:
         import json
-        print(json.dumps(dict(report.as_dict(), instance=args.file),
-                         indent=2))
+        print(json.dumps(dict(report.as_dict(), instance=label), indent=2))
         return _status_code(report.result)
-    print("portfolio: " + report.summary())
+    print("{}: {}".format(name, report.summary()))
+    for row in rows:
+        print(row)
+    return _print_result(report.result, label)
+
+
+def _portfolio_rows(report):
     for attempt in report.attempts:
         line = "  {:12s} try {}  {:14s} {:8.3f}s".format(
             attempt.engine, attempt.attempt + 1, attempt.outcome,
             attempt.seconds)
         if attempt.detail:
             line += "  " + attempt.detail
-        print(line)
+        yield line
     if report.skipped:
         reason = "winner found" if report.winner else "budget exhausted"
-        print("  not attempted ({}): {}".format(reason,
-                                                ", ".join(report.skipped)))
-    return _print_result(report.result, args.file)
+        yield "  not attempted ({}): {}".format(reason,
+                                               ", ".join(report.skipped))
 
 
-def _run_cubes(args, circuit, label: str, workers: int, tracer=None) -> int:
-    """Shared implementation of ``cube`` and ``solve --cubes N``."""
-    from .cube import CutterOptions, solve_cubes
-    from .runtime import FaultPlan
-    try:
-        faults = FaultPlan.parse(getattr(args, "inject_faults", None))
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    cutter = CutterOptions(
-        max_cubes=getattr(args, "max_cubes", None),
-        cubes_per_worker=getattr(args, "cubes_per_worker", 8),
-        max_depth=getattr(args, "max_depth", 12))
-    from .durable.checkpoint import CheckpointError
-    try:
-        report = solve_cubes(
-            circuit, workers=workers, cutter=cutter,
-            kind=getattr(args, "engine", "csat"), preset_name=args.preset,
-            budget=args.budget, mem_limit_mb=args.mem_limit,
-            grace_seconds=args.grace, max_retries=args.retries,
-            certify=args.certify, faults=faults, trace=tracer,
-            checkpoint_path=getattr(args, "checkpoint", None),
-            checkpoint_every=getattr(args, "checkpoint_every", 8),
-            resume_from=getattr(args, "resume", None))
-    except CheckpointError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. --certify full, which cube mode structurally cannot honour
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-        print(json.dumps(dict(report.as_dict(), instance=label), indent=2))
-        return _status_code(report.result)
-    print("cube: " + report.summary())
+def _conquest_rows(report):
+    """A cube report's rows (one per cube) or a dist report's (one per
+    node)."""
     if report.resumed:
-        print("  resumed: {} cube(s) already closed by the "
-              "checkpoint".format(report.resumed))
+        yield ("  resumed: {} cube(s) already closed by the "
+               "checkpoint".format(report.resumed))
+    if report.engine == "dist":
+        for info in report.nodes:
+            line = "  node {:20s} {}  {} dispatched, {} completed".format(
+                info.name or "?", "up  " if info.alive else "DEAD",
+                info.dispatched, info.completed)
+            if info.steals:
+                line += ", {} stolen".format(info.steals)
+            if info.duplicates:
+                line += ", {} duplicate(s) discarded".format(info.duplicates)
+            if not info.alive and info.detail:
+                line += "  ({})".format(info.detail)
+            yield line
+        return
     for outcome in report.cubes:
         line = "  cube {:3d}  {:14s} {:8.3f}s  {} literals".format(
             outcome.index, outcome.status, outcome.seconds,
@@ -275,8 +262,7 @@ def _run_cubes(args, circuit, label: str, workers: int, tracer=None) -> int:
             line += "  (core of cube {})".format(outcome.pruned_by)
         elif outcome.attempts > 1:
             line += "  ({} attempts)".format(outcome.attempts)
-        print(line)
-    return _print_result(report.result, label)
+        yield line
 
 
 def _status_code(result) -> int:
@@ -289,27 +275,64 @@ def _status_code(result) -> int:
     return 0
 
 
-def cmd_solve(args) -> int:
+# ----------------------------------------------------------------------
+# solve: one command, four modes
+# ----------------------------------------------------------------------
+
+_RUNTIME_FLAGS = ("mem_limit", "grace", "retries", "certify",
+                  "inject_faults")
+_CUBE_FLAGS = ("preset", "engine", "max_cubes", "max_depth", "checkpoint",
+               "checkpoint_every", "resume")
+
+#: The flags each ``solve`` mode reads besides --budget, --trace and
+#: --json.  They all default to None, so a flag given outside its mode's
+#: row is refused instead of silently ignored.
+_MODE_FLAGS = {
+    "in-process": ("preset", "model", "proof", "progress"),
+    "portfolio": ("portfolio", "ladder", "workers") + _RUNTIME_FLAGS,
+    "cubes": ("workers",) + _RUNTIME_FLAGS + _CUBE_FLAGS,
+    "nodes": ("nodes", "retries", "certify") + _CUBE_FLAGS,
+    "spawn-local": ("spawn_local", "workers", "retries",
+                    "certify") + _CUBE_FLAGS,
+}
+
+
+def _solve_mode(args) -> str:
+    """The mode ``solve``'s flags pick; raises on flags that do not fit."""
+    picked = [mode for mode in ("portfolio", "nodes", "spawn-local")
+              if getattr(args, mode.replace("-", "_")) is not None]
+    if len(picked) > 1:
+        raise ReproError("pick one solve mode, not --{}".format(
+            " and --".join(picked)))
+    mode = picked[0] if picked else (
+        "cubes" if args.workers is not None else "in-process")
+    every = {dest for flags in _MODE_FLAGS.values() for dest in flags}
+    for dest in sorted(every - set(_MODE_FLAGS[mode])):
+        if getattr(args, dest) is not None:
+            raise ReproError("--{} is not read in {} mode".format(
+                dest.replace("_", "-"), mode))
+    return mode
+
+
+def _given(**kwargs):
+    """The keyword arguments whose flag was given; the library's own
+    defaults fill in the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
+def _fault_plan(args):
+    from .runtime import FaultPlan
+    return FaultPlan.parse(args.inject_faults)
+
+
+def _solve_in_process(args, circuit, label: str, tracer) -> int:
     from .proof import ProofLog
-    circuit = _read_circuit(args.file)
-    if args.portfolio:
-        tracer, _ = _observability(args)
-        code = _run_portfolio(args, circuit, tracer=tracer)
-        _finish_trace(tracer)
-        return code
-    if args.cubes:
-        tracer, _ = _observability(args)
-        code = _run_cubes(args, circuit, args.file, workers=args.cubes,
-                          tracer=tracer)
-        _finish_trace(tracer)
-        return code
     proof = ProofLog() if args.proof else None
-    tracer, obs_kwargs = _observability(args)
-    options = preset(args.preset, **obs_kwargs)
-    solver = CircuitSolver(circuit, options, proof=proof)
-    result = solver.solve(limits=_limits(args))
-    _finish_trace(tracer)
-    code = _print_result(result, args.file, as_json=args.json)
+    options = preset(args.preset or "explicit",
+                     **_observability(args, tracer))
+    result = CircuitSolver(circuit, options, proof=proof).solve(
+        limits=_limits(args))
+    code = _print_result(result, label, as_json=args.json)
     if args.proof and result.is_unsat:
         with open(args.proof, "w") as fh:
             fh.write(proof.to_text())
@@ -322,37 +345,103 @@ def cmd_solve(args) -> int:
     return code
 
 
+def _solve_portfolio(args, circuit, label: str, tracer) -> int:
+    from .runtime import ladder_from_names, solve_portfolio
+    ladder = ladder_from_names(args.ladder.split(",")) if args.ladder \
+        else None
+    report = solve_portfolio(
+        circuit, budget=args.budget, ladder=ladder,
+        faults=_fault_plan(args), tracer=tracer, **_given(
+            workers=args.workers, mem_limit_mb=args.mem_limit,
+            grace_seconds=args.grace, max_retries=args.retries,
+            certify=args.certify))
+    return _print_report("portfolio", report, _portfolio_rows(report),
+                         label, args.json)
+
+
+def _conquest_kwargs(args, tracer):
+    """What local and distributed cube-and-conquer read alike."""
+    from .cube import CutterOptions
+    return dict(
+        preset_name=args.preset or CUBE_PRESET, budget=args.budget,
+        trace=tracer, checkpoint_path=args.checkpoint,
+        resume_from=args.resume,
+        cutter=CutterOptions(**_given(max_cubes=args.max_cubes,
+                                      max_depth=args.max_depth)),
+        **_given(kind=args.engine, max_retries=args.retries,
+                 certify=args.certify,
+                 checkpoint_every=args.checkpoint_every))
+
+
+def _solve_cubes(args, circuit, label: str, tracer) -> int:
+    from .cube import solve_cubes
+    report = solve_cubes(
+        circuit, workers=args.workers, faults=_fault_plan(args),
+        **_given(mem_limit_mb=args.mem_limit, grace_seconds=args.grace),
+        **_conquest_kwargs(args, tracer))
+    return _print_report(report.engine, report, _conquest_rows(report),
+                         label, args.json)
+
+
+def _solve_on_nodes(args, circuit, label: str, tracer) -> int:
+    from .dist import solve_distributed
+    fleet = []
+    if args.spawn_local is not None:
+        from .dist.bench import launch_local_nodes
+        fleet = launch_local_nodes(args.spawn_local,
+                                   **_given(workers=args.workers))
+        urls = [node.url for node in fleet]
+        print("spawned {} local conquer node(s): {}".format(
+            len(urls), ", ".join(urls)), file=sys.stderr)
+    else:
+        urls = [url.strip() for url in args.nodes.split(",") if url.strip()]
+    try:
+        report = solve_distributed(circuit, nodes=urls, label=label,
+                                   **_conquest_kwargs(args, tracer))
+    finally:
+        for node in fleet:
+            node.stop()
+    return _print_report(report.engine, report, _conquest_rows(report),
+                         label, args.json)
+
+
+_SOLVERS = {"in-process": _solve_in_process, "portfolio": _solve_portfolio,
+            "cubes": _solve_cubes, "nodes": _solve_on_nodes,
+            "spawn-local": _solve_on_nodes}
+
+#: What the two-file form prints after the result, by exit code.
+_VERDICTS = {20: "EQUIVALENT", 10: "NOT EQUIVALENT"}
+
+
+def cmd_solve(args) -> int:
+    solver = _SOLVERS[_solve_mode(args)]
+    circuit, label = _input_circuit(args.files, args.instance)
+    tracer = _open_trace(args)
+    try:
+        code = solver(args, circuit, label, tracer)
+    except ValueError as exc:
+        # Argument values the library refuses: a bad --inject-faults
+        # spec, --certify full in a cube mode, --workers 0 in a portfolio.
+        raise ReproError(str(exc))
+    finally:
+        _finish_trace(tracer)
+    if len(args.files) == 2 and not args.json:
+        print(_VERDICTS.get(code, "UNDECIDED"))
+    return code
+
+
 def cmd_solve_cnf(args) -> int:
     from .circuit.source import load_dimacs
+    from .cnf.solver import make_solver
     formula = load_dimacs(args.file)
-    tracer, obs_kwargs = _observability(args)
-    if args.via_circuit:
-        circuit, _ = cnf_to_circuit(formula)
-        result = CircuitSolver(circuit, preset(args.preset, **obs_kwargs)) \
-            .solve(limits=_limits(args))
-    else:
-        from .cnf.solver import make_solver
+    tracer = _open_trace(args)
+    try:
         result = make_solver(formula, backend=args.backend,
-                             **obs_kwargs).solve(limits=_limits(args))
-    _finish_trace(tracer)
+                             **_observability(args, tracer)).solve(
+                                 limits=_limits(args))
+    finally:
+        _finish_trace(tracer)
     return _print_result(result, args.file, as_json=args.json)
-
-
-def cmd_equiv(args) -> int:
-    left = _read_circuit(args.left)
-    right = _read_circuit(args.right)
-    result = check_equivalence(left, right, preset(args.preset),
-                               limits=_limits(args))
-    if result.is_unsat:
-        print("EQUIVALENT ({:.3f}s, {} conflicts)".format(
-            result.time_seconds, result.stats.conflicts))
-        return 0
-    if result.is_sat:
-        print("NOT EQUIVALENT ({:.3f}s) — counterexample exists".format(
-            result.time_seconds))
-        return 1
-    print("UNDECIDED (budget exhausted)")
-    return 2
 
 
 def cmd_sweep(args) -> int:
@@ -519,36 +608,6 @@ def cmd_oracle(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_portfolio(args) -> int:
-    circuit = _read_circuit(args.file)
-    from .obs import JsonlTracer
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    code = _run_portfolio(args, circuit, tracer=tracer)
-    _finish_trace(tracer)
-    return code
-
-
-def cmd_cube(args) -> int:
-    if bool(args.file) == bool(args.instance):
-        print("error: give a circuit file OR --instance NAME",
-              file=sys.stderr)
-        return 2
-    if args.instance:
-        from .bench.instances import instance_by_name
-        circuit = instance_by_name(args.instance).build()
-        label = args.instance
-    else:
-        circuit = _read_circuit(args.file)
-        label = args.file
-
-    from .obs import JsonlTracer
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    code = _run_cubes(args, circuit, label, workers=args.workers,
-                      tracer=tracer)
-    _finish_trace(tracer)
-    return code
-
-
 def cmd_bench(args) -> int:
     from .bench.tables import ALL_TABLES
     if args.table not in ALL_TABLES:
@@ -601,17 +660,8 @@ def cmd_trace(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     from .serve.fingerprint import fingerprint
-    if bool(args.file) == bool(args.instance):
-        print("error: give a circuit file OR --instance NAME",
-              file=sys.stderr)
-        return 2
-    if args.instance:
-        from .bench.instances import instance_by_name
-        circuit = instance_by_name(args.instance).build()
-        label = args.instance
-    else:
-        circuit = _read_circuit(args.file)
-        label = args.file
+    circuit, label = _input_circuit([args.file] if args.file else [],
+                                    args.instance)
     fp = fingerprint(circuit)
     if args.json:
         import json
@@ -623,12 +673,43 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def _serve_until_signalled(service, noun: str, tracer) -> int:
+    """Run ``service.serve_forever()`` until it shuts down.
+
+    SIGTERM/SIGINT drain it first: a serve node finishes its admitted
+    jobs and closes (fsyncs) its journal, a conquer node finishes its
+    queued cubes, before the listener goes away — so an operator `kill`
+    or Ctrl-C never loses admitted work.
+    """
     import signal as _signal
-    from .obs import JsonlTracer
+
+    def _graceful(signum, frame):
+        print("repro {}: caught signal {}, draining...".format(noun, signum),
+              file=sys.stderr)
+        service.request_shutdown(drain=True)
+
+    previous = {}
+    for sig in (_signal.SIGTERM, _signal.SIGINT):
+        try:
+            previous[sig] = _signal.signal(sig, _graceful)
+        except (ValueError, OSError):
+            pass
+    try:
+        service.serve_forever()
+    finally:
+        for sig, handler in previous.items():
+            try:
+                _signal.signal(sig, handler)
+            except (ValueError, OSError):
+                pass
+        _finish_trace(tracer)
+    return 0
+
+
+def cmd_serve(args) -> int:
     from .serve.cache import AnswerCache
     from .serve.server import ReproServer
-    tracer = JsonlTracer(args.trace) if args.trace else None
+    tracer = _open_trace(args)
     cache = AnswerCache(max_entries=args.cache_size,
                         store_path=args.cache_file,
                         cache_unsat=not args.no_cache_unsat)
@@ -653,31 +734,7 @@ def cmd_serve(args) -> int:
               .format(server.recovery["records"],
                       server.recovery["rehydrated"],
                       server.recovery["replayed"]), file=sys.stderr)
-
-    # Graceful termination: SIGTERM/SIGINT drain the scheduler and close
-    # (fsync) the journal before the listener goes away, so an operator
-    # `kill` or Ctrl-C never loses an admitted job.
-    def _graceful(signum, frame):
-        print("repro serve: caught signal {}, draining...".format(signum),
-              file=sys.stderr)
-        server.request_shutdown(drain=True)
-
-    previous = {}
-    for sig in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            previous[sig] = _signal.signal(sig, _graceful)
-        except (ValueError, OSError):
-            pass
-    try:
-        server.serve_forever()
-    finally:
-        for sig, handler in previous.items():
-            try:
-                _signal.signal(sig, handler)
-            except (ValueError, OSError):
-                pass
-        _finish_trace(tracer)
-    return 0
+    return _serve_until_signalled(server, "serve", tracer)
 
 
 #: Exit codes surfacing the worker-failure taxonomy through ``submit``:
@@ -704,6 +761,7 @@ def _failure_exit(result) -> int:
 
 def cmd_submit(args) -> int:
     from .serve.client import ServeClient, ServeError
+    _check_input([args.file] if args.file else [], args.instance)
     client = ServeClient(args.host, args.port, timeout=args.timeout,
                          retries=args.retries)
     limits = {"max_seconds": args.budget} if args.budget else None
@@ -712,7 +770,6 @@ def cmd_submit(args) -> int:
             snap = client.submit(instance=args.instance, engine=args.engine,
                                  preset=args.preset, limits=limits,
                                  priority=args.priority, fault=args.fault,
-                                 cube_workers=args.cube_workers,
                                  wait=0 if args.no_wait else args.wait,
                                  idempotency_key=args.idempotency_key,
                                  incremental=not args.no_incremental)
@@ -723,7 +780,6 @@ def cmd_submit(args) -> int:
                                  preset=args.preset, limits=limits,
                                  priority=args.priority, fault=args.fault,
                                  label=args.file,
-                                 cube_workers=args.cube_workers,
                                  wait=0 if args.no_wait else args.wait,
                                  idempotency_key=args.idempotency_key,
                                  incremental=not args.no_incremental)
@@ -782,15 +838,62 @@ def cmd_submit(args) -> int:
     return _failure_exit(result)
 
 
+def _scrape(url: str, timeout: float, retries: int) -> str:
+    """GET ``url`` as text, with ``retries`` extra attempts on errors."""
+    import time
+    from urllib.error import URLError
+    from urllib.request import urlopen
+    for attempt in range(retries + 1):
+        try:
+            with urlopen(url, timeout=timeout) as resp:
+                return resp.read().decode("utf-8")
+        except (URLError, OSError) as exc:
+            if attempt == retries:
+                raise ReproError("cannot scrape {}: {}".format(url, exc))
+            time.sleep(0.25 * 2 ** attempt)
+
+
+def _print_metrics(args, url: str) -> int:
+    """Scrape a node's /metrics and pretty-print it (or --raw/--json)."""
+    import json
+    from .obs.metrics import parse_exposition
+    text = _scrape(url, args.timeout, args.retries)
+    if args.raw:
+        sys.stdout.write(text)
+        return 0
+    try:
+        families = parse_exposition(text)
+    except ValueError as exc:
+        raise ReproError("invalid exposition from {}: {}".format(url, exc))
+    if args.json:
+        print(json.dumps(families, indent=2, sort_keys=True))
+        return 0
+    for name in sorted(families):
+        family = families[name]
+        print("{} ({})".format(name, family["type"]))
+        for sample_name, labels, value in family["samples"]:
+            label_text = ",".join(
+                "{}={}".format(k, v) for k, v in sorted(labels.items()))
+            print("  {}{}{}{}  {}".format(
+                sample_name, "{" if label_text else "", label_text,
+                "}" if label_text else "", value))
+    return 0
+
+
 def cmd_status(args) -> int:
-    """Render a node's /status for humans (or --json for scripts)."""
+    """Render a node's /status (or, with --metrics, its /metrics) for
+    humans, or --json for scripts."""
     from .serve.client import ServeClient, ServeError
+    if args.raw and not args.metrics:
+        raise ReproError("--raw is read with --metrics only")
     try:
         client = ServeClient.from_url(args.url, timeout=args.timeout,
                                       retries=args.retries)
     except ValueError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 2
+    if args.metrics:
+        return _print_metrics(args, client.url + "/metrics")
     try:
         payload = client.status()
     except ServeError as exc:
@@ -835,113 +938,16 @@ def cmd_status(args) -> int:
 
 
 def cmd_conquer_node(args) -> int:
-    import signal as _signal
     from .dist import ConquerNode
-    from .obs import JsonlTracer
-    tracer = JsonlTracer(args.trace) if args.trace else None
-    try:
-        node = ConquerNode(
-            host=args.host, port=args.port, workers=args.workers,
-            mem_limit_mb=args.mem_limit, grace_seconds=args.grace,
-            certify=args.certify, max_queue=args.max_queue, name=args.name,
-            tracer=tracer)
-    except SolverError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
+    tracer = _open_trace(args)
+    node = ConquerNode(
+        host=args.host, port=args.port, workers=args.workers,
+        mem_limit_mb=args.mem_limit, grace_seconds=args.grace,
+        certify=args.certify, max_queue=args.max_queue, name=args.name,
+        tracer=tracer)
     print("repro conquer-node: {} listening on {} ({} workers)".format(
         node.name, node.address, node.workers), file=sys.stderr)
-
-    def _graceful(signum, frame):
-        print("repro conquer-node: caught signal {}, draining..."
-              .format(signum), file=sys.stderr)
-        node.request_shutdown(drain=True)
-
-    previous = {}
-    for sig in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            previous[sig] = _signal.signal(sig, _graceful)
-        except (ValueError, OSError):
-            pass
-    try:
-        node.serve_forever()
-    finally:
-        for sig, handler in previous.items():
-            try:
-                _signal.signal(sig, handler)
-            except (ValueError, OSError):
-                pass
-        _finish_trace(tracer)
-    return 0
-
-
-def cmd_dist(args) -> int:
-    if bool(args.file) == bool(args.instance):
-        print("error: give a circuit file OR --instance NAME",
-              file=sys.stderr)
-        return 2
-    if bool(args.nodes) == bool(args.spawn_local):
-        print("error: give --nodes URL,URL OR --spawn-local N",
-              file=sys.stderr)
-        return 2
-    if args.instance:
-        from .bench.instances import instance_by_name
-        circuit = instance_by_name(args.instance).build()
-        label = args.instance
-    else:
-        circuit = _read_circuit(args.file)
-        label = args.file
-    from .cube import CutterOptions
-    from .dist import solve_distributed
-    from .durable.checkpoint import CheckpointError
-    cutter = CutterOptions(max_cubes=args.max_cubes,
-                           cubes_per_worker=args.cubes_per_worker,
-                           max_depth=args.max_depth)
-    fleet = []
-    if args.spawn_local:
-        from .dist.bench import launch_local_nodes
-        fleet = launch_local_nodes(args.spawn_local,
-                                   workers=args.node_workers)
-        urls = [n.url for n in fleet]
-        print("spawned {} local conquer node(s): {}".format(
-            len(urls), ", ".join(urls)), file=sys.stderr)
-    else:
-        urls = [u.strip() for u in args.nodes.split(",") if u.strip()]
-    try:
-        report = solve_distributed(
-            circuit, nodes=urls, kind=args.engine, preset_name=args.preset,
-            cutter=cutter, budget=args.budget, certify=args.certify,
-            steal_after=args.steal_after,
-            exchange_every=args.exchange_every,
-            max_retries=args.retries, trace=args.trace,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=args.resume, label=label)
-    except (CheckpointError, ValueError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 2
-    finally:
-        for node in fleet:
-            node.stop()
-    if args.json:
-        import json
-        print(json.dumps(dict(report.as_dict(), instance=label), indent=2))
-        return _status_code(report.result)
-    print("dist: " + report.summary())
-    if report.resumed:
-        print("  resumed: {} cube(s) already closed by the "
-              "checkpoint".format(report.resumed))
-    for info in report.nodes:
-        line = "  node {:20s} {}  {} dispatched, {} completed".format(
-            info.name or "?", "up  " if info.alive else "DEAD",
-            info.dispatched, info.completed)
-        if info.steals:
-            line += ", {} stolen".format(info.steals)
-        if info.duplicates:
-            line += ", {} duplicate(s) discarded".format(info.duplicates)
-        if not info.alive and info.detail:
-            line += "  ({})".format(info.detail)
-        print(line)
-    return _print_result(report.result, label)
+    return _serve_until_signalled(node, "conquer-node", tracer)
 
 
 def cmd_chaos(args) -> int:
@@ -977,43 +983,6 @@ def cmd_chaos(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_metrics(args) -> int:
-    import json
-    from urllib.error import URLError
-    from urllib.request import urlopen
-    from .obs.metrics import parse_exposition
-    url = "http://{}:{}{}".format(args.host, args.port, args.path)
-    try:
-        with urlopen(url, timeout=args.timeout) as resp:
-            text = resp.read().decode("utf-8")
-    except (URLError, OSError) as exc:
-        print("error: cannot scrape {}: {}".format(url, exc),
-              file=sys.stderr)
-        return 2
-    if args.raw:
-        sys.stdout.write(text)
-        return 0
-    try:
-        families = parse_exposition(text)
-    except ValueError as exc:
-        print("invalid exposition from {}: {}".format(url, exc),
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(families, indent=2, sort_keys=True))
-        return 0
-    for name in sorted(families):
-        family = families[name]
-        print("{} ({})".format(name, family["type"]))
-        for sample_name, labels, value in family["samples"]:
-            label_text = ",".join(
-                "{}={}".format(k, v) for k, v in sorted(labels.items()))
-            print("  {}{}{}{}  {}".format(
-                sample_name, "{" if label_text else "", label_text,
-                "}" if label_text else "", value))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -1021,95 +990,97 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a .bench/.aag circuit")
-    p.add_argument("file")
-    p.add_argument("--model", action="store_true",
-                   help="print the input assignment on SAT")
-    p.add_argument("--proof", metavar="FILE",
-                   help="write a DRUP proof here on UNSAT")
-    p.add_argument("--portfolio", action="store_true",
-                   help="solve fault-tolerantly: isolated worker "
-                        "subprocesses, hard limits, engine failover")
-    p.add_argument("--cubes", type=int, default=0, metavar="N",
-                   help="cube-and-conquer across N isolated workers "
-                        "(see the `cube` command for full control)")
-    _add_common(p)
-    _add_observability(p)
-    _add_runtime(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("portfolio",
-                       help="fault-tolerant portfolio solve of a circuit")
-    p.add_argument("file")
-    p.add_argument("--budget", type=float, default=None,
-                   help="shared wall-clock budget in seconds; the run "
-                        "finishes within budget + grace even if every "
-                        "worker hangs")
-    p.add_argument("--ladder", metavar="NAMES", default=None,
-                   help="comma-separated configs to try, e.g. "
-                        "'explicit,cnf,brute' (default: auto ladder)")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write worker lifecycle events here (JSONL)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON on stdout")
-    _add_runtime(p)
-    p.set_defaults(func=cmd_portfolio)
-
-    p = sub.add_parser("cube",
-                       help="cube-and-conquer: split the search space "
-                            "with a lookahead cutter, conquer the cubes "
-                            "on isolated workers")
-    p.add_argument("file", nargs="?", default=None,
-                   help=".bench/.aag circuit (or use --instance)")
+    p = sub.add_parser("solve",
+                       help="solve a circuit, or check two for "
+                            "equivalence, in process, as a portfolio or "
+                            "by cube-and-conquer")
+    p.add_argument("files", nargs="*", metavar="FILE",
+                   help=".bench/.aag/.cnf circuit, or - for stdin; two "
+                        "files solve their equivalence miter")
     p.add_argument("--instance", metavar="NAME", default=None,
                    help="built-in benchmark instance, e.g. mult6.arith")
-    p.add_argument("--engine", choices=("csat", "cnf"), default="csat",
+    _add_budget(p)
+    _add_observability(p)
+    g = p.add_argument_group("in process (the default)")
+    g.add_argument("--preset", choices=_PRESETS, default=None,
+                   help="solver configuration (default: explicit in "
+                        "process, {} for cube workers)".format(CUBE_PRESET))
+    g.add_argument("--model", action="store_true", default=None,
+                   help="print the input assignment on SAT")
+    g.add_argument("--proof", metavar="FILE",
+                   help="write a DRUP proof here on UNSAT")
+    _add_progress(g)
+    g = p.add_argument_group(
+        "modes", "each picks a mode; --workers alone picks local cubes")
+    g.add_argument("--portfolio", action="store_true", default=None,
+                   help="isolated worker subprocesses with hard limits, "
+                        "engine failover, retry and degradation")
+    g.add_argument("--workers", type=int, default=None, metavar="N",
+                   help="local cube workers (0 solves the cubes in "
+                        "process); portfolio: concurrent workers "
+                        "(default 1); --spawn-local: workers per node "
+                        "(default 2)")
+    g.add_argument("--nodes", metavar="URLS", default=None,
+                   help="cube-and-conquer across these comma-separated "
+                        "conquer-node URLs, e.g. "
+                        "http://10.0.0.2:8590,http://10.0.0.3:8590")
+    g.add_argument("--spawn-local", type=int, default=None, metavar="N",
+                   help="cube-and-conquer across N conquer nodes spawned "
+                        "on localhost for this run")
+    g.add_argument("--ladder", metavar="NAMES", default=None,
+                   help="portfolio: comma-separated configs to try, e.g. "
+                        "'explicit,cnf,brute' (default: auto ladder)")
+    g = p.add_argument_group("workers (portfolio and local cubes; nodes "
+                             "read --retries and --certify)")
+    g.add_argument("--mem-limit", type=int, default=None, metavar="MB",
+                   help="hard per-worker address-space cap in MB")
+    g.add_argument("--grace", type=float, default=None, metavar="SEC",
+                   help="seconds between SIGTERM and SIGKILL when a "
+                        "worker overruns its budget (default 1.0)")
+    g.add_argument("--retries", type=int, default=None,
+                   help="retries after a crash/corrupt/lost failure, per "
+                        "config or per cube (default 1)")
+    g.add_argument("--certify", choices=("off", "sat", "full"),
+                   default=None,
+                   help="boundary re-certification of worker answers "
+                        "(default: sat models only; cubes cannot do full)")
+    g.add_argument("--inject-faults", metavar="SPEC", default=None,
+                   help="deterministic fault injection for testing, "
+                        "e.g. 'crash@0,hang-hard@2' or 'hang@*' "
+                        "(kinds: crash segv hang hang-hard membomb "
+                        "corrupt wrong-answer lost)")
+    g = p.add_argument_group("cube-and-conquer (local cubes, nodes)")
+    g.add_argument("--engine", choices=("csat", "cnf"), default=None,
                    help="per-cube engine: csat runs --preset, cnf runs "
                         "the flat kernel on the CNF encoding "
                         "(default: csat)")
-    p.add_argument("--max-cubes", type=int, default=None, metavar="N",
+    g.add_argument("--max-cubes", type=int, default=None, metavar="N",
                    help="hard cap on open cubes (default: scale with "
-                        "workers)")
-    p.add_argument("--cubes-per-worker", type=int, default=8, metavar="N",
-                   help="cubes generated per worker when --max-cubes is "
-                        "unset (default 8)")
-    p.add_argument("--max-depth", type=int, default=12, metavar="D",
+                        "the worker count)")
+    g.add_argument("--max-depth", type=int, default=None, metavar="D",
                    help="cube tree depth cutoff (default 12)")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write cube/worker lifecycle events here (JSONL)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full cube report as JSON on stdout")
-    p.add_argument("--checkpoint", metavar="FILE", default=None,
+    g.add_argument("--checkpoint", metavar="FILE", default=None,
                    help="persist cube outcomes + the lemma pool here "
                         "(atomically) so a killed run can be resumed")
-    p.add_argument("--checkpoint-every", type=int, default=8, metavar="N",
+    g.add_argument("--checkpoint-every", type=int, default=None,
+                   metavar="N",
                    help="checkpoint cadence in completed cubes (default 8)")
-    p.add_argument("--resume", metavar="FILE", default=None,
+    g.add_argument("--resume", metavar="FILE", default=None,
                    help="resume from a checkpoint: skip closed cubes, "
                         "re-inject the lemma pool (refuses a checkpoint "
                         "from a different circuit/objectives)")
-    _add_common(p)
-    _add_runtime(p)
-    p.set_defaults(func=cmd_cube, preset=CUBE_PRESET, workers=4)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("solve-cnf", help="solve a DIMACS CNF file")
     p.add_argument("file")
-    p.add_argument("--via-circuit", action="store_true",
-                   help="convert to a 2-level circuit and use the circuit "
-                        "solver (the paper's CNF path)")
     p.add_argument("--backend", choices=("legacy", "kernel"),
                    default="legacy",
                    help="CDCL implementation: the legacy object-graph "
                         "solver or the flat-array kernel")
-    _add_common(p)
+    _add_budget(p)
     _add_observability(p)
+    _add_progress(p)
     p.set_defaults(func=cmd_solve_cnf)
-
-    p = sub.add_parser("equiv", help="equivalence-check two .bench circuits")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("sweep", help="SAT-sweep a circuit")
     p.add_argument("file", help=".bench/.aag/.cnf circuit, or - for stdin")
@@ -1267,8 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request wall-clock budget in seconds")
     p.add_argument("--priority", type=int, default=0,
                    help="higher runs earlier (default 0)")
-    p.add_argument("--cube-workers", type=int, default=2, metavar="N",
-                   help="cube fan-out when --engine cube (default 2)")
     p.add_argument("--wait", type=float, default=300.0, metavar="SEC",
                    help="seconds to wait for the answer (default 300)")
     p.add_argument("--no-wait", action="store_true",
@@ -1293,20 +1262,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the job snapshot as JSON")
     p.set_defaults(func=cmd_submit)
 
+
     p = sub.add_parser("status",
                        help="render a running node's /status "
-                            "(serve server or conquer node)")
+                            "(serve server or conquer node), or its "
+                            "/metrics")
     p.add_argument("url", help="node URL, e.g. http://127.0.0.1:8587")
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--retries", type=int, default=0,
                    help="extra attempts on connection errors (default 0)")
+    p.add_argument("--metrics", action="store_true",
+                   help="scrape the node's /metrics and pretty-print it")
+    p.add_argument("--raw", action="store_true",
+                   help="with --metrics: print the text exposition "
+                        "verbatim")
     p.add_argument("--json", action="store_true",
-                   help="print the raw /status payload as JSON")
+                   help="print the raw /status payload (with --metrics: "
+                        "the parsed families) as JSON")
     p.set_defaults(func=cmd_status)
 
     p = sub.add_parser("conquer-node",
                        help="serve cube solves for a distributed "
-                            "conquest (see `repro dist`)")
+                            "conquest (see `repro solve --nodes`)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8590)
     p.add_argument("--workers", type=int, default=2, metavar="N",
@@ -1327,62 +1304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="write node/worker lifecycle events here (JSONL)")
     p.set_defaults(func=cmd_conquer_node)
-
-    p = sub.add_parser("dist",
-                       help="distributed cube-and-conquer across remote "
-                            "conquer nodes with work stealing and lemma "
-                            "exchange")
-    p.add_argument("file", nargs="?", default=None,
-                   help=".bench/.aag circuit (or use --instance)")
-    p.add_argument("--instance", metavar="NAME", default=None,
-                   help="built-in benchmark instance, e.g. mult6.arith")
-    p.add_argument("--nodes", metavar="URLS", default=None,
-                   help="comma-separated conquer-node URLs, e.g. "
-                        "http://10.0.0.2:8590,http://10.0.0.3:8590")
-    p.add_argument("--spawn-local", type=int, default=0, metavar="N",
-                   help="convenience: spawn N localhost conquer nodes "
-                        "for this run instead of --nodes")
-    p.add_argument("--node-workers", type=int, default=2, metavar="N",
-                   help="workers per node with --spawn-local (default 2)")
-    p.add_argument("--engine", choices=("csat", "cnf"), default="csat",
-                   help="per-cube engine on every node: csat runs "
-                        "--preset, cnf runs the flat kernel on the CNF "
-                        "encoding (default: csat)")
-    p.add_argument("--certify", choices=("off", "sat"), default="sat",
-                   help="coordinator-side re-certification of node "
-                        "answers (default: sat models)")
-    p.add_argument("--max-cubes", type=int, default=None, metavar="N",
-                   help="hard cap on open cubes (default: scale with the "
-                        "fabric's total worker count)")
-    p.add_argument("--cubes-per-worker", type=int, default=8, metavar="N",
-                   help="cubes generated per worker when --max-cubes is "
-                        "unset (default 8)")
-    p.add_argument("--max-depth", type=int, default=12, metavar="D",
-                   help="cube tree depth cutoff (default 12)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="re-dispatches per cube after a retryable "
-                        "(CRASHED/CORRUPT/LOST) failure (default 1)")
-    p.add_argument("--steal-after", type=float, default=1.0, metavar="SEC",
-                   help="idle nodes re-issue another node's cube once it "
-                        "has been in flight this long (default 1.0)")
-    p.add_argument("--exchange-every", type=float, default=1.0,
-                   metavar="SEC",
-                   help="lemma-exchange heartbeat period (default 1.0)")
-    p.add_argument("--checkpoint", metavar="FILE", default=None,
-                   help="persist cube outcomes + the lemma pool here so "
-                        "a killed coordinator can be resumed")
-    p.add_argument("--checkpoint-every", type=int, default=8, metavar="N",
-                   help="checkpoint cadence in completed cubes (default 8)")
-    p.add_argument("--resume", metavar="FILE", default=None,
-                   help="resume from a checkpoint: skip closed cubes, "
-                        "re-inject the lemma pool")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write coordinator/dispatch events here (JSONL); "
-                        "nodes add their own spans under the same trace")
-    p.add_argument("--json", action="store_true",
-                   help="print the full dist report as JSON on stdout")
-    _add_common(p)
-    p.set_defaults(func=cmd_dist, preset=CUBE_PRESET)
 
     p = sub.add_parser("chaos",
                        help="kill -9 a serve node / conquer driver at "
@@ -1414,19 +1335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the chaos reports as JSON")
     p.set_defaults(func=cmd_chaos)
 
-    p = sub.add_parser("metrics",
-                       help="scrape a running node's /metrics endpoint "
-                            "and pretty-print it")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--path", default="/metrics",
-                   help="endpoint path (default /metrics)")
-    p.add_argument("--timeout", type=float, default=10.0)
-    p.add_argument("--raw", action="store_true",
-                   help="print the text exposition verbatim")
-    p.add_argument("--json", action="store_true",
-                   help="print the parsed families as JSON")
-    p.set_defaults(func=cmd_metrics)
     return parser
 
 

@@ -2,7 +2,7 @@
 
 :func:`launch_local_nodes` starts real ``repro conquer-node``
 subprocesses on localhost and waits for each ``/health``; the fleet
-backs ``repro dist --spawn-local``, the dist tests, the dist-smoke CI
+backs ``repro solve --spawn-local``, the dist tests, the dist-smoke CI
 job and perfbench's ``conquer_mult`` workload.  Process plumbing is
 :mod:`repro.durable.chaos`'s, so a node is killed the way the chaos
 harness kills: SIGKILL to its whole process group.

@@ -16,6 +16,9 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
     Register a circuit once: ``{"circuit": <text>, "objectives": [...],
     "classes": [...]}``.  Responds ``{"key": <exact-hash>}``; every
     later ``/conquer`` references the key, so cube dispatches stay tiny.
+    ``objectives`` (the circuit's outputs when absent) and ``classes``
+    (correlation classes of ``[node, phase]`` pairs) are checked against
+    the parsed circuit before anything is registered.
     The key is the **exact** structural hash (node numbering included) —
     the coordinator compares it against its own circuit's hash, which
     guarantees that cube literals mean the same nodes on both sides.
@@ -281,11 +284,19 @@ class ConquerNode:
     def register(self, text: str, fmt: Optional[str],
                  objectives: Optional[List[int]], classes,
                  label: str) -> _Registration:
-        """Parse + register a circuit; idempotent on the exact hash."""
+        """Parse + register a circuit; idempotent on the exact hash.
+
+        Raises :class:`AdmissionRejected` when ``objectives`` or
+        ``classes`` do not name the parsed circuit's literals and nodes.
+        """
         circuit = read_circuit_text(text, name=label, fmt=fmt)
+        if not _objectives_ok(objectives, circuit.num_nodes):
+            raise AdmissionRejected("bad-request", _BAD_OBJECTIVES, 400)
+        if not _classes_ok(classes, circuit.num_nodes):
+            raise AdmissionRejected("bad-request", _BAD_CLASSES, 400)
         key = exact_hash(circuit)
-        objs = ([int(o) for o in objectives] if objectives
-                else list(circuit.outputs))
+        objs = list(objectives) if objectives is not None \
+            else list(circuit.outputs)
         if not objs:
             raise SolverError("circuit has no outputs and no objectives "
                               "were given")
@@ -472,6 +483,33 @@ class ConquerNode:
 
 _BAD_LEMMAS = ("'lemmas' must be a list of non-empty clauses of the "
                "circuit's literals")
+_BAD_OBJECTIVES = ("'objectives' must be a non-empty list of the "
+                   "circuit's literals")
+_BAD_CLASSES = ("'classes' must be a list of lists of [node, phase] "
+                "pairs of the circuit")
+
+
+def _objectives_ok(objectives, num_nodes: int) -> bool:
+    """True when ``objectives`` is absent or a non-empty list of literals
+    in ``[0, 2 * num_nodes)``: unlike a cube literal, an output may be a
+    constant."""
+    return objectives is None or isinstance(objectives, list) \
+        and bool(objectives) and all(
+            type(lit) is int and 0 <= lit < 2 * num_nodes
+            for lit in objectives)
+
+
+def _classes_ok(classes, num_nodes: int) -> bool:
+    """True when ``classes`` is absent or a list of correlation classes,
+    each a list of ``[node, phase]`` pairs with ``node`` in
+    ``[0, num_nodes)`` and ``phase`` 0 or 1."""
+    return classes is None or isinstance(classes, list) and all(
+        isinstance(cls, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) is int and 0 <= pair[0] < num_nodes
+            and type(pair[1]) is int and pair[1] in (0, 1)
+            for pair in cls)
+        for cls in classes)
 
 
 def _lemmas_ok(batch, num_nodes: int) -> bool:
@@ -532,6 +570,9 @@ class _NodeHandler(JsonHandler):
             reg = self.service.register(
                 str(text), body.get("format"), body.get("objectives"),
                 body.get("classes"), label)
+        except AdmissionRejected as exc:
+            self._error(exc.status, exc.code, exc.msg)
+            return
         except (ParseError, CircuitError, SolverError, ReproError) as exc:
             self._error(400, "bad-circuit", str(exc))
             return

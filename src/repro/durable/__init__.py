@@ -9,7 +9,8 @@ This package makes the layers above the runtime survive process death:
   Finished jobs rehydrate the answer cache on boot; queued/in-flight
   jobs are re-admitted under their idempotency keys.
 * :mod:`repro.durable.checkpoint` — atomic, fingerprint-stamped
-  checkpoints for resumable cube-and-conquer (``repro cube --resume``).
+  checkpoints for resumable cube-and-conquer (``repro solve --workers N
+  --resume``).
 * :mod:`repro.durable.chaos` — the kill → restart → recover harness
   behind ``repro chaos`` (imported lazily; it drives subprocesses).
 """

@@ -21,10 +21,10 @@ cleanup, no atexit, no flushed buffers):
       same live view.
 
 ``chaos_conquer``
-    Starts ``repro cube --checkpoint``, SIGKILLs the driver once the
-    checkpoint holds at least one closed cube, reruns with ``--resume``,
-    and asserts the resumed run skips the closed cubes and still proves
-    the expected answer.
+    Starts ``repro solve --workers N --checkpoint``, SIGKILLs the driver
+    once the checkpoint holds at least one closed cube, reruns with
+    ``--resume``, and asserts the resumed run skips the closed cubes and
+    still proves the expected answer.
 
 Nothing here is imported by the serving or solving layers — the harness
 sits strictly above them (``repro chaos`` CLI and the chaos-smoke CI
@@ -367,7 +367,7 @@ def chaos_conquer(instance: str = "mult6.arith",
             print(message, file=log)
 
     report.rounds = 1
-    proc = spawn_repro(["cube", "--instance", instance,
+    proc = spawn_repro(["solve", "--instance", instance,
                         "--workers", str(workers),
                         "--checkpoint", checkpoint, "--checkpoint-every", "1"],
                        log_path)
@@ -401,7 +401,7 @@ def chaos_conquer(instance: str = "mult6.arith",
 
     report.rounds += 1
     resume = subprocess.Popen(
-        [sys.executable, "-m", "repro", "cube", "--instance", instance,
+        [sys.executable, "-m", "repro", "solve", "--instance", instance,
          "--workers", str(workers), "--resume", checkpoint, "--json"],
         stdout=open(out_path, "wb"), stderr=subprocess.DEVNULL,
         env=_repro_env())

@@ -3,9 +3,9 @@
 :func:`repro.cube.solve_cubes` can persist its whole working state —
 the cube tree, per-cube outcomes, and the deduped shared-lemma pool —
 to a single JSON document, atomically replaced (``atomic_write``) every
-N cube completions.  ``repro cube --resume PATH`` reloads it, skips
-every cube that is already closed (UNSAT / REFUTED / PRUNED), and
-re-injects the lemma pool so the surviving cubes start warm.
+N cube completions.  ``repro solve --workers W --resume PATH`` reloads
+it, skips every cube that is already closed (UNSAT / REFUTED / PRUNED),
+and re-injects the lemma pool so the surviving cubes start warm.
 
 Soundness: the lemma pool obeys PR 4's sharing contract — every lemma
 is a consequence of ``circuit AND objectives``, valid only for *that*

@@ -13,7 +13,7 @@ The observability layer both engines report through:
   including cross-process span-tree reconstruction;
 * :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   (counters/gauges/histograms, Prometheus text exposition) behind
-  ``GET /metrics`` and ``repro metrics``;
+  ``GET /metrics`` and ``repro status URL --metrics``;
 * :mod:`repro.obs.context` — trace/span identifiers that cross the
   subprocess-worker boundary;
 * :mod:`repro.obs.export` — machine-readable benchmark output

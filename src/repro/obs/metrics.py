@@ -4,7 +4,8 @@ The registry is the second telemetry channel next to tracing: where a
 trace records *events* (one JSONL line each), the registry keeps cheap
 *aggregates* — monotonic counters, point-in-time gauges, and fixed-bucket
 latency histograms — that a scraper (``GET /metrics`` on the serve node,
-``repro metrics`` on the CLI) reads as Prometheus text exposition.
+``repro status URL --metrics`` on the CLI) reads as Prometheus text
+exposition.
 
 Overhead contract
 -----------------
@@ -254,7 +255,8 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready dump (``repro metrics --json`` and tests)."""
+        """JSON-ready dump (``repro status URL --metrics --json`` and
+        tests)."""
         out: Dict[str, Any] = {}
         with self._lock:
             for name, family in sorted(self._families.items()):
@@ -359,7 +361,7 @@ def observe_solve(registry: MetricsRegistry, engine: str, status: str,
 
 
 # ----------------------------------------------------------------------
-# Exposition parser: tests and the `repro metrics` CLI read it back.
+# Exposition parser: tests and `repro status --metrics` read it back.
 # ----------------------------------------------------------------------
 
 def _unescape_label(value: str) -> str:

@@ -207,7 +207,6 @@ class ServeClient:
                label: Optional[str] = None,
                fmt: Optional[str] = None,
                fault: Optional[str] = None,
-               cube_workers: int = 2,
                wait: float = 0.0,
                idempotency_key: Optional[str] = None,
                retries: Optional[int] = None,
@@ -234,8 +233,7 @@ class ServeClient:
         if idempotency_key is None and retries > 0:
             idempotency_key = uuid.uuid4().hex
         wait = min(wait, self.max_wait)
-        body: Dict[str, Any] = {"engine": engine, "priority": priority,
-                                "cube_workers": cube_workers}
+        body: Dict[str, Any] = {"engine": engine, "priority": priority}
         if preset is not None:
             body["preset"] = preset
         if circuit_text is not None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..circuit.netlist import Circuit
-from ..csat.options import DEFAULT_PRESET
+from ..csat.options import DEFAULT_PRESET, preset
 from ..errors import SolverError
 from ..result import Limits, SAT, UNKNOWN, UNSAT
 from ..runtime.supervisor import (CERTIFY_LEVELS, CERTIFY_SAT,
@@ -51,6 +51,12 @@ ENGINE_CUBE = "cube"
 ENGINE_SWEEP = KIND_SWEEP
 SERVE_ENGINES = tuple(WORKER_KINDS) + (ENGINE_CUBE, ENGINE_SWEEP)
 
+#: Isolated processes one cube job conquers on.  The server sizes this,
+#: not the request: a worker thread running a cube job forks this many
+#: solver processes, so a fan-out chosen per request could oversubscribe
+#: the host without bound.
+SERVE_CUBE_WORKERS = 2
+
 #: Job states.
 QUEUED = "QUEUED"
 RUNNING = "RUNNING"
@@ -60,6 +66,7 @@ CANCELLED = "CANCELLED"
 #: Structured admission-rejection codes (HTTP-ish semantics: ``queue-full``
 #: maps to 503, everything else to 400).
 REJECT_BAD_ENGINE = "bad-engine"
+REJECT_BAD_PRESET = "bad-preset"
 REJECT_BAD_LIMITS = "bad-limits"
 REJECT_EMPTY_BUDGET = "empty-budget"
 REJECT_QUEUE_FULL = "queue-full"
@@ -110,7 +117,6 @@ class JobRequest:
     priority: int = 0
     label: str = "request"
     fault: Optional[str] = None       # deterministic fault injection (tests)
-    cube_workers: int = 2
     fp: Optional[Fingerprint] = None
     #: Client-supplied idempotency key: re-submitting the same key never
     #: double-solves (the scheduler returns the original job).  Minted
@@ -310,7 +316,6 @@ class SolveScheduler:
                 "limits_class": limits_class(request.limits),
                 "engine": request.engine, "preset": request.preset,
                 "priority": request.priority, "label": request.label,
-                "cube_workers": request.cube_workers,
                 "incremental": request.incremental,
                 "limits": limits, "source": source}
 
@@ -358,6 +363,10 @@ class SolveScheduler:
                                "unknown engine {!r}; known: {}".format(
                                    request.engine,
                                    ", ".join(SERVE_ENGINES)))
+        try:
+            preset(request.preset)
+        except SolverError as exc:
+            raise self._reject(REJECT_BAD_PRESET, str(exc))
         if request.limits is not None:
             try:
                 request.limits.validate()
@@ -609,7 +618,7 @@ class SolveScheduler:
         if request.engine == ENGINE_CUBE:
             from ..cube import solve_cubes
             report = solve_cubes(
-                circuit, workers=request.cube_workers,
+                circuit, workers=SERVE_CUBE_WORKERS,
                 budget=wall, mem_limit_mb=self.mem_limit_mb,
                 grace_seconds=self.grace_seconds, certify=self.certify,
                 trace=tracer)

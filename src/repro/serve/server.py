@@ -15,11 +15,14 @@ request/response) so any EDA tool with an HTTP client can drive it:
     sweep job ignores it), ``incremental`` (false opts this job out of
     the knowledge-store pre-pass), ``limits``
     (``{"max_seconds": ..., "max_conflicts": ..., "max_decisions": ...}``),
-    ``priority``, ``label``, ``wait`` (seconds to block for the result),
-    ``cube_workers`` and ``fault`` (test-only fault injection).
+    ``priority``, ``label``, ``wait`` (seconds to block for the result)
+    and ``fault`` (test-only fault injection).  A cube job conquers on
+    the server's fixed fan-out
+    (:data:`~repro.serve.scheduler.SERVE_CUBE_WORKERS`).
     Responds with the job snapshot; admission failures are structured
-    ``{"error": {"code", "message"}}`` with status 400 (bad request) or
-    503 (queue full / draining) — an invalid request is **never queued**.
+    ``{"error": {"code", "message"}}`` with status 400 (bad request, an
+    unknown engine or preset, bad limits) or 503 (queue full / draining)
+    — an invalid request is **never queued**.
 ``GET /result/<job>?wait=<seconds>``
     Poll or block for a job's result snapshot.
 ``GET /events/<job>?since=<n>``
@@ -178,9 +181,8 @@ class ReproServer:
                 circuit=circuit, engine=str(record.get("engine") or "csat"),
                 preset=str(record.get("preset") or DEFAULT_PRESET),
                 limits=limits, priority=int(record.get("priority") or 0),
-                label=label,
-                cube_workers=int(record.get("cube_workers") or 2),
-                fp=fp, idempotency_key=record.get("key"), source=source,
+                label=label, fp=fp, idempotency_key=record.get("key"),
+                source=source,
                 incremental=bool(record.get("incremental", True)))
         except (TypeError, ValueError):
             return None
@@ -369,10 +371,8 @@ class _ServeHandler(JsonHandler):
             return
         try:
             priority = int(body.get("priority") or 0)
-            cube_workers = int(body.get("cube_workers") or 2)
         except (TypeError, ValueError):
-            self._error(400, "bad-request",
-                        "priority and cube_workers must be integers")
+            self._error(400, "bad-request", "priority must be an integer")
             return
         idempotency_key = body.get("idempotency_key")
         if idempotency_key is not None:
@@ -384,7 +384,7 @@ class _ServeHandler(JsonHandler):
             preset=str(body.get("preset") or DEFAULT_PRESET),
             limits=limits,
             priority=priority, label=label,
-            fault=body.get("fault"), cube_workers=cube_workers, fp=fp,
+            fault=body.get("fault"), fp=fp,
             idempotency_key=idempotency_key, source=source,
             incremental=bool(body.get("incremental", True)))
         try:

@@ -63,5 +63,5 @@ def test_check_equivalence_honours_limits():
 def test_cli_equiv_budget_zero_is_undecided(tmp_path, capsys):
     path = tmp_path / "c432.bench"
     path.write_text(write_bench(circuit_by_name("c432")))
-    assert main(["equiv", str(path), str(path), "--budget", "0"]) == 2
+    assert main(["solve", str(path), str(path), "--budget", "0"]) == 0
     assert "UNDECIDED" in capsys.readouterr().out

@@ -42,6 +42,145 @@ class TestSolve:
         assert main(["solve", bench_file, "--budget", "30"]) == 10
 
 
+class TestSolveModes:
+    """Which library entry point each flag set reaches, and with what.
+
+    Spies stand in for the portfolio, cube and dist entry points, so no
+    worker process starts."""
+
+    @staticmethod
+    def _spy(monkeypatch, target, report):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return report
+
+        monkeypatch.setattr(target, spy)
+        return seen
+
+    @staticmethod
+    def _unknown():
+        from repro.result import SolverResult
+        return SolverResult(status="UNKNOWN")
+
+    def test_in_process_runs_the_explicit_preset(self, bench_file,
+                                                 monkeypatch):
+        import repro.cli as cli
+        from repro.csat.options import preset
+        seen = []
+        real = cli.CircuitSolver
+
+        def spy(circuit, options, **kwargs):
+            seen.append(options)
+            return real(circuit, options, **kwargs)
+
+        monkeypatch.setattr(cli, "CircuitSolver", spy)
+        assert main(["solve", bench_file]) == 10
+        assert seen == [preset("explicit")]
+
+    def test_portfolio_reads_workers_and_ladder(self, bench_file,
+                                                monkeypatch, capsys):
+        from repro.runtime import PortfolioReport
+        seen = self._spy(monkeypatch, "repro.runtime.solve_portfolio",
+                         PortfolioReport(result=self._unknown()))
+        assert main(["solve", bench_file, "--portfolio", "--workers", "3",
+                     "--ladder", "explicit,cnf"]) == 0
+        assert seen[0]["workers"] == 3
+        assert [spec.name for spec in seen[0]["ladder"]] == ["explicit",
+                                                             "cnf"]
+        assert "portfolio: UNKNOWN" in capsys.readouterr().out
+
+    def test_local_cubes_run_the_cube_preset(self, bench_file,
+                                             monkeypatch):
+        from repro.cube.conquer import CUBE_PRESET, CubeReport
+        seen = self._spy(monkeypatch, "repro.cube.solve_cubes",
+                         CubeReport(result=self._unknown()))
+        assert main(["solve", bench_file, "--workers", "3"]) == 0
+        assert (seen[0]["workers"], seen[0]["preset_name"]) == \
+            (3, CUBE_PRESET)
+
+    def test_nodes_run_the_cube_preset(self, bench_file, monkeypatch):
+        from repro.cube.conquer import CUBE_PRESET
+        from repro.dist.coordinator import DistReport
+        seen = self._spy(monkeypatch, "repro.dist.solve_distributed",
+                         DistReport(result=self._unknown()))
+        assert main(["solve", bench_file, "--nodes",
+                     "http://a:8590, http://b:8590"]) == 0
+        assert seen[0]["nodes"] == ["http://a:8590", "http://b:8590"]
+        assert seen[0]["preset_name"] == CUBE_PRESET
+
+    def test_spawn_local_workers_are_per_node(self, bench_file,
+                                              monkeypatch):
+        from repro.dist.coordinator import DistReport
+
+        class FakeNode:
+            url = "http://127.0.0.1:1"
+            stopped = False
+
+            def stop(self):
+                FakeNode.stopped = True
+
+        launched = []
+        monkeypatch.setattr(
+            "repro.dist.bench.launch_local_nodes",
+            lambda count, **kwargs: launched.append((count, kwargs))
+            or [FakeNode()])
+        seen = self._spy(monkeypatch, "repro.dist.solve_distributed",
+                         DistReport(result=self._unknown()))
+        assert main(["solve", bench_file, "--spawn-local", "2",
+                     "--workers", "3", "--preset", "kernel"]) == 0
+        assert launched == [(2, {"workers": 3})]
+        assert seen[0]["preset_name"] == "kernel"
+        assert FakeNode.stopped
+
+    @pytest.mark.parametrize("flags", [
+        ["--portfolio", "--nodes", "http://a:1"],
+        ["--portfolio", "--spawn-local", "1"],
+        ["--nodes", "http://a:1", "--spawn-local", "1"]])
+    def test_two_modes_exit_2(self, bench_file, flags, capsys):
+        assert main(["solve", bench_file] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pick one solve mode") \
+            and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--grace", "2"], ["--ladder", "cnf"], ["--max-cubes", "4"],
+        ["--workers", "2", "--model"], ["--workers", "2", "--proof", "p"],
+        ["--portfolio", "--preset", "kernel"], ["--portfolio", "--progress"],
+        ["--portfolio", "--engine", "cnf"],
+        ["--nodes", "http://a:1", "--workers", "2"],
+        ["--nodes", "http://a:1", "--mem-limit", "64"],
+        ["--spawn-local", "1", "--inject-faults", "crash@0"]])
+    def test_flag_outside_its_mode_exits_2(self, bench_file, flags,
+                                           capsys):
+        assert main(["solve", bench_file] + flags) == 2
+        err = capsys.readouterr().err
+        assert "is not read in" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["solve", "a.bench", "b.bench", "c.bench"],
+        ["solve", "a.bench", "--instance", "mult5.arith"],
+        ["fingerprint"], ["submit"],
+        ["submit", "a.bench", "--instance", "mult5.arith"]])
+    def test_one_input_form(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: give ")
+
+
+class TestStatusMetrics:
+    def test_raw_is_read_with_metrics_only(self, capsys):
+        assert main(["status", "http://127.0.0.1:9", "--raw"]) == 2
+        assert "--metrics" in capsys.readouterr().err
+
+    def test_unreachable_scrape_is_one_error_line(self, capsys):
+        assert main(["status", "http://127.0.0.1:9", "--metrics",
+                     "--timeout", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot scrape") \
+            and err.count("\n") == 1
+
+
 class TestSolveCnf:
     def test_direct(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -52,13 +191,13 @@ class TestSolveCnf:
     def test_via_circuit(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text(write_dimacs(CnfFormula(clauses=[[1], [-1]])))
-        assert main(["solve-cnf", str(path), "--via-circuit"]) == 20
+        assert main(["solve", str(path)]) == 20
         assert "UNSAT" in capsys.readouterr().out
 
 
 class TestEquiv:
     def test_equivalent(self, bench_file, capsys):
-        assert main(["equiv", bench_file, bench_file]) == 0
+        assert main(["solve", bench_file, bench_file]) == 20
         assert "EQUIVALENT" in capsys.readouterr().out
 
     def test_not_equivalent(self, bench_file, tmp_path, capsys):
@@ -66,7 +205,7 @@ class TestEquiv:
         other.write_text(
             "INPUT(a)\nINPUT(b)\nINPUT(cin)\nOUTPUT(s)\nOUTPUT(c)\n"
             "s = AND(a, b)\nc = OR(a, cin)\n")
-        assert main(["equiv", bench_file, str(other)]) == 1
+        assert main(["solve", bench_file, str(other)]) == 10
         assert "NOT EQUIVALENT" in capsys.readouterr().out
 
 
@@ -179,7 +318,7 @@ class TestAigerCli:
         aag.write_text(write_aiger(build_full_adder()))
         bench = tmp_path / "fa.bench"
         bench.write_text(write_bench(build_full_adder()))
-        assert main(["equiv", str(aag), str(bench)]) == 0
+        assert main(["solve", str(aag), str(bench)]) == 20
 
 
 class TestAtpgCli:

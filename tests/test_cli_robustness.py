@@ -57,7 +57,6 @@ class TestMalformedInput:
     def test_malformed_bench_portfolio(self, tmp_path, capsys):
         path = write_file(tmp_path, "bad.bench", "OUTPUT(\n")
         assert_clean_error(capsys, main(["solve", path, "--portfolio"]))
-        assert_clean_error(capsys, main(["portfolio", path]))
 
     def test_malformed_aiger(self, tmp_path, capsys):
         path = write_file(tmp_path, "bad.aag", "aag nonsense header\n")
@@ -71,7 +70,6 @@ class TestMalformedInput:
         missing = str(tmp_path / "nope.bench")
         for argv in (["solve", missing],
                      ["solve", missing, "--portfolio"],
-                     ["portfolio", missing],
                      ["solve-cnf", missing],
                      ["stats", missing],
                      ["sweep", missing],
@@ -85,7 +83,7 @@ class TestMalformedInput:
 
     def test_equiv_malformed_side(self, bench_file, tmp_path, capsys):
         bad = write_file(tmp_path, "bad.bench", "x = AND(\n")
-        assert_clean_error(capsys, main(["equiv", bench_file, bad]))
+        assert_clean_error(capsys, main(["solve", bench_file, bad]))
 
     def test_invalid_circuit_semantics(self, tmp_path, capsys):
         # Structurally parseable, semantically invalid: undefined signal.
@@ -95,7 +93,7 @@ class TestMalformedInput:
 
     def test_bad_fault_spec(self, bench_file, capsys):
         assert_clean_error(capsys, main(
-            ["portfolio", bench_file, "--inject-faults", "explode@0"]))
+            ["solve", bench_file, "--portfolio", "--inject-faults", "explode@0"]))
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +140,13 @@ class TestPortfolioCli:
         assert "portfolio:" in out and "winner=" in out
 
     def test_portfolio_command_sat(self, bench_file, capsys):
-        assert main(["portfolio", bench_file, "--budget", "30",
+        assert main(["solve", bench_file, "--portfolio", "--budget", "30",
                      "--ladder", "explicit,cnf"]) == 10
         assert "winner=" in capsys.readouterr().out
 
     def test_portfolio_json(self, bench_file, capsys):
         import json
-        assert main(["portfolio", bench_file, "--budget", "30",
+        assert main(["solve", bench_file, "--portfolio", "--budget", "30",
                      "--json"]) == 10
         data = json.loads(capsys.readouterr().out)
         assert data["result"]["status"] == "SAT"
@@ -157,7 +155,7 @@ class TestPortfolioCli:
     def test_injected_hang_finishes_within_budget(self, bench_file, capsys):
         budget, grace = 1.0, 0.3
         t0 = time.perf_counter()
-        code = main(["portfolio", bench_file,
+        code = main(["solve", bench_file, "--portfolio",
                      "--budget", str(budget), "--grace", str(grace),
                      "--ladder", "explicit",
                      "--inject-faults", "hang-hard@*"])
@@ -169,7 +167,7 @@ class TestPortfolioCli:
         assert "worker failure" in captured.err
 
     def test_injected_crash_retries_to_win(self, bench_file, capsys):
-        assert main(["portfolio", bench_file, "--budget", "30",
+        assert main(["solve", bench_file, "--portfolio", "--budget", "30",
                      "--ladder", "explicit",
                      "--inject-faults", "crash@0"]) == 10
         out = capsys.readouterr().out
@@ -179,7 +177,7 @@ class TestPortfolioCli:
                                             capsys):
         import json
         trace = str(tmp_path / "events.jsonl")
-        assert main(["portfolio", bench_file, "--budget", "30",
+        assert main(["solve", bench_file, "--portfolio", "--budget", "30",
                      "--trace", trace]) == 10
         kinds = {json.loads(line)["kind"]
                  for line in open(trace) if line.strip()}

@@ -321,7 +321,7 @@ def test_cli_solve_cubes(tmp_path):
                                    num_outputs=1)
     expected = CircuitSolver(circuit).solve().status
     path.write_text(write_bench(circuit))
-    code = main(["solve", str(path), "--cubes", "2", "--budget", "60"])
+    code = main(["solve", str(path), "--workers", "2", "--budget", "60"])
     assert code == (10 if expected == SAT else 20)
 
 
@@ -331,7 +331,7 @@ def test_cli_cube_json(tmp_path, capsys):
     from repro.cli import main
     path = tmp_path / "m.bench"
     path.write_text(write_bench(small_miter(3)))
-    code = main(["cube", str(path), "--workers", "0", "--max-cubes", "4",
+    code = main(["solve", str(path), "--workers", "0", "--max-cubes", "4",
                  "--json"])
     assert code == 20
     doc = json.loads(capsys.readouterr().out)

@@ -188,6 +188,27 @@ class TestConquerNode:
         assert (info.value.status, info.value.code) == (400, "bad-request")
         assert client.status()["node"]["jobs"] == 0
 
+    @pytest.mark.parametrize("field", [
+        {"objectives": ["x"]}, {"objectives": [5.7]},
+        {"objectives": [10 ** 6]}, {"objectives": []},
+        {"classes": [[[10 ** 6, 0], [5, 1]]]}, {"classes": [["x"]]},
+        {"classes": [[[5, 2]]]}, {"classes": "garbage"}], ids=[
+        "objective-string", "objective-float", "objective-out-of-range",
+        "objectives-empty", "class-node-out-of-range", "class-not-pairs",
+        "class-bad-phase", "classes-not-a-list"])
+    def test_bad_objectives_or_classes_are_a_400(self, node, field):
+        client = client_for(node)
+        with pytest.raises(ServeError) as info:
+            register(client, small_miter(3), **field)
+        assert (info.value.status, info.value.code) == (400, "bad-request")
+        assert client.status()["node"]["circuits"] == 0
+
+    def test_constant_objective_registers(self, node):
+        # An output may be a constant literal, which no cube may name.
+        reply = register(client_for(node), small_miter(3), objectives=[1],
+                         classes=None)
+        assert reply["objectives"] == [1]
+
     def test_engine_rides_on_the_dispatch(self, node):
         circuit = small_miter(3)
         client = client_for(node)
@@ -379,7 +400,7 @@ class TestCli:
         from repro.cli import main
         path = tmp_path / "m.bench"
         path.write_text(write_bench(small_miter(3)))
-        code = main(["dist", str(path),
+        code = main(["solve", str(path),
                      "--nodes", ",".join(n.address for n in fleet),
                      "--max-cubes", "6", "--budget", "60"])
         assert code == 20  # UNSAT

@@ -352,6 +352,29 @@ class TestServerRecovery:
         assert engines == {"named": "csat:explicit",
                            "unnamed": "csat:kernel"}
 
+    def test_recovery_refuses_an_unknown_preset(self, tmp_path):
+        # Re-admission passes the door's checks again: a journaled job
+        # naming no known preset is counted failed, never queued.  A
+        # record still carrying the retired cube_workers field is read as
+        # if it did not.
+        journal_path = str(tmp_path / "serve.wal")
+        source = {"circuit": write_bench(build_unsat()), "format": "bench"}
+        journal = Journal(journal_path)
+        journal.append(KIND_ADMITTED, key="bogus", job="j1", engine="csat",
+                       preset="bogus", label="bogus", source=source)
+        journal.append(KIND_ADMITTED, key="old", job="j2", engine="csat",
+                       preset="explicit", label="old", cube_workers=64,
+                       source=source)
+        journal.close()
+        srv = ReproServer(port=0, workers=1,
+                          journal_path=journal_path).start()
+        try:
+            assert (srv.recovery["replayed"], srv.recovery["failed"]) == \
+                (1, 1)
+            assert srv.scheduler.stats()["submitted"] == 1
+        finally:
+            srv.stop()
+
     def test_replay_twice_is_idempotent(self, tmp_path):
         """Booting twice off the same journal must not duplicate work."""
         journal = str(tmp_path / "serve.wal")

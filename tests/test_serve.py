@@ -186,6 +186,13 @@ class TestAdmission:
                                         engine="quantum"))
         assert exc.value.code == "bad-engine"
 
+    def test_unknown_preset_rejected(self, scheduler):
+        with pytest.raises(AdmissionError) as exc:
+            scheduler.submit(JobRequest(circuit=build_full_adder(),
+                                        preset="bogus"))
+        assert exc.value.code == "bad-preset"
+        assert scheduler.stats()["submitted"] == 0
+
     def test_nan_budget_rejected(self, scheduler):
         with pytest.raises(AdmissionError) as exc:
             scheduler.submit(JobRequest(
@@ -421,6 +428,39 @@ class TestHttp:
             client.submit(circuit_text=AND2_BENCH, engine="quantum")
         assert exc.value.code == "bad-engine"
 
+    def test_unknown_preset_never_queued_or_journaled(self, tmp_path):
+        from repro.durable.journal import replay_journal
+        journal = str(tmp_path / "serve.wal")
+        srv = ReproServer(port=0, workers=1, journal_path=journal).start()
+        try:
+            client = ServeClient(srv.host, srv.port, timeout=30)
+            with pytest.raises(ServeError) as exc:
+                client.submit(circuit_text=AND2_BENCH, preset="bogus")
+            assert (exc.value.status, exc.value.code) == (400, "bad-preset")
+            assert srv.scheduler.stats()["submitted"] == 0
+        finally:
+            srv.stop()
+        assert replay_journal(journal).admitted == {}
+
+    def test_cube_job_fan_out_is_the_servers(self, client, monkeypatch):
+        # A request's cube_workers is read as if absent: the job conquers
+        # on SERVE_CUBE_WORKERS.  The spy answers without starting any.
+        from repro.cube.conquer import CubeReport
+        from repro.result import SolverResult
+        from repro.serve.scheduler import SERVE_CUBE_WORKERS
+        seen = []
+
+        def spy(circuit, **kwargs):
+            seen.append(kwargs["workers"])
+            return CubeReport(result=SolverResult(status=UNKNOWN))
+
+        monkeypatch.setattr("repro.cube.solve_cubes", spy)
+        snap = client.call("POST", "/submit", body={
+            "circuit": AND3_BENCH, "engine": "cube", "cube_workers": 64,
+            "wait": 30})
+        assert snap["result"]["status"] == UNKNOWN
+        assert seen == [SERVE_CUBE_WORKERS] == [2]
+
     def test_crashed_worker_structured_and_server_survives(self, client):
         snap = client.submit(circuit_text=AND2_BENCH, engine="brute",
                              fault="crash", wait=30)
@@ -496,7 +536,7 @@ class TestCliStdin:
         import io
         from repro.cli import main
         monkeypatch.setattr("sys.stdin", io.StringIO(AND2_BENCH))
-        assert main(["cube", "-", "--workers", "2"]) == 10
+        assert main(["solve", "-", "--workers", "2"]) == 10
 
 
 # ----------------------------------------------------------------------
@@ -569,13 +609,11 @@ class TestMetricsEndpoint:
     def test_metrics_cli_scrapes_and_parses(self, server, client, capsys):
         from repro.cli import main
         client.submit(circuit_text=AND2_BENCH, wait=30)
-        code = main(["metrics", "--host", server.host,
-                     "--port", str(server.port)])
+        code = main(["status", server.address, "--metrics"])
         captured = capsys.readouterr()
         assert code == 0
         assert "repro_serve_submitted_total" in captured.out
-        code = main(["metrics", "--host", server.host,
-                     "--port", str(server.port), "--raw"])
+        code = main(["status", server.address, "--metrics", "--raw"])
         captured = capsys.readouterr()
         assert code == 0
         assert "# TYPE" in captured.out
