@@ -44,7 +44,7 @@ then prints ``EQUIVALENT``, ``NOT EQUIVALENT`` or ``UNDECIDED``) or
 * ``--workers N``: cube-and-conquer on N isolated local workers (0 runs
   the cubes in process);
 * ``--nodes URL,...`` or ``--spawn-local N``: cube-and-conquer across
-  conquer nodes, with work stealing and lemma exchange.
+  conquer nodes, with work stealing and lemma sharing.
 
 Every mode reads ``--budget``, ``--trace`` and ``--json``; a flag the
 picked mode does not read exits 2.
@@ -914,9 +914,6 @@ def cmd_status(args) -> int:
             node.get("queued"), node.get("running"), node.get("done"),
             node.get("jobs"), "  (draining)" if node.get("draining")
             else ""))
-        pools = node.get("lemma_pools") or {}
-        for key, size in sorted(pools.items()):
-            print("  circuit {}...: {} pooled lemmas".format(key[:12], size))
         counts = node.get("counts") or {}
         if counts:
             print("  counts: " + ", ".join(

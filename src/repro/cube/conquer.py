@@ -1,32 +1,34 @@
-"""Conquer: the one cube scheduler, over endpoints or in-process.
+"""Conquer: the one cube scheduler, over endpoints.
 
 The driver runs one random-simulation pass, hands the resulting
-correlations to the cutter, and schedules the open cubes:
+correlations to the cutter, and schedules the open cubes over
+*endpoints*.  An endpoint is a slot count plus one call: "solve this
+cube with these seed lemmas and return the payload".  Every conquest
+runs the same loop whatever its endpoints are:
 
-* ``workers >= 1`` and :func:`repro.dist.solve_distributed` share one
-  loop over *endpoints*.  An endpoint is a slot count plus one call:
-  "solve this cube with this lemma snapshot and return the wire
-  payload".  :func:`solve_cubes` builds one local endpoint whose slots
-  run isolated :mod:`repro.runtime` workers; the distributed entry point
-  builds one remote endpoint per conquer node.  Either way a slot thread
-  pulls the hardest open cube, an idle slot re-issues another endpoint's
-  straggler (at most :data:`MAX_REDUNDANCY` holders per cube), and every
-  answer is applied exactly once.  The first certified SAT answer stops
-  every sibling; UNSAT answers accumulate until the whole partition is
-  refuted.  Failures reuse the PR 3 taxonomy: CRASHED / CORRUPT_ANSWER /
-  LOST cubes are retried (reseeded) up to ``max_retries``; TIMEOUT /
-  MEMOUT are final.  A dead endpoint's in-flight cubes are reassigned to
-  the survivors.
+* ``workers == 0`` — one in-process endpoint with one slot, run on the
+  calling thread (so Ctrl-C reaches the search): every cube is solved in
+  turn on one shared engine, whose learned-clause database persists
+  across cubes.  This is the mode the differential oracle cross-checks.
+* ``workers >= 1`` — one local endpoint whose slots run isolated
+  :mod:`repro.runtime` workers.
+* :func:`repro.dist.solve_distributed` — one remote endpoint per
+  conquer node.
 
-* ``workers == 0`` — every cube is solved sequentially on one shared
-  in-process engine.  No isolation, but the learned-clause database
-  persists across cubes (perfect sharing); this is the mode the
-  differential oracle cross-checks and the tests compare against plain
-  ``solve``.
+A slot pulls the hardest open cube, an idle slot re-issues another
+endpoint's straggler (at most :data:`MAX_REDUNDANCY` holders per cube),
+and every answer is applied exactly once.  The first certified SAT
+answer stops every sibling; UNSAT answers accumulate until the whole
+partition is refuted.  Failures reuse the runtime's taxonomy: CRASHED /
+CORRUPT_ANSWER / LOST cubes are retried (reseeded) up to
+``max_retries``; TIMEOUT / MEMOUT are final.  A dead endpoint's
+in-flight cubes are reassigned to the survivors.
 
 Knowledge sharing (:mod:`repro.cube.sharing`): correlations are
-discovered once, here, and seeded into every worker; unit/binary lemmas
-proven by finished cubes are injected into cubes that have not started.
+discovered once, here, and seeded into every worker.  The scheduler's
+:class:`SharedKnowledge` is the conquest's one lemma pool: each dispatch
+carries a snapshot of it, and each payload brings back the unit/binary
+lemmas its worker exported.
 
 Failed-assumption cores prune siblings: when a cube comes back UNSAT
 with a core, any queued cube whose literal set contains the core's
@@ -37,9 +39,9 @@ refutes the instance outright.
 ``certify`` stops at ``"sat"``: an UNSAT-under-assumptions answer has no
 closed DRUP proof, and injected lemmas would appear in a worker's proof
 without derivation, so full boundary certification is structurally
-impossible in cube mode.  SAT models are certified at the worker
-boundary *and* again by the scheduler against its own circuit, so no
-endpoint is trusted.
+impossible in cube mode.  SAT models are certified by the scheduler
+against its own circuit (and, for isolated workers, at the worker
+boundary first), so no endpoint is trusted.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ from ..obs.context import child_context, context_of
 from ..obs.metrics import default_registry
 from ..sim.correlation import find_correlations
 from .cutter import Cube, CubeSet, CutterOptions, generate_cubes
-from .sharing import SharedKnowledge, serialize_classes
+from .sharing import (SharedKnowledge, collect_csat_lemmas,
+                      inject_csat_lemmas, serialize_classes)
 
 #: Cube statuses beyond the engine's SAT/UNSAT/UNKNOWN.
 REFUTED = "REFUTED"    # closed by the cutter's own propagation
@@ -81,9 +84,6 @@ _CLOSED = (UNSAT, REFUTED, PRUNED)
 #: owner plus one thief keeps straggler insurance without flooding the
 #: fleet with redundant solves).
 MAX_REDUNDANCY = 2
-
-#: Pool lemmas one cube payload carries back to the scheduler.
-PAYLOAD_LEMMAS = 128
 
 #: The preset of csat cube workers unless the driver picks another:
 #: explicit learning's per-worker preparation does not amortize over one
@@ -260,17 +260,14 @@ def _per_cube_limits(limits: Optional[Limits],
 
 
 class _Checkpointer:
-    """Cuts an atomic :mod:`repro.durable.checkpoint` every N completions.
-
-    ``lemmas_fn`` is installed by the conquest mode once its lemma pool
-    exists; until then checkpoints carry an empty pool (still resumable —
-    lemmas are an accelerator, not state).
-    """
+    """Cuts an atomic :mod:`repro.durable.checkpoint` every N completions,
+    carrying the scheduler's lemma pool ``knowledge``."""
 
     def __init__(self, path: str, every: int, digest: str, exact: str,
                  objectives: Sequence[int],
                  outcomes: Dict[int, CubeOutcome],
-                 depths: Dict[int, int], tracer=None):
+                 depths: Dict[int, int], knowledge: SharedKnowledge,
+                 tracer=None):
         self.path = path
         self.every = max(1, every)
         self.digest = digest
@@ -278,8 +275,8 @@ class _Checkpointer:
         self.objectives = list(objectives)
         self.outcomes = outcomes
         self.depths = depths
+        self.knowledge = knowledge
         self.tracer = tracer
-        self.lemmas_fn = lambda: []
         self.saves = 0
         self._since = 0
 
@@ -302,7 +299,8 @@ class _Checkpointer:
         checkpoint = CubeCheckpoint(
             digest=self.digest, exact=self.exact,
             objectives=self.objectives, cubes=cubes,
-            lemmas=self.lemmas_fn(), completed=closed)
+            lemmas=[list(c) for c in self.knowledge.lemmas],
+            completed=closed)
         try:
             save_checkpoint(self.path, checkpoint)
         except OSError:
@@ -316,7 +314,8 @@ class _Checkpointer:
 
 def _restore_cubes(checkpoint, outcomes: Dict[int, CubeOutcome],
                    depths: Dict[int, int], tracer=None):
-    """Rebuild the open cube set from a checkpoint.
+    """Rebuild the open cube set from a checkpoint that passed
+    ``validate_for`` (distinct int indices, a partition of literal lists).
 
     Closed cubes (UNSAT / REFUTED / PRUNED) keep their recorded
     provenance and are never re-solved; everything else — SKIPPED,
@@ -326,8 +325,8 @@ def _restore_cubes(checkpoint, outcomes: Dict[int, CubeOutcome],
     open_cubes: List[Cube] = []
     resumed = 0
     for raw in checkpoint.cubes:
-        literals = [int(l) for l in raw.get("literals") or []]
-        index = int(raw.get("index", len(outcomes)))
+        literals = list(raw["literals"])
+        index = raw["index"]
         depths[index] = int(raw.get("depth", len(literals)))
         outcome = CubeOutcome(
             index, literals, status=str(raw.get("status") or SKIPPED),
@@ -402,8 +401,8 @@ def solve_cubes(circuit: Circuit,
     """Cube-and-conquer solve of ``circuit`` under ``objectives``.
 
     ``workers >= 1`` schedules cubes over that many isolated processes;
-    ``workers == 0`` solves them sequentially on one shared in-process
-    engine (used by the differential oracle).  ``budget`` is the shared
+    ``workers == 0`` solves them in turn on one shared in-process engine
+    (used by the differential oracle).  ``budget`` is the shared
     wall-clock budget for the whole run; ``limits`` are *per-cube*
     cooperative budgets (conflicts/decisions/seconds).  ``kind`` and
     ``preset_name`` alone pick every cube's engine: ``kind="cnf"`` runs
@@ -433,18 +432,19 @@ def solve_cubes(circuit: Circuit,
     if sim_seed is not None:
         # The workers' reseed base follows the driver's simulation seed.
         options = base_options = base_options.replace(sim_seed=sim_seed)
-    endpoints = []
     if workers:
-        endpoints.append(_LocalEndpoint(
+        endpoint = _LocalEndpoint(
             workers, kind=kind, preset_name=preset_name,
             options=options, mem_limit_mb=mem_limit_mb,
             grace_seconds=grace_seconds, certify=certify,
             faults=faults or NO_FAULTS, start_method=start_method,
-            share_lemmas=share_lemmas))
+            share_lemmas=share_lemmas)
+    else:
+        endpoint = _InProcessEndpoint(base_options)
     return _conquer(
         circuit, objectives, CubeReport(result=SolverResult(status=UNKNOWN),
                                         workers=workers),
-        lambda tracer: endpoints, trace=trace,
+        lambda tracer: [endpoint], trace=trace,
         span_fields={"workers": workers}, options=base_options,
         cutter=cutter, budget=budget, limits=limits, certify=certify,
         share_lemmas=share_lemmas, max_retries=max_retries,
@@ -464,28 +464,41 @@ class EndpointDown(Exception):
 class Conquest:
     """What an endpoint sees of the conquest it serves (see ``open``).
 
-    ``knowledge`` is the scheduler's deduped lemma pool, guarded by
-    ``lock``; ``absorb(lemmas, info)`` folds lemmas into it and counts
-    them; ``stop`` is set once the run is decided or shutting down.
+    ``correlations`` are the conquest's simulation result and
+    ``classes`` their serialized form; ``stop`` is set once the run is
+    decided or shutting down.  Lemmas reach an endpoint only on its
+    dispatches.
     """
 
     def __init__(self, circuit: Circuit, objectives: List[int],
-                 knowledge: SharedKnowledge, lock: threading.Lock,
-                 stop: threading.Event,
-                 remaining: Callable[[], Optional[float]],
-                 absorb: Callable[..., int], tracer, span):
+                 correlations, classes, stop: threading.Event,
+                 remaining: Callable[[], Optional[float]], tracer, span):
         self.circuit = circuit
         self.objectives = objectives
-        self.knowledge = knowledge
-        self.lock = lock
+        self.correlations = correlations
+        self.classes = classes
         self.stop = stop
         self.remaining = remaining
-        self.absorb = absorb
         self.tracer = tracer
         self.span = span
 
 
-def run_cube(job: WorkerJob, attempt: int, pool: SharedKnowledge, *,
+def _answer_payload(result: SolverResult, certified: bool) -> Dict[str, Any]:
+    """The wire payload of one cube answer (see :func:`run_cube`)."""
+    payload: Dict[str, Any] = {
+        "status": result.status,
+        "time_seconds": round(result.time_seconds, 6),
+        "interrupted": result.interrupted,
+        "stats": result.stats.as_dict(),
+        "core": result.core,
+        "certified": certified,
+    }
+    if result.model is not None:
+        payload["model"] = {str(n): bool(v) for n, v in result.model.items()}
+    return payload
+
+
+def run_cube(job: WorkerJob, attempt: int, *,
              certify: str, grace_seconds: float, index: int, tracer,
              start_method: Optional[str],
              cancelled: Callable[[], Optional[str]]) -> Dict[str, Any]:
@@ -497,15 +510,14 @@ def run_cube(job: WorkerJob, attempt: int, pool: SharedKnowledge, *,
     simulation seed shifted, so a crash tied to the shared state is not
     replayed verbatim.  The worker runs under the hard wall limit of its
     cooperative ``max_seconds``, its answer is certified at the boundary
-    (``certify``), and whatever lemmas it exported — or flushed while
-    dying on a budget — join ``pool``.  ``cancelled()`` returns a kill
-    reason to stop the worker early.
+    (``certify``), and ``cancelled()`` returns a kill reason to stop the
+    worker early.
 
     The payload is ``{"status", "time_seconds", "interrupted", "stats",
     "core", "certified", "model"?}`` for an answer or ``{"status":
-    "FAILED", "failure"}`` for a taxonomy failure, plus
-    ``lemmas_exported`` (new to ``pool``), ``maxrss_mb`` and ``lemmas``
-    (the newest pool entries).
+    "FAILED", "failure"}`` for a taxonomy failure, plus ``maxrss_mb`` and
+    ``lemmas``: what the worker exported, or flushed while dying on a
+    budget (sound for circuit AND objectives either way).
     """
     if attempt and job.kind == KIND_CSAT:
         base_seed = (job.options or preset(job.preset_name)).sim_seed
@@ -527,30 +539,63 @@ def run_cube(job: WorkerJob, attempt: int, pool: SharedKnowledge, *,
         except (OSError, ValueError):
             break
     outcome = handle.reap(certify=certify, tracer=tracer)
-    # Sound for circuit AND objectives whether the worker finished
-    # (payload lemmas) or died on budget (salvage file).
-    exported = pool.absorb(outcome.lemmas)
     if outcome.ok:
-        result = outcome.result
-        payload: Dict[str, Any] = {
-            "status": result.status,
-            "time_seconds": round(result.time_seconds, 6),
-            "interrupted": result.interrupted,
-            "stats": result.stats.as_dict(),
-            "core": result.core,
-            "certified": certify != "off" and result.status == SAT,
-        }
-        if result.model is not None:
-            payload["model"] = {str(n): bool(v)
-                                for n, v in result.model.items()}
+        payload = _answer_payload(
+            outcome.result,
+            certify != "off" and outcome.result.status == SAT)
     else:
         payload = {"status": "FAILED",
                    "failure": outcome.failure.as_dict()}
-    payload["lemmas_exported"] = exported
     payload["maxrss_mb"] = outcome.maxrss_mb
-    # Fresh pool knowledge rides back on the result.
-    payload["lemmas"] = pool.snapshot(limit=PAYLOAD_LEMMAS)
+    payload["lemmas"] = outcome.lemmas or []
     return payload
+
+
+class _InProcessEndpoint:
+    """One engine in this process, one slot on the calling thread.
+
+    The engine persists across cubes, so its learned-clause database
+    carries everything to the next cube.  Only the first dispatch's
+    lemmas (a resumed checkpoint's pool) are injected: later snapshots
+    hold nothing but this engine's own exports.
+    """
+
+    #: Run the slot on the calling thread, where Ctrl-C lands: the
+    #: engine turns it into an interrupted UNKNOWN, which stops the run.
+    inline = True
+
+    def __init__(self, options: SolverOptions):
+        self.info = NodeInfo(url="inprocess", workers=1)
+        self.options = options
+        self.solver: Optional[CircuitSolver] = None
+        self.conquest: Optional[Conquest] = None
+
+    def open(self, conquest: Conquest) -> None:
+        self.conquest = conquest
+
+    def solve(self, cube: Cube, attempt: int,
+              lemmas: Optional[List[List[int]]],
+              limits: Optional[Limits]) -> Dict[str, Any]:
+        conquest = self.conquest
+        if self.solver is None:
+            self.solver = CircuitSolver(conquest.circuit, self.options)
+            # Skip the second simulation pass.
+            self.solver.correlations = conquest.correlations
+            if lemmas:
+                inject_csat_lemmas(self.solver.engine, lemmas)
+        result = self.solver.solve(
+            objectives=conquest.objectives + list(cube.literals),
+            limits=limits)
+        if result.interrupted:
+            conquest.stop.set()
+        payload = _answer_payload(result, certified=False)
+        # Between cubes the engine sits at decision level 0, so its root
+        # units and learned binaries hold for circuit AND objectives.
+        payload["lemmas"] = collect_csat_lemmas(self.solver.engine)
+        return payload
+
+    def close(self) -> None:
+        pass
 
 
 class _LocalEndpoint:
@@ -571,7 +616,6 @@ class _LocalEndpoint:
         self.faults = faults
         self.start_method = start_method
         self.share_lemmas = share_lemmas
-        self.pool = SharedKnowledge()
         # FaultPlan indices count spawns across all slots.
         self._spawns = itertools.count()
         self.conquest: Optional[Conquest] = None
@@ -592,12 +636,12 @@ class _LocalEndpoint:
             mem_limit_mb=self.mem_limit_mb,
             fault=self.faults.fault_for(index),
             assumptions=list(cube.literals),
-            seed_classes=(conquest.knowledge.classes
+            seed_classes=(conquest.classes
                           if self.kind == KIND_CSAT else None),
             seed_lemmas=lemmas, export_lemmas=self.share_lemmas)
         stop = conquest.stop
         payload = run_cube(
-            job, attempt, self.pool, certify=self.certify,
+            job, attempt, certify=self.certify,
             grace_seconds=self.grace_seconds, index=index,
             tracer=conquest.tracer, start_method=self.start_method,
             cancelled=lambda: "sibling-answered" if stop.is_set() else None)
@@ -631,12 +675,14 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
              checkpoint_every: int, resume_from: Optional[str],
              steal_after: float = 1.0) -> CubeReport:
     """Cut ``circuit`` and conquer the cubes on the endpoints
-    ``connect(tracer)`` returns (none: in this process, sequentially).
+    ``connect(tracer)`` returns.
 
     Endpoints provide ``info`` (a :class:`NodeInfo` whose ``workers`` is
-    the slot count), ``open(conquest)``, ``solve(cube, attempt, lemmas,
-    limits)`` returning the wire payload — or None for no answer — and
-    ``close()``.  The cube tree is sized by the endpoints' total slots.
+    the slot count), optionally ``inline`` (true: its one slot runs on
+    the calling thread, not on a slot thread), ``open(conquest)``,
+    ``solve(cube, attempt, lemmas, limits)`` returning the wire payload
+    — or None for no answer — and ``close()``.  The cube tree is sized
+    by the endpoints' total slots.
     """
     tracer = make_tracer(trace)
     # A path/file spec means we opened the sink here and must close it;
@@ -711,6 +757,12 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
         report.generation_seconds = cube_set.seconds
         report.lookaheads = cube_set.lookaheads
 
+        knowledge = SharedKnowledge()
+        if resumed_checkpoint is not None:
+            # Re-injected checkpoint pool: already counted as shared by
+            # the run that earned it, so it seeds workers without
+            # inflating this run's lemmas_shared.
+            knowledge.absorb(resumed_checkpoint.lemmas)
         checkpointer = None
         if checkpoint_path is not None:
             from ..durable.checkpoint import exact_hash
@@ -723,8 +775,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 exact = exact_hash(circuit)
             checkpointer = _Checkpointer(checkpoint_path, checkpoint_every,
                                          digest, exact, objectives,
-                                         outcomes, depths, tracer=tracer)
-        seed_pool = resumed_checkpoint.lemmas if resumed_checkpoint else None
+                                         outcomes, depths, knowledge,
+                                         tracer=tracer)
 
         def finish(result: SolverResult) -> CubeReport:
             result.engine = report.engine
@@ -755,24 +807,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
         if not cube_set.cubes:
             # Every leaf refuted during cutting: the partition is closed.
             return finish(SolverResult(status=UNSAT))
-        if not endpoints:
-            return _conquer_inprocess(
-                circuit, objectives, cube_set, options, correlations,
-                limits, deadline, outcomes, tracer, finish,
-                checkpointer=checkpointer, seed_pool=seed_pool)
 
-        knowledge = SharedKnowledge(classes=serialize_classes(correlations))
-        if seed_pool:
-            # Re-injected checkpoint pool: already counted as shared by
-            # the run that earned it, so it seeds workers without
-            # inflating this run's lemmas_shared.
-            knowledge.absorb(seed_pool)
-        if checkpointer is not None:
-            checkpointer.lemmas_fn = \
-                lambda: [list(c) for c in knowledge.lemmas]
-
-        lock = threading.Lock()
-        cv = threading.Condition(lock)
+        cv = threading.Condition(threading.Lock())
         queue: "deque[tuple]" = deque((cube, 0) for cube in cube_set.cubes)
         inflight: Dict[int, _InFlight] = {}
         applied: Dict[int, int] = {}
@@ -787,17 +823,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 return None
             return deadline - time.perf_counter()
 
-        def absorb(lemmas, info: NodeInfo) -> int:
-            if not share_lemmas or not lemmas:
-                return 0
-            with lock:
-                new = knowledge.absorb(lemmas)
-                report.lemmas_shared += new
-                info.lemmas_received += new
-            return new
-
         def drop_claim(index: int, name: str) -> bool:
-            """Remove one holder of a cube (``lock`` held); True when it
+            """Remove one holder of a cube (``cv`` held); True when it
             was the last holder of a still-open cube, now requeued."""
             entry = inflight.get(index)
             if entry is None:
@@ -878,10 +905,15 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                          payload: Dict[str, Any], seconds: float) -> None:
             """Fold one endpoint answer into the run — exactly once."""
             nonlocal win
-            absorb(payload.get("lemmas"), info)
             status = payload.get("status")
             failure = payload.get("failure")
             with cv:
+                # A duplicate's lemmas count too: they hold whoever
+                # answered.
+                new = knowledge.absorb(payload.get("lemmas")) \
+                    if share_lemmas else 0
+                report.lemmas_shared += new
+                info.lemmas_received += new
                 entry = inflight.get(cube.index)
                 outcome = outcomes[cube.index]
                 if entry is None or outcome.status != SKIPPED:
@@ -898,8 +930,7 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 outcome.attempts = max(outcome.attempts, attempt + 1)
                 outcome.seconds += seconds
                 outcome.node = info.name or None
-                outcome.lemmas_exported += int(
-                    payload.get("lemmas_exported") or 0)
+                outcome.lemmas_exported += new
                 terminal = True
                 if status == SAT:
                     model = {int(n): bool(v) for n, v
@@ -1008,10 +1039,11 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                     if task is None:
                         return
                     cube, attempt = task
-                    with lock:
+                    with cv:
                         lemmas = knowledge.snapshot() if share_lemmas \
                             else None
                         info.dispatched += 1
+                        info.lemmas_sent += len(lemmas or ())
                     if tracer is not None:
                         tracer.emit("cube_start", cube=cube.index,
                                     literals=len(cube.literals),
@@ -1039,8 +1071,9 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 with cv:
                     cv.notify_all()
 
-        conquest = Conquest(circuit, objectives, knowledge, lock, stop,
-                            remaining, absorb, tracer, span_ctx)
+        conquest = Conquest(circuit, objectives, correlations,
+                            serialize_classes(correlations), stop, remaining,
+                            tracer, span_ctx)
         threads: List[threading.Thread] = []
         try:
             for endpoint in endpoints:
@@ -1050,12 +1083,16 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 raise SolverError("no endpoint can take cubes: " + "; ".join(
                     "{} ({})".format(e.info.url, e.info.detail)
                     for e in endpoints))
+            inline = [e for e in live if getattr(e, "inline", False)]
             threads = [threading.Thread(
                 target=slot_loop, args=(endpoint,), daemon=True,
                 name="cube-{}-{}".format(endpoint.info.name or "local", slot))
-                for endpoint in live for slot in range(endpoint.info.workers)]
+                for endpoint in live if endpoint not in inline
+                for slot in range(endpoint.info.workers)]
             for thread in threads:
                 thread.start()
+            for endpoint in inline:
+                slot_loop(endpoint)
             for thread in threads:
                 thread.join()
         finally:
@@ -1083,84 +1120,6 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
     finally:
         if owns_tracer:
             tracer.close()
-
-
-# ----------------------------------------------------------------------
-# In-process conquest (workers == 0)
-# ----------------------------------------------------------------------
-
-def _conquer_inprocess(circuit, objectives, cube_set, base_options,
-                       correlations, limits, deadline, outcomes, tracer,
-                       finish, checkpointer=None,
-                       seed_pool=None) -> CubeReport:
-    """One shared engine, cubes in sequence: the learned-clause database
-    *is* the sharing bus, and core pruning works exactly as in the
-    endpoint scheduler."""
-    solver = CircuitSolver(circuit, base_options)
-    solver.correlations = correlations  # skip the second simulation pass
-    if seed_pool:
-        from .sharing import inject_csat_lemmas
-        inject_csat_lemmas(solver.engine, seed_pool)
-    if checkpointer is not None:
-        from .sharing import collect_csat_lemmas
-        # Between cubes the engine sits at decision level 0, so its root
-        # units + learned binaries are exactly the resumable pool.
-        checkpointer.lemmas_fn = lambda: collect_csat_lemmas(solver.engine)
-    merged = SolverStats()
-    sat_result: Optional[SolverResult] = None
-    unknown = False
-    pending = deque(cube_set.cubes)
-    while pending:
-        cube = pending.popleft()
-        outcome = outcomes[cube.index]
-        if outcome.status == PRUNED:
-            continue
-        remaining = (deadline - time.perf_counter()
-                     if deadline is not None else None)
-        if remaining is not None and remaining <= 0:
-            unknown = True
-            break
-        if tracer is not None:
-            tracer.emit("cube_start", cube=cube.index,
-                        literals=len(cube.literals), attempt=0, inprocess=True)
-        result = solver.solve(objectives=objectives + list(cube.literals),
-                              limits=_per_cube_limits(limits, remaining))
-        outcome.seconds = result.time_seconds
-        outcome.attempts = 1
-        outcome.status = result.status
-        merged.merge(result.stats)
-        if tracer is not None:
-            tracer.emit("cube_result", cube=cube.index, status=result.status,
-                        seconds=round(result.time_seconds, 6),
-                        core=len(result.core) if result.core else None)
-        if checkpointer is not None:
-            checkpointer.completed()
-        if result.status == SAT:
-            sat_result = result
-            break
-        if result.status == UNKNOWN:
-            unknown = True
-            if result.interrupted:
-                break
-            continue
-        core_cube = core_cube_literals(result.core, cube.literals)
-        outcome.core_size = None if core_cube is None else len(core_cube)
-        if core_cube is not None:
-            if not core_cube:
-                # Refutation independent of this cube: instance UNSAT.
-                for other in pending:
-                    _mark_pruned(outcomes[other.index], cube.index, tracer)
-                pending.clear()
-                break
-            for other in list(pending):
-                if prunes(core_cube, other.literals):
-                    _mark_pruned(outcomes[other.index], cube.index, tracer)
-    if sat_result is not None:
-        sat_result.stats = merged
-        return finish(sat_result)
-    if unknown or any(o.status not in _CLOSED for o in outcomes.values()):
-        return finish(SolverResult(status=UNKNOWN, stats=merged))
-    return finish(SolverResult(status=UNSAT, stats=merged))
 
 
 def _mark_pruned(outcome: CubeOutcome, by: int, tracer) -> None:

@@ -75,14 +75,13 @@ def deserialize_classes(classes) -> CorrelationSet:
 
 
 class SharedKnowledge:
-    """The conquer driver's accumulator: dedups lemmas across finishers.
+    """A conquest's one lemma pool: dedups lemmas across finishers.
 
     Safe to share between threads: ``lemmas`` only ever grows by
     appending, so readers may slice it while another thread absorbs.
     """
 
-    def __init__(self, classes=None):
-        self.classes = classes
+    def __init__(self):
         self.lemmas: List[List[int]] = []
         self._seen = set()
         self._lock = threading.Lock()

@@ -13,19 +13,22 @@ exactly as adding local workers would.
 What a remote endpoint adds to the shared loop:
 
 * **Fabric** — each node is probed for its role and worker count before
-  the cut, and the circuit is registered on it after (exact-hash
-  checked: cube literals must mean the same node numbering on both
-  sides).
+  the cut, and the circuit and objectives are registered on it after.
+  The node's key must equal :func:`~repro.dist.node.registration_key`
+  of the coordinator's own circuit and objectives: cube literals must
+  mean the same node numbering on both sides, under the same
+  objectives.
 * **Dispatch** — a slot POSTs its cube with the scheduler's lemma
-  snapshot and long-polls for the result, under an idempotency key that
-  a work-stealing re-issue shares.  Every result carries the node's
-  lemma pool back; a periodic ``/exchange`` heartbeat covers idle
-  nodes.
+  snapshot and long-polls for the result, under an idempotency key
+  that names the registration and the cube's literals, so a
+  work-stealing re-issue or a resumed conquest's re-dispatch shares it.
+  Every result carries its worker's exported lemmas back to the
+  scheduler's one pool.
 * **Node death** — a transport failure after the client's retry budget
   marks the node dead, and the scheduler reassigns its in-flight cubes
-  to the survivors; its salvaged lemmas — anything it pushed before
-  dying — stay in the pool.  A restarted (amnesiac) node is registered
-  again and the cube requeued.
+  to the survivors; the lemmas its results brought back stay in the
+  pool.  A restarted (amnesiac) node is registered again and the cube
+  requeued.
 * **Certification** — SAT models are certified on the node boundary
   *and* re-certified by the scheduler against the coordinator's own
   circuit, so answers are trusted end-to-end without trusting any node.
@@ -33,7 +36,7 @@ What a remote endpoint adds to the shared loop:
 
 from __future__ import annotations
 
-import threading
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
@@ -44,13 +47,13 @@ from ..cube.conquer import (CUBE_PRESET, Conquest, CubeReport,
                             EndpointDown, NodeInfo, _conquer,
                             validate_cube_args)
 from ..cube.cutter import Cube, CutterOptions
-from ..durable.checkpoint import exact_hash
 from ..errors import SolverError
 from ..obs.metrics import default_registry
 from ..result import Limits, SolverResult, UNKNOWN
 from ..runtime.supervisor import CERTIFY_SAT
 from ..runtime.worker import KIND_CSAT
 from ..serve.client import ServeClient, ServeError
+from .node import registration_key
 
 
 @dataclass
@@ -111,24 +114,18 @@ class DistReport(CubeReport):
 
 
 class _RemoteEndpoint:
-    """One conquer node: probe, register, dispatch, poll and exchange."""
+    """One conquer node: probe, register, dispatch and poll."""
 
     def __init__(self, client: ServeClient, *, kind: str, preset_name: str,
-                 share_lemmas: bool, exchange_every: float,
                  poll_seconds: float, label: str):
         self.info = NodeInfo(url=client.url)
         self.client = client
         self.kind = kind
         self.preset_name = preset_name
-        self.share_lemmas = share_lemmas
-        self.exchange_every = exchange_every
         self.poll_seconds = poll_seconds
         self.label = label
-        self.cursor = 0       # how much of the node pool we have pulled
-        self.sent = 0         # how much of our pool we have pushed
-        self.key = ""         # the circuit's exact hash, once open
+        self.key = ""         # the registration key, once open
         self.conquest: Optional[Conquest] = None
-        self._heartbeat: Optional[threading.Thread] = None
 
     def probe(self) -> None:
         """Learn the node's name and worker count (or mark it dead)."""
@@ -148,12 +145,8 @@ class _RemoteEndpoint:
 
     def open(self, conquest: Conquest) -> None:
         self.conquest = conquest
-        self.key = exact_hash(conquest.circuit)
-        if self.register():
-            self._heartbeat = threading.Thread(
-                target=self._exchange_loop, daemon=True,
-                name="dist-exchange-{}".format(self.info.name))
-            self._heartbeat.start()
+        self.key = registration_key(conquest.circuit, conquest.objectives)
+        self.register()
 
     def register(self) -> bool:
         conquest = self.conquest
@@ -161,16 +154,16 @@ class _RemoteEndpoint:
             reply = self.client.call("POST", "/circuit", body={
                 "circuit": write_bench(conquest.circuit), "format": "bench",
                 "objectives": conquest.objectives,
-                "classes": conquest.knowledge.classes, "label": self.label})
+                "classes": conquest.classes, "label": self.label})
         except ServeError as exc:
             self.info.alive = False
             self.info.detail = "register failed: {}".format(exc)
             return False
         if reply.get("key") != self.key:
             self.info.alive = False
-            self.info.detail = ("circuit hash mismatch after transfer "
-                                "({} != {})".format(reply.get("key"),
-                                                    self.key))
+            self.info.detail = ("registration key mismatch after "
+                                "transfer ({} != {})".format(
+                                    reply.get("key"), self.key))
             return False
         return True
 
@@ -189,7 +182,9 @@ class _RemoteEndpoint:
             fields.update(name="dispatch", node=self.info.name,
                           cube=cube.index, attempt=attempt)
             tracer.emit("span_start", **fields)
-        key = "cube-{}-{}-a{}".format(self.key[:12], cube.index, attempt)
+        digest = hashlib.blake2b(",".join(map(str, cube.literals)).encode(),
+                                 digest_size=8).hexdigest()
+        key = "cube-{}-{}-a{}".format(self.key, digest, attempt)
         body: Dict[str, Any] = {
             "key": self.key, "cube": list(cube.literals), "attempt": attempt,
             "idempotency_key": key, "wait": self.poll_seconds,
@@ -201,8 +196,6 @@ class _RemoteEndpoint:
                               "max_decisions": limits.max_decisions}
         if lemmas is not None:
             body["lemmas"] = lemmas
-            with conquest.lock:
-                self.info.lemmas_sent += len(lemmas)
         if span is not None:
             body["trace_id"] = span.trace_id
             body["parent_span"] = span.span_id
@@ -242,41 +235,8 @@ class _RemoteEndpoint:
             if span is not None:
                 tracer.emit("span_end", span=span.span_id, status=status)
 
-    def _exchange_loop(self) -> None:
-        """Heartbeat: push fresh pool entries, pull the node's."""
-        conquest = self.conquest
-        while not conquest.stop.wait(self.exchange_every):
-            if not self.info.alive:
-                return
-            with conquest.lock:
-                lemmas = conquest.knowledge.lemmas
-                batch = ([list(c) for c in lemmas[self.sent:]]
-                         if self.share_lemmas else [])
-                sent_cursor = len(lemmas)
-            try:
-                reply = self.client.call(
-                    "POST", "/exchange",
-                    body={"key": self.key, "lemmas": batch,
-                          "since": self.cursor},
-                    retries=0, timeout=min(10.0, self.client.timeout))
-            except ServeError:
-                continue  # the dispatch path decides liveness
-            self.sent = sent_cursor
-            with conquest.lock:
-                self.info.lemmas_sent += len(batch)
-            self.cursor = int(reply.get("next") or self.cursor)
-            conquest.absorb(reply.get("lemmas"), self.info)
-            registry = default_registry()
-            if registry is not None and batch:
-                registry.counter(
-                    "repro_dist_lemmas_exchanged_total",
-                    "Lemmas sent to conquer nodes by the heartbeat",
-                    labelnames=("direction",)).labels("sent").inc(
-                        len(batch))
-
     def close(self) -> None:
-        if self._heartbeat is not None:
-            self._heartbeat.join(self.exchange_every + 1.0)
+        pass
 
 
 def solve_distributed(circuit: Circuit,
@@ -290,7 +250,6 @@ def solve_distributed(circuit: Circuit,
                       limits: Optional[Limits] = None,
                       certify: str = CERTIFY_SAT,
                       share_lemmas: bool = True,
-                      exchange_every: float = 1.0,
                       steal_after: float = 1.0,
                       max_retries: int = 1,
                       sim_seed: Optional[int] = None,
@@ -321,9 +280,8 @@ def solve_distributed(circuit: Circuit,
     endpoints = [_RemoteEndpoint(
         ServeClient.from_url(url, timeout=client_timeout,
                              retries=client_retries),
-        kind=kind, preset_name=preset_name,
-        share_lemmas=share_lemmas, exchange_every=exchange_every,
-        poll_seconds=poll_seconds, label=label) for url in nodes]
+        kind=kind, preset_name=preset_name, poll_seconds=poll_seconds,
+        label=label) for url in nodes]
     if not endpoints:
         raise SolverError("distributed solve needs at least one node URL")
     report = DistReport(result=SolverResult(status=UNKNOWN),

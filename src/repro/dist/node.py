@@ -14,60 +14,59 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
     Prometheus-style exposition of the node's registry.
 ``POST /circuit``
     Register a circuit once: ``{"circuit": <text>, "objectives": [...],
-    "classes": [...]}``.  Responds ``{"key": <exact-hash>}``; every
-    later ``/conquer`` references the key, so cube dispatches stay tiny.
-    ``objectives`` (the circuit's outputs when absent) and ``classes``
-    (correlation classes of ``[node, phase]`` pairs) are checked against
-    the parsed circuit before anything is registered.
-    The key is the **exact** structural hash (node numbering included) —
-    the coordinator compares it against its own circuit's hash, which
-    guarantees that cube literals mean the same nodes on both sides.
+    "classes": [...]}``.  Responds ``{"key": <registration key>}``;
+    every later ``/conquer`` references the key, so cube dispatches stay
+    tiny.  ``objectives`` (the circuit's outputs when absent) and
+    ``classes`` (correlation classes of ``[node, phase]`` pairs) are
+    checked against the parsed circuit before anything is registered.
+    The key (:func:`registration_key`) covers the **exact** structural
+    hash (node numbering included) and the objectives — the coordinator
+    compares it against its own, which guarantees that cube literals
+    mean the same nodes on both sides, under the same objectives.
 ``POST /conquer``
     Solve one cube: ``{"key": ..., "cube": [literals], "attempt": n,
     "idempotency_key": ..., "limits": {...}, "lemmas": [...],
     "kind": ..., "preset": ..., "wait": seconds}``.  ``kind`` and
     ``preset`` pick the worker's engine (default: the cube-worker
     defaults, ``csat`` and :data:`~repro.cube.conquer.CUBE_PRESET`); a
-    node holds no engine setting of its own.  Responds with the job
+    node holds no engine setting of its own.  ``lemmas`` seed the
+    worker, which is seeded with nothing else.  Responds with the job
     snapshot; with ``wait`` the snapshot usually carries the final
-    result already.  A re-issued cube under the same idempotency key
-    maps onto the existing job — the work-stealing coordinator leans on
-    this.
+    result already, and the result carries the lemmas the worker
+    exported.  A re-issue under the same idempotency key maps onto the
+    existing job when it names the same registration and cube literals
+    — the work-stealing coordinator leans on this — and anything else
+    under a known key is a 409 ``key-conflict``, with nothing queued.
 ``GET /result/<job>?wait=<seconds>``
     Poll or block for a cube job's snapshot.
-``POST /exchange``
-    Heartbeat + lemma swap: absorb the caller's lemma batch into the
-    pool, return the pool entries the caller has not seen
-    (``since``-indexed).  The pool is append-only and deduped
-    (:class:`repro.cube.sharing.SharedKnowledge`), so index cursors are
-    stable.
 ``POST /shutdown``
     Drain (finish queued cubes) or cancel (kill in-flight workers).
 
 Soundness: shared lemmas are consequences of ``circuit AND objectives``
-only — they are absorbed into the per-circuit pool and seeded into every
-worker regardless of which cube it solves.  Cube literals and lemma
-batches are checked against the registered circuit before anything is
-queued or absorbed, so a malformed request is a 400 and never reaches
-the pool.  SAT models are re-certified at the worker boundary
-(``certify="sat"``); the coordinator certifies them *again* on arrival,
-so a corrupted node cannot smuggle a wrong answer into the fabric.
+only, so the lemmas a dispatch carries are valid whichever cube it
+solves.  Cube literals and lemma batches are checked against the
+registered circuit before anything is queued, so a malformed request is
+a 400 and never reaches a worker.  SAT models are re-certified at the
+worker boundary (``certify="sat"``); the coordinator certifies them
+*again* on arrival, so a corrupted node cannot smuggle a wrong answer
+into the fabric.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 import uuid
 from collections import deque
 from http.server import ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import preset
 from ..cube.conquer import CUBE_PRESET, run_cube
-from ..cube.sharing import SharedKnowledge, literals_ok
+from ..cube.sharing import literals_ok
 from ..durable.checkpoint import exact_hash
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.context import SpanContext
@@ -109,8 +108,19 @@ class _SpanTracer:
         pass  # the sink belongs to the node, not the job
 
 
+def registration_key(circuit, objectives: Sequence[int]) -> str:
+    """The key a node files a registration under: the circuit's exact
+    hash (node numbering included) and the objectives.  Cube answers and
+    shared lemmas hold only for circuit AND objectives, so two conquests
+    of one circuit under other objectives never share a job."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(exact_hash(circuit).encode())
+    h.update("|{}".format(",".join(map(str, objectives))).encode())
+    return h.hexdigest()
+
+
 class _Registration:
-    """One registered circuit + everything cube solves on it share."""
+    """One registered circuit and objectives."""
 
     def __init__(self, key: str, circuit, objectives: List[int],
                  classes, label: str):
@@ -119,14 +129,6 @@ class _Registration:
         self.objectives = objectives
         self.classes = classes  # serialized correlation classes (or None)
         self.label = label
-        self.pool = SharedKnowledge(classes=classes)
-
-    def snapshot_since(self, since: int,
-                       cap: int = 512) -> Tuple[List[List[int]], int]:
-        """Pool entries past the caller's cursor (append-only indexing)."""
-        since = max(0, min(since, len(self.pool.lemmas)))
-        fresh = [list(c) for c in self.pool.lemmas[since:since + cap]]
-        return fresh, since + len(fresh)
 
 
 class NodeJob:
@@ -134,7 +136,7 @@ class NodeJob:
 
     def __init__(self, reg: _Registration, cube: List[int], attempt: int,
                  idempotency_key: Optional[str],
-                 limits: Optional[Limits],
+                 limits: Optional[Limits], lemmas,
                  kind: str, preset_name: str,
                  trace_id: Optional[str], parent_span: Optional[str]):
         self.id = uuid.uuid4().hex[:12]
@@ -143,6 +145,7 @@ class NodeJob:
         self.attempt = attempt
         self.key = idempotency_key
         self.limits = limits
+        self.lemmas = lemmas    # the dispatch's seed lemmas (or None)
         self.kind = kind
         self.preset_name = preset_name
         self.trace_id = trace_id
@@ -284,7 +287,8 @@ class ConquerNode:
     def register(self, text: str, fmt: Optional[str],
                  objectives: Optional[List[int]], classes,
                  label: str) -> _Registration:
-        """Parse + register a circuit; idempotent on the exact hash.
+        """Parse + register a circuit; idempotent on the registration
+        key (:func:`registration_key`).
 
         Raises :class:`AdmissionRejected` when ``objectives`` or
         ``classes`` do not name the parsed circuit's literals and nodes.
@@ -294,18 +298,17 @@ class ConquerNode:
             raise AdmissionRejected("bad-request", _BAD_OBJECTIVES, 400)
         if not _classes_ok(classes, circuit.num_nodes):
             raise AdmissionRejected("bad-request", _BAD_CLASSES, 400)
-        key = exact_hash(circuit)
         objs = list(objectives) if objectives is not None \
             else list(circuit.outputs)
         if not objs:
             raise SolverError("circuit has no outputs and no objectives "
                               "were given")
+        key = registration_key(circuit, objs)
         with self._lock:
             reg = self._registrations.get(key)
-            if reg is not None and reg.objectives == objs:
+            if reg is not None:
                 if classes and not reg.classes:
                     reg.classes = classes
-                    reg.pool.classes = classes
                 return reg
             reg = _Registration(key, circuit, objs, classes, label)
             self._registrations[key] = reg
@@ -321,29 +324,33 @@ class ConquerNode:
 
         The idempotency map makes re-issues (work stealing, client
         retries after ambiguous failures) land on the existing job
-        instead of solving the cube twice on this node.
+        instead of solving the cube twice on this node — but only a
+        re-issue of the same cube under the same registration: a known
+        key naming anything else raises a ``key-conflict``.
         """
-        if lemmas:
-            # Piggybacked exchange: the dispatch carries the
-            # coordinator's pool; absorb before the worker snapshots it.
-            reg.pool.absorb(lemmas)
         job = existing = reject = None
         # _count() takes the same (non-reentrant) lock the condition
         # wraps, so bookkeeping happens after the critical section.
         with self._cv:
             if idempotency_key:
                 existing = self._by_key.get(idempotency_key)
-            if existing is None:
+            if existing is not None and (existing.reg.key != reg.key
+                                         or existing.cube != cube):
+                reject = ("key-conflict", "idempotency key {!r} names "
+                          "another cube or registration".format(
+                              idempotency_key), 409)
+                existing = None
+            elif existing is None:
                 if self._draining:
-                    reject = ("draining", "node is shutting down")
+                    reject = ("draining", "node is shutting down", 503)
                 elif len(self._queue) + self._running >= self.max_queue:
                     reject = ("queue-full",
                               "queue depth {} at capacity".format(
-                                  self.max_queue))
+                                  self.max_queue), 503)
                 else:
                     job = NodeJob(reg, cube, attempt, idempotency_key,
-                                  limits, kind, preset_name, trace_id,
-                                  parent_span)
+                                  limits, lemmas, kind, preset_name,
+                                  trace_id, parent_span)
                     self._jobs[job.id] = job
                     if idempotency_key:
                         self._by_key[idempotency_key] = job
@@ -355,7 +362,7 @@ class ConquerNode:
         if reject is not None:
             if reject[0] == "queue-full":
                 self._count("rejected")
-            raise AdmissionRejected(reject[0], reject[1], 503)
+            raise AdmissionRejected(*reject)
         self._count("accepted")
         return job, False
 
@@ -400,6 +407,8 @@ class ConquerNode:
 
     def _build_worker_job(self, job: NodeJob) -> WorkerJob:
         reg = job.reg
+        # The job table outlives the solve; the seeds need not.
+        seeds, job.lemmas = job.lemmas, None
         return WorkerJob(
             circuit=reg.circuit,
             name="cube@{}".format(self.name),
@@ -408,7 +417,7 @@ class ConquerNode:
             limits=job.limits, mem_limit_mb=self.mem_limit_mb,
             assumptions=list(job.cube),
             seed_classes=reg.classes if job.kind == KIND_CSAT else None,
-            seed_lemmas=reg.pool.snapshot(),
+            seed_lemmas=seeds,
             export_lemmas=True)
 
     def _run_job(self, job: NodeJob) -> None:
@@ -427,17 +436,12 @@ class ConquerNode:
             self._spawned += 1
         started = time.perf_counter()
         payload = run_cube(
-            self._build_worker_job(job), job.attempt, job.reg.pool,
+            self._build_worker_job(job), job.attempt,
             certify=self.certify, grace_seconds=self.grace_seconds,
             index=index, tracer=tracer, start_method=self.start_method,
             cancelled=lambda: ("node-shutdown" if self._stop_now.is_set()
                                else None))
         job.seconds = time.perf_counter() - started
-        if payload["lemmas_exported"]:
-            self._metric_counter(
-                "repro_dist_node_lemmas_total",
-                "Lemmas absorbed into the node pool",
-                ("source",)).labels("worker").inc(payload["lemmas_exported"])
         status = payload["status"]
         if status == "FAILED":
             status = payload["failure"]["kind"]
@@ -464,8 +468,6 @@ class ConquerNode:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             done = sum(1 for j in self._jobs.values() if j.state == DONE)
-            pools = {key: len(reg.pool.lemmas)
-                     for key, reg in self._registrations.items()}
             return {
                 "name": self.name,
                 "role": "conquer-node",
@@ -475,7 +477,6 @@ class ConquerNode:
                 "done": done,
                 "jobs": len(self._jobs),
                 "circuits": len(self._registrations),
-                "lemma_pools": pools,
                 "counts": dict(self._counts),
                 "draining": self._draining,
             }
@@ -554,8 +555,6 @@ class _NodeHandler(JsonHandler):
             self._post_circuit(body)
         elif path == "/conquer":
             self._post_conquer(body)
-        elif path == "/exchange":
-            self._post_exchange(body)
         else:
             return False
         return True
@@ -644,33 +643,3 @@ class _NodeHandler(JsonHandler):
         snap = job.snapshot()
         snap["deduped"] = deduped
         self._send_json(200, snap)
-
-    def _post_exchange(self, body: Dict[str, Any]) -> None:
-        node = self.service
-        reg = node.registration(str(body.get("key") or ""))
-        if reg is None:
-            self._error(400, "unknown-circuit",
-                        "no circuit registered under that key")
-            return
-        lemmas = body.get("lemmas")
-        if not _lemmas_ok(lemmas, reg.circuit.num_nodes):
-            self._error(400, "bad-request", _BAD_LEMMAS)
-            return
-        try:
-            since = max(0, int(body.get("since") or 0))
-        except (TypeError, ValueError):
-            self._error(400, "bad-request", "since must be an integer")
-            return
-        absorbed = reg.pool.absorb(lemmas)
-        if absorbed:
-            node._metric_counter(
-                "repro_dist_node_lemmas_total",
-                "Lemmas absorbed into the node pool",
-                ("source",)).labels("exchange").inc(absorbed)
-        fresh, cursor = reg.snapshot_since(since)
-        stats = node.stats()
-        self._send_json(200, {"ok": True, "lemmas": fresh, "next": cursor,
-                              "pool": stats["lemma_pools"].get(reg.key, 0),
-                              "absorbed": absorbed,
-                              "queued": stats["queued"],
-                              "running": stats["running"]})

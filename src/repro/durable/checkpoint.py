@@ -29,7 +29,10 @@ to its wire input), and every objective an int.  A record written
 through :func:`save_checkpoint` passes its checksum whatever it holds,
 and one out-of-range literal in the pool would crash every resumed
 worker.  The load keeps the literals as read, so a ``"5"`` or ``5.7`` is
-refused rather than read as the literal 5.
+refused rather than read as the literal 5.  Last, the cubes must carry
+distinct int indices and be exactly the leaves of the cutter's split
+tree (the refuted ones included): a repeated index or a missing leaf
+would resume to UNSAT without refuting the whole search space.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, FrozenSet, List, Sequence
 
 from ..circuit.netlist import Circuit
 from ..errors import ReproError
@@ -96,8 +99,9 @@ class CubeCheckpoint:
 
     def validate_for(self, circuit: Circuit,
                      objectives: Sequence[int]) -> None:
-        """Refuse to resume against the wrong circuit or objectives, or
-        a record holding a literal that circuit does not have."""
+        """Refuse to resume against the wrong circuit or objectives, a
+        record holding a literal that circuit does not have, or cubes
+        that do not partition the search space."""
         if self.version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 "checkpoint has version {}; this build reads version {} — "
@@ -139,6 +143,43 @@ class CubeCheckpoint:
                     "checkpoint cube literals {!r} are not a list of this "
                     "circuit's literals (ints in [2, {}))".format(
                         literals, bound))
+        indices = [raw.get("index") if isinstance(raw, dict) else None
+                   for raw in self.cubes]
+        if any(type(i) is not int for i in indices) \
+                or len(set(indices)) != len(indices):
+            raise CheckpointError(
+                "checkpoint cube indices {!r} are not distinct ints; a "
+                "repeated index would overwrite one cube's outcome with "
+                "another's".format(indices))
+        leaves = [frozenset(raw["literals"]) for raw in self.cubes]
+        if any(len(leaf) != len(raw["literals"])
+               for leaf, raw in zip(leaves, self.cubes)) \
+                or not _split_tree_leaves(leaves):
+            raise CheckpointError(
+                "checkpoint cubes are not the leaves of one split tree "
+                "rooted at the empty cube, so they do not partition the "
+                "search space; a missing cube would never be solved")
+
+
+def _split_tree_leaves(cubes: List[FrozenSet[int]]) -> bool:
+    """True when ``cubes`` are exactly the leaves of one binary split
+    tree rooted at the empty cube, each inner node splitting on one
+    circuit node into both polarities: a partition of the search space.
+
+    The root's node is in every leaf, and any node that is in every leaf
+    may be split first (restricting a split tree to one polarity of a
+    node leaves a split tree), so the check recurses on the smallest.
+    """
+    if len(cubes) <= 1:
+        return cubes == [frozenset()]
+    common = set.intersection(*({lit >> 1 for lit in c} for c in cubes))
+    if not common:
+        return False
+    node = min(common)
+    pos = [c - {2 * node} for c in cubes if 2 * node in c]
+    neg = [c - {2 * node + 1} for c in cubes if 2 * node + 1 in c]
+    return (len(pos) + len(neg) == len(cubes) and _split_tree_leaves(pos)
+            and _split_tree_leaves(neg))
 
 
 def save_checkpoint(path: str, checkpoint: CubeCheckpoint) -> None:

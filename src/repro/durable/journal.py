@@ -22,15 +22,20 @@ never misread), then one checksummed record per line:
 ``{"kind": "cancelled", "key": ...}``
     The job was cancelled at shutdown; terminal, never re-admitted.
 
+An ``admitted`` record after its key's terminal record (a client
+re-submitting a finished or cancelled key to a restarted server) makes
+the key pending again.
+
 Durability contract: every append is fsynced, and ``finished`` records
 are appended before the job's result is published to any client, so
 every *served* answer survives a crash.  Replay (:func:`replay_journal`)
 is a pure read keyed on the idempotency key — running it twice yields
 the same state — and drops damaged lines with a count.
 
-Compaction keeps the live view: pending ``admitted`` records, every
-finished job's ``admitted`` and ``finished`` records, and every
-``cancelled`` one.  That view grows with every job the server finishes,
+Compaction keeps the live view: every finished job's ``admitted`` and
+``finished`` records, every ``cancelled`` one, then the pending
+``admitted`` records, after the terminal ones so that a re-admitted key
+stays pending.  That view grows with every job the server finishes,
 so the journal is bounded by the jobs of the server's lifetime (at most
 twice the live view plus ``COMPACT_FLOOR`` records), not by its working
 set.
@@ -135,10 +140,10 @@ class ReplayState:
 
     #: key -> finished record (the latest one; re-finishes must agree).
     finished: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: key -> cancelled record (terminal, never re-admitted).
+    #: key -> cancelled record (terminal for that admission).
     cancelled: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: key -> admitted record for jobs with no terminal record yet —
-    #: these are re-admitted on boot.
+    #: key -> admitted record for jobs with no terminal record since
+    #: their last admission — these are re-admitted on boot.
     pending: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: key -> admitted record for *every* admitted job (terminal or not).
     admitted: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -146,17 +151,16 @@ class ReplayState:
     skipped: int = 0
 
     def live_records(self) -> List[Dict[str, Any]]:
-        """The compacted journal body equivalent to this state."""
+        """The compacted journal body equivalent to this state; terminal
+        records come first, so a key admitted again stays pending."""
         live: List[Dict[str, Any]] = []
-        for key, record in self.pending.items():
-            live.append(record)
         for key, record in self.finished.items():
             admitted = self.admitted.get(key)
             if admitted is not None:
                 live.append(admitted)
             live.append(record)
-        for key, record in self.cancelled.items():
-            live.append(record)
+        live.extend(self.cancelled.values())
+        live.extend(self.pending.values())
         return live
 
 
@@ -173,8 +177,7 @@ def replay_journal(path: str,
         kind = record["kind"]
         if kind == KIND_ADMITTED:
             state.admitted[key] = record
-            if key not in state.finished and key not in state.cancelled:
-                state.pending[key] = record
+            state.pending[key] = record
         elif kind == KIND_FINISHED:
             state.finished[key] = record
             state.pending.pop(key, None)

@@ -184,7 +184,7 @@ class ServeClient:
         """Generic protocol request under the full retry/deadline policy.
 
         The distributed conquer fabric (:mod:`repro.dist`) drives its
-        node endpoints (``/circuit``, ``/conquer``, ``/exchange``)
+        node endpoints (``/circuit``, ``/conquer``, ``/result``)
         through this, inheriting the same hardening as ``submit``.
         ``deadline`` is absolute ``time.monotonic()`` seconds.
         """

@@ -350,3 +350,47 @@ def test_cube_trace_events(tmp_path):
              for line in trace.read_text().splitlines()}
     assert {"cube_generated", "cube_start", "cube_result",
             "cube_end"} <= kinds
+
+
+def test_ctrl_c_stops_in_process_cubes_promptly():
+    """The in-process slot runs on the calling thread, so SIGINT reaches
+    the search: the run ends at once with an UNKNOWN report."""
+    import os
+    import select
+    import signal
+    import subprocess
+    import sys
+    import time
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    # A terminal as the trace sink is line-buffered, so each event
+    # arrives as it is written.
+    master, slave = os.openpty()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "solve", "--instance",
+         "mult6.arith", "--workers", "0", "--budget", "120",
+         "--trace", os.ttyname(slave)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        seen = b""
+        deadline = time.monotonic() + 60.0
+        while b"cube_start" not in seen:
+            left = deadline - time.monotonic()
+            ready, _, _ = select.select([master], [], [], max(0.0, left))
+            assert ready, "no cube started within 60s"
+            seen += os.read(master, 4096)
+        time.sleep(0.3)   # into the search (mult6's first cube takes ~2s)
+        proc.send_signal(signal.SIGINT)
+        signalled = time.monotonic()
+        out, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - signalled
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        os.close(master)
+        os.close(slave)
+    assert proc.returncode == 0, err.decode()
+    assert b"mult6.arith: UNKNOWN" in out
+    assert elapsed < 5.0

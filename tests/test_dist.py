@@ -3,8 +3,9 @@
 The fabric's contract under test:
 
 * a conquer node is idempotent at every boundary (circuit registration
-  keys on the exact structural hash; cube re-issues under one
-  idempotency key map onto one job),
+  keys on the exact structural hash and the objectives; cube re-issues
+  under one idempotency key map onto one job, and a key naming another
+  cube or registration is a 409),
 * the coordinator applies each cube result exactly once — steals and
   node deaths produce discarded duplicates, never double counting,
 * answers are certified on the coordinator against its own circuit, and
@@ -22,18 +23,30 @@ from repro.core.solver import CircuitSolver
 from repro.cube import CutterOptions, generate_cubes
 from repro.cube.conquer import _CLOSED
 from repro.dist import ConquerNode, solve_distributed
-from repro.durable.checkpoint import exact_hash
+from repro.dist.node import registration_key
 from repro.errors import SolverError
 from repro.gen.arith import array_multiplier, csa_multiplier
 from repro.serve.client import ServeClient, ServeError
 from repro.verify.certify import certify_sat_model
-from repro.circuit.bench_io import write_bench
+from repro.circuit.bench_io import read_bench, write_bench
+from repro.circuit.netlist import Circuit
 
 from conftest import build_random_circuit
 
 
 def small_miter(width: int = 3):
     return miter(array_multiplier(width), csa_multiplier(width))
+
+
+def one_point_bug_miter():
+    """A 4x4 array-vs-CSA multiplier miter, SAT at exactly one point: the
+    CSA's product bit 0 flips when the 8 inputs spell 2."""
+    csa = csa_multiplier(4)
+    point = csa.and_many([2 * node ^ (i != 1)
+                          for i, node in enumerate(csa.inputs)])
+    csa.outputs[0] = csa.xor_(csa.outputs[0], point)
+    # Round-tripped through bench, so the node numbers it the same way.
+    return read_bench(write_bench(miter(array_multiplier(4), csa)))
 
 
 def sat_circuit():
@@ -87,7 +100,7 @@ class TestConquerNode:
         circuit = small_miter(3)
         client = client_for(node)
         first = register(client, circuit)
-        assert first["key"] == exact_hash(circuit)
+        assert first["key"] == registration_key(circuit, circuit.outputs)
         # Idempotent: the same circuit re-registers onto one entry.
         assert register(client, circuit)["key"] == first["key"]
         assert client.status()["node"]["circuits"] == 1
@@ -122,29 +135,55 @@ class TestConquerNode:
         assert second["deduped"] is True
         assert not first["deduped"]
 
+    def test_idempotency_key_naming_another_cube_is_a_409(self, node):
+        circuit = small_miter(3)
+        client = client_for(node)
+        key = register(client, circuit)["key"]
+        cubes = generate_cubes(circuit,
+                               options=CutterOptions(max_cubes=4)).cubes
+        first = client.call("POST", "/conquer", body={
+            "key": key, "cube": list(cubes[0].literals),
+            "idempotency_key": "cube-k", "wait": 60})
+        # The same circuit under other objectives is another registration.
+        other = register(client, circuit,
+                         objectives=list(circuit.outputs) + [2])["key"]
+        for body in ({"key": key, "cube": list(cubes[1].literals)},
+                     {"key": other, "cube": list(cubes[0].literals)}):
+            with pytest.raises(ServeError) as info:
+                client.call("POST", "/conquer", retries=0, body=dict(
+                    body, idempotency_key="cube-k", wait=60))
+            assert (info.value.status, info.value.code) == \
+                (409, "key-conflict")
+        assert client.status()["node"]["jobs"] == 1
+        # The cube the key names still dedups onto its job.
+        again = client.call("POST", "/conquer", body={
+            "key": key, "cube": list(cubes[0].literals),
+            "idempotency_key": "cube-k"})
+        assert again["job"] == first["job"] and again["deduped"]
+
+    def test_registration_keeps_its_own_objectives(self, node):
+        circuit = Circuit("two-outputs")
+        a, b = circuit.add_input("a"), circuit.add_input("b")
+        both = circuit.add_and(a, b)
+        circuit.add_output(both, "ab")
+        circuit.add_output(circuit.add_and(a, b ^ 1), "anb")
+        client = client_for(node)
+        key = register(client, circuit, objectives=[both])["key"]
+        # A second conquest of the same circuit under other objectives
+        # must not replace the first one's registration.
+        other = register(client, circuit,
+                         objectives=list(circuit.outputs))["key"]
+        snap = client.call("POST", "/conquer",
+                           body={"key": key, "cube": [], "wait": 60})
+        assert snap["result"]["status"] == SAT   # a AND b alone is SAT
+        assert key == registration_key(circuit, [both]) != other
+
     def test_unknown_circuit_is_a_structured_400(self, node):
         with pytest.raises(ServeError) as info:
             client_for(node).call("POST", "/conquer",
                                   body={"key": "nope", "cube": [2]})
         assert info.value.code == "unknown-circuit"
         assert info.value.status == 400
-
-    def test_exchange_absorbs_and_pages_by_cursor(self, node):
-        circuit = small_miter(3)
-        client = client_for(node)
-        key = register(client, circuit)["key"]
-        reply = client.call("POST", "/exchange",
-                            body={"key": key, "lemmas": [[2], [4, 6]],
-                                  "since": 0})
-        assert reply["absorbed"] == 2
-        assert reply["lemmas"] == [[2], [4, 6]]
-        assert reply["next"] == 2
-        # The cursor pages: nothing new, and duplicates do not re-absorb.
-        again = client.call("POST", "/exchange",
-                            body={"key": key, "lemmas": [[2]],
-                                  "since": reply["next"]})
-        assert again["absorbed"] == 0
-        assert again["lemmas"] == []
 
     @pytest.mark.parametrize("lemmas", [
         [5], "x", [[4, "a"]], [[10 ** 9]], [[]], [[1]]], ids=[
@@ -157,18 +196,13 @@ class TestConquerNode:
         key = register(client, circuit)["key"]
         cube = generate_cubes(circuit,
                               options=CutterOptions(max_cubes=4)).cubes[0]
-        for path, body in (
-                ("/exchange", {"key": key, "lemmas": lemmas}),
-                ("/conquer", {"key": key, "cube": list(cube.literals),
-                              "lemmas": lemmas})):
-            with pytest.raises(ServeError) as info:
-                client.call("POST", path, body=body, retries=0)
-            assert (info.value.status, info.value.code) == \
-                (400, "bad-request"), path
-        status = client.status()["node"]
-        assert status["lemma_pools"] == {key: 0}
-        assert status["jobs"] == 0
-        # The pool is intact: the cube still gets a real answer.
+        with pytest.raises(ServeError) as info:
+            client.call("POST", "/conquer",
+                        body={"key": key, "cube": list(cube.literals),
+                              "lemmas": lemmas}, retries=0)
+        assert (info.value.status, info.value.code) == (400, "bad-request")
+        assert client.status()["node"]["jobs"] == 0
+        # Nothing was queued: the cube still gets a real answer.
         snap = client.call("POST", "/conquer",
                            body={"key": key, "cube": list(cube.literals),
                                  "wait": 60})
@@ -315,11 +349,22 @@ class TestSolveDistributed:
         # Everything was closed at restore: nothing was re-dispatched.
         assert all(info.dispatched == 0 for info in resumed.nodes)
 
+    def test_conquests_of_one_circuit_share_no_cube_job(self, node):
+        # Two cuts of one circuit number their cubes alike; a job keyed on
+        # the cube's index would answer the second cut's cubes with the
+        # first cut's answers.
+        circuit = one_point_bug_miter()
+        for max_cubes in (8, 2):
+            report = solve_distributed(
+                circuit, nodes=[node.address], budget=60,
+                cutter=CutterOptions(max_cubes=max_cubes), poll_seconds=1.0)
+            assert report.result.status == SAT, max_cubes
+
     def test_lemma_exchange_reaches_both_sides(self, fleet):
         report = solve_distributed(
             small_miter(4), nodes=[n.address for n in fleet],
             cutter=CutterOptions(max_cubes=6), budget=60,
-            exchange_every=0.2, poll_seconds=0.5)
+            poll_seconds=0.5)
         assert report.result.status == UNSAT
         sent = sum(info.lemmas_sent for info in report.nodes)
         assert report.lemmas_shared >= 0

@@ -143,6 +143,22 @@ class TestJournal:
         assert len(read_journal(path)) == 2 * 4 + 1
         journal.close()
 
+    def test_admission_after_a_terminal_record_is_pending(self, tmp_path):
+        path = str(tmp_path / "j.wal")
+        journal = Journal(path)
+        for key, terminal in (("c", KIND_CANCELLED), ("f", KIND_FINISHED)):
+            journal.append(KIND_ADMITTED, key=key, job=key + "1")
+            journal.append(terminal, key=key, job=key + "1", status=UNSAT)
+            journal.append(KIND_ADMITTED, key=key, job=key + "2")
+        journal.append(KIND_ADMITTED, key="q", job="q1")
+        for _ in range(2):
+            state = replay_journal(path)
+            assert set(state.pending) == {"c", "f", "q"}
+            assert state.pending["f"]["job"] == "f2"
+            assert set(state.finished) == {"f"}
+            journal.compact(state.live_records())
+        journal.close()
+
     def test_journal_records_metric(self, tmp_path, registry):
         journal = Journal(str(tmp_path / "j.wal"))
         journal.append(KIND_ADMITTED, key="k", job="j")
@@ -172,6 +188,8 @@ class TestCheckpoint:
             digest=fingerprint(circuit).digest, exact=exact_hash(circuit),
             objectives=objectives,
             cubes=[{"index": 0, "literals": [4], "status": UNSAT,
+                    "depth": 1},
+                   {"index": 1, "literals": [5], "status": "SKIPPED",
                     "depth": 1}],
             lemmas=[[5]], completed=1)
 
@@ -246,6 +264,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="objective"):
             load_checkpoint(path).validate_for(circuit,
                                                list(circuit.outputs))
+
+    @pytest.mark.parametrize("change,match", [
+        ({1: {"index": 0}}, "index"), ({1: {"index": "1"}}, "index"),
+        ({1: None}, "split tree"), ({2: {"literals": []}}, "split tree"),
+        ({1: {"literals": [7]}}, "split tree"),
+        ({1: {"literals": [5, 5]}}, "split tree"),
+        ({1: {"literals": [4]}}, "split tree")], ids=[
+        "repeated-index", "non-int-index", "missing-leaf", "overlap",
+        "one-polarity", "repeated-literal", "repeated-cube"])
+    def test_cubes_that_are_no_partition_refused(self, change, match):
+        circuit = build_full_adder()
+        checkpoint = self._checkpoint_for(circuit)
+        for position, fields in change.items():
+            if fields is None:
+                del checkpoint.cubes[position]
+            elif position < len(checkpoint.cubes):
+                checkpoint.cubes[position].update(fields)
+            else:
+                checkpoint.cubes.append(dict(fields, index=position))
+        with pytest.raises(CheckpointError, match=match):
+            checkpoint.validate_for(circuit, list(circuit.outputs))
 
     @pytest.mark.parametrize("literals", [[10 ** 9], [0], ["4"], "4", None],
                              ids=["out-of-range", "constant-node", "non-int",
@@ -375,6 +414,39 @@ class TestServerRecovery:
         finally:
             srv.stop()
 
+    def test_resubmitted_cancelled_key_survives_a_crash(self, tmp_path):
+        journal = str(tmp_path / "serve.wal")
+
+        def queue_behind_a_blocker(srv, keys):
+            blocker = srv.scheduler.submit(JobRequest(
+                circuit=build_full_adder(), fault="hang",
+                limits=Limits(max_seconds=0.5), label="blocker"))
+            deadline = time.monotonic() + 30.0
+            while blocker.started is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            for key in keys:
+                srv.scheduler.submit(JobRequest(
+                    circuit=build_unsat(), engine="csat", label=key,
+                    idempotency_key=key))
+
+        srv = ReproServer(port=0, workers=1, journal_path=journal).start()
+        try:
+            queue_behind_a_blocker(srv, ["K"])
+        finally:
+            srv.stop(drain=False)
+        assert "K" in replay_journal(journal).cancelled
+        # The restarted server has forgotten K: a re-submission is a new,
+        # journaled job, which a crash must not lose.
+        srv = ReproServer(port=0, workers=1, journal_path=journal).start()
+        try:
+            queue_behind_a_blocker(srv, ["K", "B"])
+            for _ in range(2):
+                state = replay_journal(journal)
+                assert {"K", "B"} <= set(state.pending)
+                srv.journal.compact(state.live_records())
+        finally:
+            srv.stop(drain=False)
+
     def test_replay_twice_is_idempotent(self, tmp_path):
         """Booting twice off the same journal must not duplicate work."""
         journal = str(tmp_path / "serve.wal")
@@ -451,13 +523,16 @@ class TestCubeResume:
         from repro.gen.arith import array_multiplier, csa_multiplier
         circuit = miter(array_multiplier(4), csa_multiplier(4))
         objectives = list(circuit.outputs)
-        cubes = generate_cubes(circuit, objectives, workers=2).cubes
-        assert cubes
+        cut = generate_cubes(circuit, objectives, workers=2)
+        assert cut.cubes
         checkpoint = CubeCheckpoint(
             digest=fingerprint(circuit).digest, exact=exact_hash(circuit),
             objectives=objectives,
             cubes=[{"index": c.index, "literals": list(c.literals),
-                    "status": "SKIPPED", "depth": c.depth} for c in cubes],
+                    "status": "SKIPPED", "depth": c.depth}
+                   for c in cut.cubes]
+            + [{"index": c.index, "literals": list(c.literals),
+                "status": "REFUTED", "depth": c.depth} for c in cut.refuted],
             lemmas=[[10 ** 9]])
         path = str(tmp_path / "cube.ckpt")
         save_checkpoint(path, checkpoint)
@@ -468,6 +543,30 @@ class TestCubeResume:
         save_checkpoint(path, checkpoint)
         report = solve_cubes(circuit, workers=0, resume_from=path)
         assert report.result.status == UNSAT
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_resume_refuses_a_record_that_is_no_partition(self, tmp_path,
+                                                          workers):
+        # Every cube of this SAT circuit is SAT.  Re-listing each one
+        # under its index as UNSAT would resume to a wrong UNSAT.
+        from repro.cube.cutter import CutterOptions, generate_cubes
+        from repro.gen.random_circuit import random_dag
+        circuit = random_dag(num_inputs=8, num_gates=40, seed=0)
+        objectives = list(circuit.outputs)
+        cubes = generate_cubes(circuit, objectives,
+                               options=CutterOptions(max_cubes=4)).cubes
+        assert len(cubes) == 4
+        checkpoint = CubeCheckpoint(
+            digest=fingerprint(circuit).digest, exact=exact_hash(circuit),
+            objectives=objectives,
+            cubes=[{"index": c.index, "literals": list(c.literals),
+                    "status": status, "depth": c.depth}
+                   for status in ("SKIPPED", UNSAT) for c in cubes])
+        path = str(tmp_path / "cube.ckpt")
+        save_checkpoint(path, checkpoint)
+        with pytest.raises(CheckpointError, match="index"):
+            solve_cubes(circuit, workers=workers, resume_from=path,
+                        budget=60)
 
     def test_checkpoint_carries_lemma_pool(self, tmp_path):
         circuit = instance_by_name("mult5.arith").build()
