@@ -63,6 +63,7 @@ caused by worker failures onto the failure taxonomy: 3 = TIMEOUT,
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -238,6 +239,8 @@ def _portfolio_rows(report):
 def _conquest_rows(report):
     """A cube report's rows (one per cube) or a dist report's (one per
     node)."""
+    yield ("  explicit phase: {:.3f}s, {} lemmas for every "
+           "worker".format(report.phase_seconds, report.phase_lemmas))
     if report.resumed:
         yield ("  resumed: {} cube(s) already closed by the "
                "checkpoint".format(report.resumed))
@@ -1335,8 +1338,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt_on_sigterm(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM ends a run the way Ctrl-C does: a solve in progress stops
+    # with an UNKNOWN answer, and its trace is closed on the way out.
+    try:
+        previous = signal.signal(signal.SIGTERM, _interrupt_on_sigterm)
+    except ValueError:
+        previous = None  # not the main thread: leave signals alone
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -1347,8 +1360,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             pass
         return 0
     except KeyboardInterrupt:
-        # Engines convert mid-solve Ctrl-C into UNKNOWN results themselves;
-        # this catches interrupts outside a solve (parsing, preprocessing).
+        # Engines convert mid-solve Ctrl-C (and SIGTERM) into UNKNOWN
+        # results themselves; this catches interrupts outside a solve
+        # (parsing, preprocessing, a multi-worker conquest's wait).
         print("interrupted", file=sys.stderr)
         return 130
     except (ParseError, CircuitError, ReproError, UnicodeDecodeError,
@@ -1357,6 +1371,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # missing file): one line on stderr, exit 2, never a traceback.
         print("error: {}".format(exc), file=sys.stderr)
         return 2
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

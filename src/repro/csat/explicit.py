@@ -130,7 +130,8 @@ def prove_subproblems(engine, subs: Iterable[SubProblem],
     the time left before ``deadline`` (a ``time.perf_counter()`` value),
     counted in the engine's ``subproblems_*`` stats and ``subproblem``
     trace events.  The walk stops at the deadline or once the engine is
-    refuted.
+    refuted, and raises ``KeyboardInterrupt`` when a sub-problem was
+    interrupted.
 
     ``subs`` is read one sub-problem per verdict, so a caller may filter
     it on the verdicts handed back so far.  ``engine`` may instead be a
@@ -158,6 +159,10 @@ def prove_subproblems(engine, subs: Iterable[SubProblem],
                 budget, max_seconds=max(0.0, deadline - time.perf_counter()))
             result = built.solve_subproblem(sub.assumptions, step,
                                             max_learned=max_learned)
+            if result.interrupted:
+                # The engine turned Ctrl-C (SIGTERM, in the CLI) into an
+                # answer; the walk stops as the search did.
+                raise KeyboardInterrupt
             solved += 1
             built.stats.subproblems_solved += 1
             built.stats.subproblem_conflicts += result.stats.conflicts

@@ -1,14 +1,16 @@
 """Cube-and-conquer parallel solving.
 
-The cutter (:mod:`repro.cube.cutter`) splits the search space into a
-balanced tree of *cubes* — conjunctions of decision literals chosen by a
-lookahead heuristic that scores variables by J-frontier membership,
+The conquer driver (:mod:`repro.cube.conquer`) runs the explicit phase
+once on the flat kernel; the cutter (:mod:`repro.cube.cutter`) then
+splits the search space, on that engine, into a balanced tree of
+*cubes* — conjunctions of decision literals chosen by a lookahead
+heuristic that scores variables by J-frontier membership,
 correlation-class membership, fanout, and measured BCP propagation
-power.  The cube scheduler (:mod:`repro.cube.conquer`) then solves each
-cube under assumptions on endpoints — isolated :mod:`repro.runtime`
-workers here, conquer nodes for :mod:`repro.dist` — sharing correlations
-and proven lemmas between them (:mod:`repro.cube.sharing`) and pruning
-siblings with failed-assumption cores.  perfbench's ``conquer_mult``
+power.  The cube scheduler solves each cube under assumptions on
+endpoints — warm :mod:`repro.runtime` workers here, conquer nodes for
+:mod:`repro.dist` — sharing correlations, the phase's clauses and proven
+lemmas with them (:mod:`repro.cube.sharing`) and pruning siblings with
+failed-assumption cores.  perfbench's ``conquer_mult``
 workload measures the conquest end to end.
 """
 

@@ -1,17 +1,23 @@
 """Conquer: the one cube scheduler, over endpoints.
 
-The driver runs one random-simulation pass, hands the resulting
-correlations to the cutter, and schedules the open cubes over
-*endpoints*.  An endpoint is a slot count plus one call: "solve this
-cube with these seed lemmas and return the payload".  Every conquest
-runs the same loop whatever its endpoints are:
+The driver runs one random-simulation pass and one explicit-learning
+phase on a flat-kernel :class:`~repro.core.solver.CircuitSolver` seeded
+with the resulting correlations.  The phase's root units and learned
+binaries follow from the circuit alone; they ride with every cube, and
+the cutter looks ahead on the same engine, so an objective the phase
+refutes makes the cut, and the run, UNSAT at once.  The driver then
+schedules the open cubes over *endpoints*.  An endpoint is a slot count
+plus one call: "solve this cube with these seed lemmas and return the
+payload".  Every conquest runs the same loop whatever its endpoints
+are:
 
 * ``workers == 0`` — one in-process endpoint with one slot, run on the
   calling thread (so Ctrl-C reaches the search): every cube is solved in
-  turn on one shared engine, whose learned-clause database persists
-  across cubes.  This is the mode the differential oracle cross-checks.
-* ``workers >= 1`` — one local endpoint whose slots run isolated
-  :mod:`repro.runtime` workers.
+  turn on the driver's own engine, whose learned-clause database
+  persists across cubes.  This is the mode the differential oracle
+  cross-checks.
+* ``workers >= 1`` — one local endpoint whose slots each keep one warm
+  :mod:`repro.runtime` worker (:class:`CubeSlot`).
 * :func:`repro.dist.solve_distributed` — one remote endpoint per
   conquer node.
 
@@ -50,7 +56,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, ClassVar, Dict, List, Optional, Sequence,
                     Set)
 
@@ -62,15 +68,15 @@ from ..result import Limits, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT
 from ..runtime.faults import FaultPlan, NO_FAULTS
 from ..runtime.portfolio import RESEED_STRIDE, RETRYABLE
 from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
-                                  spawn_worker)
-from ..runtime.worker import KIND_CNF, KIND_CSAT, WorkerJob
+                                  WorkerHandle, spawn_worker)
+from ..runtime.worker import (KIND_CNF, KIND_CSAT, JobEngine, WorkerJob,
+                              payload_to_result)
 from ..obs import Tracer, make_tracer
 from ..obs.context import child_context, context_of
 from ..obs.metrics import default_registry
 from ..sim.correlation import find_correlations
 from .cutter import Cube, CubeSet, CutterOptions, generate_cubes
-from .sharing import (SharedKnowledge, collect_csat_lemmas,
-                      inject_csat_lemmas, serialize_classes)
+from .sharing import SharedKnowledge, collect_csat_lemmas, serialize_classes
 
 #: Cube statuses beyond the engine's SAT/UNSAT/UNKNOWN.
 REFUTED = "REFUTED"    # closed by the cutter's own propagation
@@ -85,10 +91,10 @@ _CLOSED = (UNSAT, REFUTED, PRUNED)
 #: fleet with redundant solves).
 MAX_REDUNDANCY = 2
 
-#: The preset of csat cube workers unless the driver picks another:
-#: explicit learning's per-worker preparation does not amortize over one
-#: cube, while implicit learning rides the correlations the driver seeds.
-CUBE_PRESET = "implicit"
+#: The preset of csat cube workers unless the driver picks another.
+#: Workers never run its explicit phase: the driver runs it once per
+#: conquest and ships what it proved with every cube.
+CUBE_PRESET = "kernel"
 
 
 @dataclass
@@ -154,6 +160,12 @@ class CubeReport:
     workers: int = 0
     generation_seconds: float = 0.0
     lookaheads: int = 0
+    #: The driver's explicit-learning phase: its wall time, the clauses
+    #: it shipped with every cube, and its conflicts (also counted in
+    #: ``result.stats``).
+    phase_seconds: float = 0.0
+    phase_lemmas: int = 0
+    phase_conflicts: int = 0
     lemmas_shared: int = 0
     pruned: int = 0
     elapsed: float = 0.0
@@ -198,6 +210,8 @@ class CubeReport:
                 "cubes": [c.as_dict() for c in self.cubes],
                 "generation_seconds": round(self.generation_seconds, 6),
                 "lookaheads": self.lookaheads,
+                "phase_seconds": round(self.phase_seconds, 6),
+                "phase_lemmas": self.phase_lemmas,
                 "lemmas_shared": self.lemmas_shared,
                 "pruned": self.pruned,
                 "elapsed": round(self.elapsed, 6),
@@ -208,6 +222,7 @@ class CubeReport:
         """Fields of the ``<engine>_end`` trace event."""
         return {"status": self.result.status, "cubes": len(self.cubes),
                 "pruned": self.pruned, "lemmas": self.lemmas_shared,
+                "phase_seconds": round(self.phase_seconds, 6),
                 "seconds": round(self.elapsed, 6)}
 
     def record_metrics(self, registry) -> None:
@@ -400,18 +415,20 @@ def solve_cubes(circuit: Circuit,
                 resume_from: Optional[str] = None) -> CubeReport:
     """Cube-and-conquer solve of ``circuit`` under ``objectives``.
 
-    ``workers >= 1`` schedules cubes over that many isolated processes;
-    ``workers == 0`` solves them in turn on one shared in-process engine
-    (used by the differential oracle).  ``budget`` is the shared
-    wall-clock budget for the whole run; ``limits`` are *per-cube*
-    cooperative budgets (conflicts/decisions/seconds).  ``kind`` and
-    ``preset_name`` alone pick every cube's engine: ``kind="cnf"`` runs
-    the flat kernel on the Tseitin encoding, ``kind="csat"`` runs
-    ``preset_name`` (:data:`CUBE_PRESET` by default).
-    ``preset_name="kernel"`` runs explicit learning in every worker: on
-    a 2-CPU VM with two workers, mult5 went from 3.5-4.4 s to 7.2-7.9 s
-    (about 2.3k to 15.9k conflicts over 37 cubes), while c3540.equiv
-    went from 3.8 s to 0.44 s (see docs/parallel.md).
+    ``workers >= 1`` schedules cubes over that many warm worker
+    processes, one per slot; ``workers == 0`` solves them in turn on the
+    driver's own engine (used by the differential oracle).  ``budget`` is
+    the shared wall-clock budget for the whole run; ``limits`` are
+    *per-cube* cooperative budgets (conflicts/decisions/seconds).
+    ``kind`` and ``preset_name`` alone pick every worker's engine:
+    ``kind="cnf"`` runs the flat kernel on the Tseitin encoding,
+    ``kind="csat"`` runs ``preset_name`` (:data:`CUBE_PRESET`, the
+    kernel, by default).  Either way the driver runs the explicit phase
+    once, on the kernel, and no worker repeats it: on a 2-CPU VM with two
+    workers, kernel-preset cubes that each re-ran the phase took 7.2-7.9 s
+    on mult5 and 0.44 s on c3540.equiv; with one driver phase c3540.equiv
+    is UNSAT in about 0.2 s without a cube, and mult5 conquers in under a
+    second (see docs/parallel.md).
 
     Never raises for worker misbehaviour; failed cubes carry their
     failure kind in the report and degrade the answer to UNKNOWN at
@@ -440,7 +457,7 @@ def solve_cubes(circuit: Circuit,
             faults=faults or NO_FAULTS, start_method=start_method,
             share_lemmas=share_lemmas)
     else:
-        endpoint = _InProcessEndpoint(base_options)
+        endpoint = _InProcessEndpoint()
     return _conquer(
         circuit, objectives, CubeReport(result=SolverResult(status=UNKNOWN),
                                         workers=workers),
@@ -465,18 +482,23 @@ class Conquest:
     """What an endpoint sees of the conquest it serves (see ``open``).
 
     ``correlations`` are the conquest's simulation result and
-    ``classes`` their serialized form; ``stop`` is set once the run is
-    decided or shutting down.  Lemmas reach an endpoint only on its
-    dispatches.
+    ``classes`` their serialized form; ``solver`` is the driver's
+    prepared kernel :class:`CircuitSolver` and ``phase_lemmas`` the
+    clauses its explicit phase proved, which every worker holds before
+    its first cube.  ``stop`` is set once the run is decided or shutting
+    down.  Pool lemmas reach an endpoint only on its dispatches.
     """
 
     def __init__(self, circuit: Circuit, objectives: List[int],
-                 correlations, classes, stop: threading.Event,
+                 correlations, classes, solver: CircuitSolver,
+                 phase_lemmas: List[List[int]], stop: threading.Event,
                  remaining: Callable[[], Optional[float]], tracer, span):
         self.circuit = circuit
         self.objectives = objectives
         self.correlations = correlations
         self.classes = classes
+        self.solver = solver
+        self.phase_lemmas = phase_lemmas
         self.stop = stop
         self.remaining = remaining
         self.tracer = tracer
@@ -484,7 +506,7 @@ class Conquest:
 
 
 def _answer_payload(result: SolverResult, certified: bool) -> Dict[str, Any]:
-    """The wire payload of one cube answer (see :func:`run_cube`)."""
+    """The wire payload of one cube answer (see :class:`CubeSlot`)."""
     payload: Dict[str, Any] = {
         "status": result.status,
         "time_seconds": round(result.time_seconds, 6),
@@ -498,100 +520,150 @@ def _answer_payload(result: SolverResult, certified: bool) -> Dict[str, Any]:
     return payload
 
 
-def run_cube(job: WorkerJob, attempt: int, *,
-             certify: str, grace_seconds: float, index: int, tracer,
-             start_method: Optional[str],
-             cancelled: Callable[[], Optional[str]]) -> Dict[str, Any]:
-    """Solve one cube on an isolated worker; returns the wire payload.
+def cube_job(circuit: Circuit, objectives: Sequence[int], *, name: str,
+             kind: str, preset_name: str, options: Optional[SolverOptions],
+             classes, phase_lemmas, mem_limit_mb: Optional[int],
+             export_lemmas: bool) -> WorkerJob:
+    """The job a :class:`CubeSlot` builds its warm workers from.
 
-    The single cube-to-payload path of the local endpoint and of
-    :class:`repro.dist.ConquerNode`.  A retry (``attempt > 0``) of a
-    csat cube is reseeded: the seeded correlations are dropped and the
-    simulation seed shifted, so a crash tied to the shared state is not
-    replayed verbatim.  The worker runs under the hard wall limit of its
-    cooperative ``max_seconds``, its answer is certified at the boundary
-    (``certify``), and ``cancelled()`` returns a kill reason to stop the
-    worker early.
-
-    The payload is ``{"status", "time_seconds", "interrupted", "stats",
-    "core", "certified", "model"?}`` for an answer or ``{"status":
-    "FAILED", "failure"}`` for a taxonomy failure, plus ``maxrss_mb`` and
-    ``lemmas``: what the worker exported, or flushed while dying on a
-    budget (sound for circuit AND objectives either way).
+    Workers skip the preset's explicit phase: the driver ran it, and its
+    clauses arrive as ``phase_lemmas``.
     """
-    if attempt and job.kind == KIND_CSAT:
-        base_seed = (job.options or preset(job.preset_name)).sim_seed
-        job.overrides = dict(job.overrides,
-                             sim_seed=base_seed + RESEED_STRIDE * attempt)
-        job.seed_classes = None
-    wall = job.limits.max_seconds if job.limits is not None else None
-    handle = spawn_worker(job, wall_seconds=wall,
-                          grace_seconds=grace_seconds, index=index,
-                          tracer=tracer, start_method=start_method)
-    while not handle.expired() and handle.proc.is_alive():
-        reason = cancelled()
-        if reason is not None:
-            handle.kill(tracer=tracer, reason=reason)
-            break
-        try:
-            if handle.conn.poll(0.2):
-                break
-        except (OSError, ValueError):
-            break
-    outcome = handle.reap(certify=certify, tracer=tracer)
-    if outcome.ok:
-        payload = _answer_payload(
-            outcome.result,
-            certify != "off" and outcome.result.status == SAT)
-    else:
-        payload = {"status": "FAILED",
-                   "failure": outcome.failure.as_dict()}
-    payload["maxrss_mb"] = outcome.maxrss_mb
-    payload["lemmas"] = outcome.lemmas or []
-    return payload
+    return WorkerJob(
+        circuit=circuit, name=name, kind=kind, preset_name=preset_name,
+        options=options, overrides={"explicit_learning": False},
+        objectives=list(objectives), mem_limit_mb=mem_limit_mb,
+        seed_classes=classes if kind == KIND_CSAT else None,
+        seed_lemmas=phase_lemmas, export_lemmas=export_lemmas)
+
+
+class CubeSlot:
+    """One slot's warm worker: the single cube-to-payload path of the
+    local endpoint and of :class:`repro.dist.ConquerNode`.
+
+    The slot spawns a supervised worker from ``job`` (:func:`cube_job`)
+    at its first cube.  The worker compiles the circuit once, holds the
+    driver's phase lemmas, and then takes cube after cube as assumption
+    calls, with only the pool lemmas it has not seen yet; its learned
+    clauses persist from one cube to the next.  Isolation stays per
+    cube: each runs under its own hard wall limit (its cooperative
+    ``max_seconds``) and ``cancelled()`` kill reason, its answer is
+    certified at the boundary (``certify``), and a cube that times out,
+    runs out of memory, crashes or answers wrongly ends its worker — the
+    slot spawns a fresh one for the next cube.  A retry (``attempt >
+    0``) of a csat cube runs on a fresh, reseeded worker: the seeded
+    correlations are dropped and the simulation seed shifted, so a crash
+    tied to the shared state is not replayed verbatim.
+
+    :meth:`solve` returns ``{"status", "time_seconds", "interrupted",
+    "stats", "core", "certified", "model"?}`` for an answer or
+    ``{"status": "FAILED", "failure"}`` for a taxonomy failure, plus
+    ``maxrss_mb`` and ``lemmas``: what the worker exported, or flushed
+    while dying on a budget (sound for circuit AND objectives either
+    way).  :meth:`close` ends the worker without a signal.
+    """
+
+    def __init__(self, job: WorkerJob, *, certify: str,
+                 grace_seconds: float, start_method: Optional[str],
+                 spawns: Callable[[], int]):
+        self.job = job
+        self.certify = certify
+        self.grace_seconds = grace_seconds
+        self.start_method = start_method
+        self.spawns = spawns
+        self.worker: Optional[WorkerHandle] = None
+        self.attempt = 0          # the attempt the worker was seeded for
+
+    def solve(self, cube: Sequence[int], attempt: int,
+              lemmas: Optional[List[List[int]]], limits: Optional[Limits],
+              *, fault: Optional[str], tracer,
+              cancelled: Callable[[], Optional[str]]) -> Dict[str, Any]:
+        if self.worker is not None and not self.worker.proc.is_alive():
+            # Died while idle (an OOM kill, say): report it as the
+            # worker's failure, not as the next cube's.
+            self.worker.reap(certify=self.certify, tracer=tracer)
+            self.worker = None
+        if self.worker is not None and attempt and attempt != self.attempt:
+            self.close(tracer)
+        if self.worker is None:
+            self.worker = spawn_worker(
+                self._seeded(attempt), grace_seconds=self.grace_seconds,
+                index=self.spawns(), tracer=tracer,
+                start_method=self.start_method, warm=True)
+            self.attempt = attempt
+        worker = self.worker
+        outcome = worker.run(
+            {"assumptions": list(cube), "lemmas": lemmas, "limits": limits,
+             "fault": fault},
+            limits.max_seconds if limits is not None else None,
+            certify=self.certify, tracer=tracer, cancelled=cancelled)
+        if not worker.alive:
+            self.worker = None
+        if outcome.ok:
+            payload = _answer_payload(
+                outcome.result,
+                self.certify != "off" and outcome.result.status == SAT)
+        else:
+            payload = {"status": "FAILED",
+                       "failure": outcome.failure.as_dict()}
+        payload["maxrss_mb"] = outcome.maxrss_mb
+        payload["lemmas"] = outcome.lemmas or []
+        return payload
+
+    def _seeded(self, attempt: int) -> WorkerJob:
+        """A fresh copy of the job (a spawn writes into it), reseeded
+        for a retry."""
+        job = replace(self.job)
+        if attempt and job.kind == KIND_CSAT:
+            base_seed = (job.options or preset(job.preset_name)).sim_seed
+            job.overrides = dict(job.overrides,
+                                 sim_seed=base_seed + RESEED_STRIDE * attempt)
+            job.seed_classes = None
+        return job
+
+    def close(self, tracer=None) -> None:
+        if self.worker is not None:
+            worker, self.worker = self.worker, None
+            worker.close(tracer=tracer)
 
 
 class _InProcessEndpoint:
-    """One engine in this process, one slot on the calling thread.
+    """The driver's engine, one slot on the calling thread.
 
     The engine persists across cubes, so its learned-clause database
-    carries everything to the next cube.  Only the first dispatch's
-    lemmas (a resumed checkpoint's pool) are injected: later snapshots
-    hold nothing but this engine's own exports.
+    carries everything to the next cube, and a pool lemma it exported
+    itself is never injected back.
     """
 
     #: Run the slot on the calling thread, where Ctrl-C lands: the
     #: engine turns it into an interrupted UNKNOWN, which stops the run.
     inline = True
 
-    def __init__(self, options: SolverOptions):
+    def __init__(self):
         self.info = NodeInfo(url="inprocess", workers=1)
-        self.options = options
-        self.solver: Optional[CircuitSolver] = None
+        self.engine: Optional[JobEngine] = None
         self.conquest: Optional[Conquest] = None
 
     def open(self, conquest: Conquest) -> None:
         self.conquest = conquest
+        self.engine = JobEngine(
+            WorkerJob(circuit=conquest.circuit, name="cube",
+                      objectives=conquest.objectives,
+                      seed_lemmas=conquest.phase_lemmas, export_lemmas=True),
+            solver=conquest.solver)
 
     def solve(self, cube: Cube, attempt: int,
               lemmas: Optional[List[List[int]]],
               limits: Optional[Limits]) -> Dict[str, Any]:
-        conquest = self.conquest
-        if self.solver is None:
-            self.solver = CircuitSolver(conquest.circuit, self.options)
-            # Skip the second simulation pass.
-            self.solver.correlations = conquest.correlations
-            if lemmas:
-                inject_csat_lemmas(self.solver.engine, lemmas)
-        result = self.solver.solve(
-            objectives=conquest.objectives + list(cube.literals),
-            limits=limits)
-        if result.interrupted:
-            conquest.stop.set()
-        payload = _answer_payload(result, certified=False)
+        self.engine.add(lemmas)
         # Between cubes the engine sits at decision level 0, so its root
         # units and learned binaries hold for circuit AND objectives.
-        payload["lemmas"] = collect_csat_lemmas(self.solver.engine)
+        raw = self.engine.payload(cube.literals, limits)
+        result = payload_to_result(raw)
+        if result.interrupted:
+            self.conquest.stop.set()
+        payload = _answer_payload(result, certified=False)
+        payload["lemmas"] = raw["lemmas"]
         return payload
 
     def close(self) -> None:
@@ -599,7 +671,7 @@ class _InProcessEndpoint:
 
 
 class _LocalEndpoint:
-    """Isolated worker processes on this host, ``slots`` at a time."""
+    """Warm worker processes on this host, one per slot (:class:`CubeSlot`)."""
 
     def __init__(self, slots: int, *, kind: str, preset_name: str,
                  options: Optional[SolverOptions],
@@ -616,40 +688,54 @@ class _LocalEndpoint:
         self.faults = faults
         self.start_method = start_method
         self.share_lemmas = share_lemmas
-        # FaultPlan indices count spawns across all slots.
-        self._spawns = itertools.count()
+        # FaultPlan indices count cube dispatches across all slots.
+        self._dispatches = itertools.count()
+        spawns = itertools.count()
+        self._spawns = lambda: next(spawns)
+        self._idle: List[CubeSlot] = []
+        self._lock = threading.Lock()
+        self.job: Optional[WorkerJob] = None
         self.conquest: Optional[Conquest] = None
 
     def open(self, conquest: Conquest) -> None:
         self.conquest = conquest
+        self.job = cube_job(
+            conquest.circuit, conquest.objectives, name="cube",
+            kind=self.kind, preset_name=self.preset_name,
+            options=self.options, classes=conquest.classes,
+            phase_lemmas=conquest.phase_lemmas,
+            mem_limit_mb=self.mem_limit_mb, export_lemmas=self.share_lemmas)
 
     def solve(self, cube: Cube, attempt: int,
               lemmas: Optional[List[List[int]]],
               limits: Optional[Limits]) -> Optional[Dict[str, Any]]:
-        conquest = self.conquest
-        index = next(self._spawns)
-        job = WorkerJob(
-            circuit=conquest.circuit, name="cube-{}".format(cube.index),
-            kind=self.kind, preset_name=self.preset_name,
-            options=self.options,
-            objectives=list(conquest.objectives), limits=limits,
-            mem_limit_mb=self.mem_limit_mb,
-            fault=self.faults.fault_for(index),
-            assumptions=list(cube.literals),
-            seed_classes=(conquest.classes
-                          if self.kind == KIND_CSAT else None),
-            seed_lemmas=lemmas, export_lemmas=self.share_lemmas)
-        stop = conquest.stop
-        payload = run_cube(
-            job, attempt, certify=self.certify,
-            grace_seconds=self.grace_seconds, index=index,
-            tracer=conquest.tracer, start_method=self.start_method,
-            cancelled=lambda: "sibling-answered" if stop.is_set() else None)
+        stop = self.conquest.stop
+        with self._lock:
+            index = next(self._dispatches)
+            slot = self._idle.pop() if self._idle else CubeSlot(
+                self.job, certify=self.certify,
+                grace_seconds=self.grace_seconds,
+                start_method=self.start_method, spawns=self._spawns)
+        try:
+            payload = slot.solve(
+                cube.literals, attempt, lemmas, limits,
+                fault=self.faults.fault_for(index),
+                tracer=self.conquest.tracer,
+                cancelled=lambda: ("sibling-answered" if stop.is_set()
+                                   else None))
+        finally:
+            with self._lock:
+                self._idle.append(slot)
         # Once the run is decided, a sibling's answer is moot.
         return None if stop.is_set() else payload
 
     def close(self) -> None:
-        pass
+        """Close every slot's worker: the conquest is over and every slot
+        thread has returned its slot."""
+        with self._lock:
+            slots, self._idle = self._idle, []
+        for slot in slots:
+            slot.close(self.conquest.tracer if self.conquest else None)
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +813,30 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
             max_class_size=options.max_class_size)
         sim_seconds = time.perf_counter() - t0
 
+        # One explicit-learning phase for everyone, on the kernel.  What
+        # it proves follows from the circuit alone, so its root units and
+        # learned binaries ride with every cube, uncapped, and the cutter
+        # looks ahead on the same engine: an objective the phase refuted
+        # makes the cut trivially UNSAT.
+        t0 = time.perf_counter()
+        driver = CircuitSolver(circuit, options.replace(
+            backend="kernel", use_jnode=False, implicit_learning=False,
+            explicit_learning=True, certify=False, trace=None,
+            progress=None))
+        driver.correlations = correlations
+        driver.prepare(limits=None if deadline is None else Limits(
+            max_seconds=max(0.001, deadline - time.perf_counter())))
+        phase_lemmas = collect_csat_lemmas(driver.engine, limit=None)
+        merged = driver.engine.stats.copy()
+        report.phase_seconds = time.perf_counter() - t0
+        report.phase_lemmas = len(phase_lemmas)
+        report.phase_conflicts = merged.conflicts
+        if tracer is not None:
+            tracer.emit("phase", phase="explicit",
+                        seconds=round(report.phase_seconds, 6),
+                        subproblems=driver.explicit_report.subproblems_run,
+                        lemmas=len(phase_lemmas))
+
         outcomes: Dict[int, CubeOutcome] = {}
         depths: Dict[int, int] = {}
         if resumed_checkpoint is not None:
@@ -739,7 +849,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
             cube_set = generate_cubes(
                 circuit, objectives, options=cutter or CutterOptions(),
                 correlations=correlations,
-                workers=sum(e.info.workers for e in endpoints))
+                workers=sum(e.info.workers for e in endpoints),
+                engine=driver.engine)
             if tracer is not None:
                 tracer.emit("cube_generated", cubes=len(cube_set.cubes),
                             refuted=len(cube_set.refuted),
@@ -803,17 +914,16 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
 
         if cube_set.trivial is not None:
             return finish(SolverResult(status=cube_set.trivial,
-                                       model=cube_set.model))
+                                       model=cube_set.model, stats=merged))
         if not cube_set.cubes:
             # Every leaf refuted during cutting: the partition is closed.
-            return finish(SolverResult(status=UNSAT))
+            return finish(SolverResult(status=UNSAT, stats=merged))
 
         cv = threading.Condition(threading.Lock())
         queue: "deque[tuple]" = deque((cube, 0) for cube in cube_set.cubes)
         inflight: Dict[int, _InFlight] = {}
         applied: Dict[int, int] = {}
         failures: List[WorkerFailure] = []
-        merged = SolverStats()
         stop = threading.Event()
         win: Optional[SolverResult] = None
         errors: List[BaseException] = []
@@ -1064,6 +1174,11 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                     else:
                         apply_result(info, cube, attempt, payload,
                                      time.perf_counter() - t0)
+            except KeyboardInterrupt:
+                # Only the inline slot's thread sees Ctrl-C (or the CLI's
+                # SIGTERM): between two cubes it stops the run, as the
+                # engine does inside one.
+                stop.set()
             except BaseException as exc:  # noqa: BLE001 — re-raised below
                 errors.append(exc)
                 stop.set()
@@ -1072,8 +1187,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                     cv.notify_all()
 
         conquest = Conquest(circuit, objectives, correlations,
-                            serialize_classes(correlations), stop, remaining,
-                            tracer, span_ctx)
+                            serialize_classes(correlations), driver,
+                            phase_lemmas, stop, remaining, tracer, span_ctx)
         threads: List[threading.Thread] = []
         try:
             for endpoint in endpoints:

@@ -17,13 +17,21 @@ already computes (the paper's Section III machinery):
   implicit-learning partner chains;
 * **fanout** — classic dynamic-degree proxy for structural influence;
 * **measured BCP propagation power** — a real lookahead: both polarities
-  are propagated on a scratch engine and scored by the product of the
-  implied-assignment counts (march-style ``prop(x) * prop(!x)``,
-  preferring balanced, deep splits).
+  are propagated on the flat kernel's :class:`~repro.kernel.flat.FlatSolver`
+  and scored by the product of the implied-assignment counts (march-style
+  ``prop(x) * prop(!x)``, preferring balanced, deep splits).
+
+The lookahead runs on a :class:`~repro.kernel.circuit.KernelEngine`: the
+conquer driver hands in the engine its explicit-learning phase prepared,
+so every clause the phase proved propagates during the cut too — leaves
+it refutes close for free, and an objective it proved false makes the
+cut trivially UNSAT.  The cutter only pushes a literal, propagates,
+counts and backtracks; it never searches, so it leaves the engine at
+decision level 0 with its clause database unchanged.
 
 Everything is deterministic: candidate order, tie-breaks and the
 lookahead engine itself have no randomness, so a fixed circuit +
-objectives + options always yields the identical cube tree.
+objectives + options (and engine) always yields the identical cube tree.
 """
 
 from __future__ import annotations
@@ -34,9 +42,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
-from ..csat.engine import CSatEngine
-from ..csat.frame import NO_REASON, UNASSIGNED
-from ..csat.options import SolverOptions
 from ..errors import SolverError
 from ..result import SAT, UNSAT
 from ..sim.correlation import CorrelationSet
@@ -140,22 +145,19 @@ class CubeSet:
                 "lookaheads": self.lookaheads}
 
 
-def _lookahead_options() -> SolverOptions:
-    # A bare engine: no J-node ordering, no learning, no restarts — the
-    # cutter only ever propagates and backtracks, it never analyzes a
-    # conflict, and a plain heap engine avoids jheap bookkeeping.
-    return SolverOptions(use_jnode=False, implicit_learning=False,
-                         explicit_learning=False, restart_enabled=False)
-
-
 class _Cutter:
-    """Stateful helper: one scratch engine, reused across all leaves."""
+    """Stateful helper: one lookahead engine, reused across all leaves."""
 
-    def __init__(self, circuit: Circuit, objectives: Sequence[int],
+    def __init__(self, engine, objectives: Sequence[int],
                  options: CutterOptions,
                  correlations: Optional[CorrelationSet]):
+        circuit = engine.circuit
         self.options = options
-        self.engine = CSatEngine(circuit, _lookahead_options())
+        self.solver = engine.solver
+        self.num_nodes = engine.num_nodes
+        self.fanouts = circuit.fanouts()
+        self.fanins = [circuit.fanins(n) if circuit.is_and(n) else None
+                       for n in range(self.num_nodes)]
         self.objectives = list(objectives)
         self.lookaheads = 0
         # Nodes appearing in any (non-constant slot of a) correlation class.
@@ -169,46 +171,47 @@ class _Cutter:
 
     # -- assignment plumbing ------------------------------------------
 
-    def _push(self, lit: int) -> bool:
-        """New decision level asserting ``lit``; False on conflict."""
-        engine = self.engine
-        frame = engine.frame
-        val = engine.lit_value(lit)
-        if val == 0:
-            return False
-        frame.trail_lim.append(len(frame.trail))
-        if val == UNASSIGNED:
-            engine._assign(lit >> 1, 1 - (lit & 1), NO_REASON)
-            if engine._propagate() is not None:
+    def _enter(self, literals: Sequence[int]) -> bool:
+        """Re-establish objectives + cube state; False on conflict."""
+        solver = self.solver
+        solver._cancel_until(0)
+        for lit in self.objectives:
+            if not solver.assume(lit):
+                return False
+        self.base_levels = len(solver.trail_lim)
+        for lit in literals:
+            if not solver.assume(lit):
                 return False
         return True
 
-    def _enter(self, literals: Sequence[int]) -> bool:
-        """Re-establish objectives + cube state; False on conflict."""
-        engine = self.engine
-        engine._cancel_until(0)
-        for lit in self.objectives:
-            if not self._push(lit):
-                return False
-        self.base_levels = len(engine.frame.trail_lim)
-        for lit in literals:
-            if not self._push(lit):
-                return False
-        return True
+    def _is_jinput(self, node: int) -> bool:
+        """Is ``node`` an input of a justification-frontier gate: an AND
+        assigned 0 whose two fanins are both unassigned?"""
+        val = self.solver.val
+        for gate in self.fanouts[node]:
+            if val[2 * gate] != 0:
+                continue
+            f0, f1 = self.fanins[gate]
+            if (f0 >> 1) == (f1 >> 1):
+                continue  # degenerate gate: never a two-pin frontier
+            other = f1 if (f0 >> 1) == node else f0
+            if val[other] < 0:
+                return True
+        return False
 
     # -- splitting-variable selection ---------------------------------
 
     def _static_candidates(self) -> List[int]:
         """Top-K unassigned nodes by the static part of the blend."""
         opts = self.options
-        engine = self.engine
-        values = engine.frame.values
+        val = self.solver.val
+        fanouts = self.fanouts
         scored: List[Tuple[float, int]] = []
-        for node in range(1, engine.num_nodes):
-            if values[node] != UNASSIGNED:
+        for node in range(1, self.num_nodes):
+            if val[2 * node] >= 0:
                 continue
-            score = opts.w_fanout * len(engine.fanout_gates[node])
-            if opts.w_jfrontier and engine._is_jinput(node):
+            score = opts.w_fanout * len(fanouts[node])
+            if opts.w_jfrontier and self._is_jinput(node):
                 score += opts.w_jfrontier * 10.0
             if node in self.corr_nodes:
                 score += opts.w_correlation * 10.0
@@ -219,17 +222,14 @@ class _Cutter:
 
     def _probe(self, lit: int) -> Tuple[bool, int]:
         """Propagate ``lit`` on a throwaway level: (conflicted, implied)."""
-        engine = self.engine
-        frame = engine.frame
-        before = len(frame.trail)
-        level = len(frame.trail_lim)
-        frame.trail_lim.append(before)
-        engine._assign(lit >> 1, 1 - (lit & 1), NO_REASON)
-        conflict = engine._propagate()
-        implied = len(frame.trail) - before
-        engine._cancel_until(level)
+        solver = self.solver
+        before = solver.trail_len
+        level = len(solver.trail_lim)
+        conflicted = not solver.assume(lit)
+        implied = solver.trail_len - before
+        solver._cancel_until(level)
         self.lookaheads += 1
-        return conflict is not None, implied
+        return conflicted, implied
 
     def _choose_split(self) -> Tuple[Optional[int], bool]:
         """(splitting node, leaf_refuted).  Node None = no candidates."""
@@ -237,7 +237,7 @@ class _Cutter:
         candidates = self._static_candidates()
         if not candidates:
             return None, False
-        big = float(self.engine.num_nodes)
+        big = float(self.num_nodes)
         best_node = None
         best_score = None
         for node in candidates:
@@ -264,17 +264,19 @@ class _Cutter:
     def run(self, workers: int) -> CubeSet:
         t0 = time.perf_counter()
         opts = self.options
-        engine = self.engine
+        solver = self.solver
         out = CubeSet()
         max_cubes = opts.resolved_max_cubes(workers)
 
-        if not self._enter(()):
+        if not solver.ok or not self._enter(()):
+            solver._cancel_until(0)
             out.trivial = UNSAT
             out.seconds = time.perf_counter() - t0
             return out
         if self._all_assigned():
             out.trivial = SAT
             out.model = self._model()
+            solver._cancel_until(0)
             out.seconds = time.perf_counter() - t0
             return out
 
@@ -313,21 +315,18 @@ class _Cutter:
             if leaf_refuted:
                 refuted.append(Cube(index=-1, literals=tuple(literals),
                                     depth=depth, refuted=True,
-                                    implied=len(engine.frame.trail)))
+                                    implied=solver.trail_len))
                 continue
             for lit in (2 * node, 2 * node + 1):
                 child = tuple(literals) + (lit,)
-                if self._push(lit):
+                if solver.assume(lit):
                     frontier.append((child, depth + 1))
-                    engine._cancel_until(
-                        self.base_levels + len(literals))
                 else:
-                    engine._cancel_until(
-                        self.base_levels + len(literals))
                     refuted.append(Cube(index=-1, literals=child,
                                         depth=depth + 1, refuted=True))
+                solver._cancel_until(self.base_levels + len(literals))
 
-        engine._cancel_until(0)
+        solver._cancel_until(0)
         # Hardest-first order (fewest implied assignments first) so the
         # longest-running cubes start as early as possible; index after
         # sorting so provenance ids match launch order.
@@ -346,23 +345,23 @@ class _Cutter:
             return Cube(index=-1, literals=tuple(literals), depth=depth,
                         refuted=True)
         return Cube(index=-1, literals=tuple(literals), depth=depth,
-                    implied=len(self.engine.frame.trail))
+                    implied=self.solver.trail_len)
 
     def _all_assigned(self) -> bool:
-        values = self.engine.frame.values
-        return all(values[n] != UNASSIGNED
-                   for n in range(self.engine.num_nodes))
+        val = self.solver.val
+        return all(val[2 * n] >= 0 for n in range(self.num_nodes))
 
     def _model(self) -> Dict[int, bool]:
-        values = self.engine.frame.values
-        return {n: bool(values[n]) for n in range(self.engine.num_nodes)
-                if values[n] != UNASSIGNED}
+        val = self.solver.val
+        return {n: val[2 * n] == 1 for n in range(self.num_nodes)
+                if val[2 * n] >= 0}
 
 
 def generate_cubes(circuit: Circuit, objectives: Optional[Sequence[int]] = None,
                    options: Optional[CutterOptions] = None,
                    correlations: Optional[CorrelationSet] = None,
-                   workers: int = 1) -> CubeSet:
+                   workers: int = 1,
+                   engine=None) -> CubeSet:
     """Cut the search space of ``circuit`` (under ``objectives``) into cubes.
 
     ``objectives`` defaults to the circuit outputs, matching
@@ -370,10 +369,17 @@ def generate_cubes(circuit: Circuit, objectives: Optional[Sequence[int]] = None,
     feeds the correlation-membership term of the splitting score (pass
     the set discovered once by the conquer driver; ``None`` just zeroes
     that term).  ``workers`` only matters when ``options.max_cubes`` is
-    None (cube count then scales with the worker count).
+    None (cube count then scales with the worker count).  ``engine`` is
+    the :class:`~repro.kernel.circuit.KernelEngine` of ``circuit`` to
+    look ahead on, at decision level 0 (the conquer driver passes its
+    prepared one); a bare one is compiled when it is None.
     """
     options = (options or CutterOptions()).validate()
     if objectives is None:
         objectives = list(circuit.outputs)
-    cutter = _Cutter(circuit, objectives, options, correlations)
+    if engine is None:
+        # Imported here: importing repro must not compile the kernel.
+        from ..kernel.circuit import KernelEngine
+        engine = KernelEngine(circuit)
+    cutter = _Cutter(engine, objectives, options, correlations)
     return cutter.run(workers)

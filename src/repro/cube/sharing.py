@@ -8,6 +8,12 @@ Two kinds of knowledge cross cube boundaries:
   is plain data and ships through the pickled
   :class:`~repro.runtime.worker.WorkerJob` as nested lists.
 
+* **Phase lemmas** — the root units and learned binaries of the driver's
+  one explicit-learning phase (:func:`repro.cube.conquer.solve_cubes`).
+  They follow from the circuit alone and reach every worker once, uncut;
+  an engine never exports a clause it was given, so they never enter
+  the pool below.
+
 * **Lemmas** — unit and binary clauses proven while refuting finished
   cubes, injected into cubes that have not started yet.
 
@@ -41,8 +47,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..csat.engine import CSatEngine
 from ..sim.correlation import CorrelationSet
 
-#: Cap on lemmas carried per worker launch — keeps WorkerJob pickles and
-#: injection time bounded on conflict-heavy runs.
+#: Cap on pool lemmas carried per cube dispatch — keeps dispatches and
+#: injection time bounded on conflict-heavy runs.  Phase lemmas are not
+#: counted against it.
 MAX_SHARED_LEMMAS = 512
 
 
@@ -111,12 +118,14 @@ class SharedKnowledge:
 
 
 def collect_csat_lemmas(engine: CSatEngine,
-                        limit: int = MAX_SHARED_LEMMAS) -> List[List[int]]:
+                        limit: Optional[int] = MAX_SHARED_LEMMAS
+                        ) -> List[List[int]]:
     """Shareable knowledge from a finished circuit-engine solve.
 
     Root-level trail units first (highest value: they permanently shrink
-    every other cube's search), then binary learned clauses.  The
-    constant node is skipped — its value is structural, not learned.
+    every other cube's search), then binary learned clauses, at most
+    ``limit`` of them (None: all).  The constant node is skipped — its
+    value is structural, not learned.
 
     Works for both circuit engines — the legacy :class:`CSatEngine` and
     the flat kernel's ``KernelEngine`` (same node-literal space).
@@ -129,19 +138,20 @@ def collect_csat_lemmas(engine: CSatEngine,
         node = lit >> 1
         if node != 0 and frame.levels[node] == 0:
             lemmas.append([lit])
-            if len(lemmas) >= limit:
+            if len(lemmas) == limit:
                 return lemmas
     for ci in engine.learnt_idx:
         clause = engine.clauses[ci]
         if clause is not None and len(clause) == 2:
             lemmas.append(list(clause))
-            if len(lemmas) >= limit:
+            if len(lemmas) == limit:
                 break
     return lemmas
 
 
 def collect_cnf_lemmas(solver, num_nodes: int,
-                       limit: int = MAX_SHARED_LEMMAS) -> List[List[int]]:
+                       limit: Optional[int] = MAX_SHARED_LEMMAS
+                       ) -> List[List[int]]:
     """Same as :func:`collect_csat_lemmas` for a ``cnf`` worker's
     :class:`~repro.kernel.cnf.FlatCnfSolver`.
 
@@ -153,7 +163,7 @@ def collect_cnf_lemmas(solver, num_nodes: int,
 
 
 def _collect_flat_lemmas(solver, num_nodes: int,
-                         limit: int) -> List[List[int]]:
+                         limit: Optional[int]) -> List[List[int]]:
     """Root trail units + recorded learned binaries of a flat-kernel
     :class:`~repro.kernel.flat.FlatSolver` over node literals.
 
@@ -169,12 +179,12 @@ def _collect_flat_lemmas(solver, num_nodes: int,
             break  # trail is level-ordered; root prefix ends here
         if 0 < node < num_nodes:
             lemmas.append([lit])
-            if len(lemmas) >= limit:
+            if len(lemmas) == limit:
                 return lemmas
     for a, b in solver.learnt_binaries:
         if 0 < a >> 1 < num_nodes and 0 < b >> 1 < num_nodes:
             lemmas.append([a, b])
-            if len(lemmas) >= limit:
+            if len(lemmas) == limit:
                 break
     return lemmas
 

@@ -13,11 +13,12 @@ exactly as adding local workers would.
 What a remote endpoint adds to the shared loop:
 
 * **Fabric** — each node is probed for its role and worker count before
-  the cut, and the circuit and objectives are registered on it after.
-  The node's key must equal :func:`~repro.dist.node.registration_key`
-  of the coordinator's own circuit and objectives: cube literals must
-  mean the same node numbering on both sides, under the same
-  objectives.
+  the cut, and the circuit, objectives, correlation classes and the
+  driver's phase lemmas are registered on it after; the node's warm
+  workers are built from that registration.  The node's key must equal
+  :func:`~repro.dist.node.registration_key` of the coordinator's own
+  circuit and objectives: cube literals must mean the same node
+  numbering on both sides, under the same objectives.
 * **Dispatch** — a slot POSTs its cube with the scheduler's lemma
   snapshot and long-polls for the result, under an idempotency key
   that names the registration and the cube's literals, so a
@@ -81,6 +82,8 @@ class DistReport(CubeReport):
                 "cubes": [c.as_dict() for c in self.cubes],
                 "generation_seconds": round(self.generation_seconds, 6),
                 "lookaheads": self.lookaheads,
+                "phase_seconds": round(self.phase_seconds, 6),
+                "phase_lemmas": self.phase_lemmas,
                 "lemmas_shared": self.lemmas_shared,
                 "pruned": self.pruned,
                 "duplicates": self.duplicates,
@@ -154,7 +157,8 @@ class _RemoteEndpoint:
             reply = self.client.call("POST", "/circuit", body={
                 "circuit": write_bench(conquest.circuit), "format": "bench",
                 "objectives": conquest.objectives,
-                "classes": conquest.classes, "label": self.label})
+                "classes": conquest.classes,
+                "phase_lemmas": conquest.phase_lemmas, "label": self.label})
         except ServeError as exc:
             self.info.alive = False
             self.info.detail = "register failed: {}".format(exc)
@@ -172,7 +176,7 @@ class _RemoteEndpoint:
               limits: Optional[Limits]) -> Optional[Dict[str, Any]]:
         """POST one cube and poll it to a terminal state; None when the
         poll was abandoned (run decided, budget spent) or the node lost
-        the circuit and was registered again."""
+        the registration or the job and was registered again."""
         conquest = self.conquest
         tracer = conquest.tracer
         span = None
@@ -228,8 +232,11 @@ class _RemoteEndpoint:
             status = (result or {}).get("status") or "abandoned"
             return result
         except ServeError as exc:
-            if exc.code == "unknown-circuit" and self.register():
-                return None  # restarted (amnesiac) node: requeue the cube
+            if exc.code in ("unknown-circuit", "unknown-job") \
+                    and self.register():
+                # A restarted (amnesiac) node, or one that evicted the
+                # registration: requeue the cube.
+                return None
             raise EndpointDown(str(exc)) from exc
         finally:
             if span is not None:

@@ -1,10 +1,18 @@
 """Conquer node: the remote worker-pool half of the distributed fabric.
 
-A :class:`ConquerNode` is a thin JSON-over-HTTP service wrapping the
-:mod:`repro.runtime` isolated worker pool.  The unit of work is one
-*cube* — a conjunction of decision literals cut by the coordinator —
-solved as an assumption solve under the node's hard limits and boundary
-certification.  The protocol mirrors :mod:`repro.serve.server`:
+A :class:`ConquerNode` is a thin JSON-over-HTTP service wrapping
+:mod:`repro.runtime` workers.  The unit of work is one *cube* — a
+conjunction of decision literals cut by the coordinator — solved as an
+assumption solve under the node's hard limits and boundary
+certification.  Each of the node's slots keeps one warm worker
+(:class:`~repro.cube.conquer.CubeSlot`) for the registration its cubes
+name: built once with the circuit, objectives, engine and phase lemmas,
+replaced when the slot's next cube names another registration, and
+closed when its registration is evicted or the node stops.  The node
+keeps the :data:`MAX_REGISTRATIONS` most recently used registrations;
+evicting one drops its finished jobs and idempotency keys too, so a
+late re-issue takes the ``unknown-circuit`` → re-register path.  The
+protocol mirrors :mod:`repro.serve.server`:
 
 ``GET /health``
     Liveness: ``{"ok": true, "role": "conquer-node", ...}``.
@@ -14,10 +22,12 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
     Prometheus-style exposition of the node's registry.
 ``POST /circuit``
     Register a circuit once: ``{"circuit": <text>, "objectives": [...],
-    "classes": [...]}``.  Responds ``{"key": <registration key>}``;
-    every later ``/conquer`` references the key, so cube dispatches stay
-    tiny.  ``objectives`` (the circuit's outputs when absent) and
-    ``classes`` (correlation classes of ``[node, phase]`` pairs) are
+    "classes": [...], "phase_lemmas": [...]}``.  Responds ``{"key":
+    <registration key>}``; every later ``/conquer`` references the key,
+    so cube dispatches stay tiny.  ``objectives`` (the circuit's outputs
+    when absent), ``classes`` (correlation classes of ``[node, phase]``
+    pairs) and ``phase_lemmas`` (the clauses the coordinator's explicit
+    phase proved, which every warm worker of the registration holds) are
     checked against the parsed circuit before anything is registered.
     The key (:func:`registration_key`) covers the **exact** structural
     hash (node numbering included) and the objectives — the coordinator
@@ -30,7 +40,7 @@ certification.  The protocol mirrors :mod:`repro.serve.server`:
     ``preset`` pick the worker's engine (default: the cube-worker
     defaults, ``csat`` and :data:`~repro.cube.conquer.CUBE_PRESET`); a
     node holds no engine setting of its own.  ``lemmas`` seed the
-    worker, which is seeded with nothing else.  Responds with the job
+    worker beyond its registration's phase lemmas.  Responds with the job
     snapshot; with ``wait`` the snapshot usually carries the final
     result already, and the result carries the lemmas the worker
     exported.  A re-issue under the same idempotency key maps onto the
@@ -58,14 +68,14 @@ import hashlib
 import threading
 import time
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import preset
-from ..cube.conquer import CUBE_PRESET, run_cube
+from ..cube.conquer import CUBE_PRESET, CubeSlot, cube_job
 from ..cube.sharing import literals_ok
 from ..durable.checkpoint import exact_hash
 from ..errors import CircuitError, ParseError, ReproError, SolverError
@@ -73,7 +83,7 @@ from ..obs.context import SpanContext
 from ..obs.metrics import enable_metrics
 from ..result import Limits
 from ..runtime.supervisor import CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT
-from ..runtime.worker import KIND_CNF, KIND_CSAT, WorkerJob
+from ..runtime.worker import KIND_CNF, KIND_CSAT
 from ..serve.envelope import MAX_WAIT_SECONDS, JsonHandler
 
 #: Cube job states.
@@ -81,6 +91,11 @@ QUEUED = "QUEUED"
 RUNNING = "RUNNING"
 DONE = "DONE"
 CANCELLED = "CANCELLED"
+
+#: Registrations a node keeps, least recently used evicted first.  Every
+#: dispatch and result poll refreshes its registration, and one with a
+#: queued or running job is never evicted.
+MAX_REGISTRATIONS = 4
 
 
 class _SpanTracer:
@@ -123,12 +138,14 @@ class _Registration:
     """One registered circuit and objectives."""
 
     def __init__(self, key: str, circuit, objectives: List[int],
-                 classes, label: str):
+                 classes, phase_lemmas, label: str):
         self.key = key
         self.circuit = circuit
         self.objectives = objectives
         self.classes = classes  # serialized correlation classes (or None)
+        self.phase_lemmas = phase_lemmas  # the coordinator's phase clauses
         self.label = label
+        self.evicted = False
 
 
 class NodeJob:
@@ -200,7 +217,8 @@ class ConquerNode:
         self.max_queue = max_queue
         self.tracer = tracer
         self.start_method = start_method
-        self._registrations: Dict[str, _Registration] = {}
+        self._registrations: "OrderedDict[str, _Registration]" = \
+            OrderedDict()
         self._jobs: Dict[str, NodeJob] = {}
         self._by_key: Dict[str, NodeJob] = {}
         self._queue: "deque[NodeJob]" = deque()
@@ -285,35 +303,61 @@ class ConquerNode:
     # ------------------------------------------------------------------
 
     def register(self, text: str, fmt: Optional[str],
-                 objectives: Optional[List[int]], classes,
+                 objectives: Optional[List[int]], classes, phase_lemmas,
                  label: str) -> _Registration:
         """Parse + register a circuit; idempotent on the registration
         key (:func:`registration_key`).
 
-        Raises :class:`AdmissionRejected` when ``objectives`` or
-        ``classes`` do not name the parsed circuit's literals and nodes.
+        Raises :class:`AdmissionRejected` when ``objectives``,
+        ``classes`` or ``phase_lemmas`` do not name the parsed circuit's
+        literals and nodes.
         """
         circuit = read_circuit_text(text, name=label, fmt=fmt)
         if not _objectives_ok(objectives, circuit.num_nodes):
             raise AdmissionRejected("bad-request", _BAD_OBJECTIVES, 400)
         if not _classes_ok(classes, circuit.num_nodes):
             raise AdmissionRejected("bad-request", _BAD_CLASSES, 400)
+        if not _lemmas_ok(phase_lemmas, circuit.num_nodes):
+            raise AdmissionRejected("bad-request", _BAD_PHASE_LEMMAS, 400)
         objs = list(objectives) if objectives is not None \
             else list(circuit.outputs)
         if not objs:
             raise SolverError("circuit has no outputs and no objectives "
                               "were given")
         key = registration_key(circuit, objs)
-        with self._lock:
+        with self._cv:
             reg = self._registrations.get(key)
             if reg is not None:
+                self._registrations.move_to_end(key)
                 if classes and not reg.classes:
                     reg.classes = classes
+                if phase_lemmas and not reg.phase_lemmas:
+                    reg.phase_lemmas = phase_lemmas
                 return reg
-            reg = _Registration(key, circuit, objs, classes, label)
+            reg = _Registration(key, circuit, objs, classes, phase_lemmas,
+                                label)
             self._registrations[key] = reg
+            self._evict()
         self._count("registered")
         return reg
+
+    def _evict(self) -> None:
+        """Drop the least recently used registrations past
+        :data:`MAX_REGISTRATIONS` — with their jobs and idempotency keys —
+        skipping any with a queued or running job; the slots close their
+        warm workers.  Called with the lock held."""
+        busy = {job.reg.key for job in self._jobs.values()
+                if job.state in (QUEUED, RUNNING)}
+        for key in [k for k in self._registrations if k not in busy]:
+            if len(self._registrations) <= MAX_REGISTRATIONS:
+                break
+            self._registrations.pop(key).evicted = True
+        for job_id in [i for i, job in self._jobs.items()
+                       if job.reg.evicted]:
+            job = self._jobs.pop(job_id)
+            if job.key and self._by_key.get(job.key) is job:
+                del self._by_key[job.key]
+        self._cv.notify_all()
 
     def submit(self, reg: _Registration, cube: List[int], attempt: int,
                idempotency_key: Optional[str], limits: Optional[Limits],
@@ -341,7 +385,10 @@ class ConquerNode:
                               idempotency_key), 409)
                 existing = None
             elif existing is None:
-                if self._draining:
+                if reg.evicted:
+                    reject = ("unknown-circuit", "registration evicted; "
+                              "POST /circuit again", 400)
+                elif self._draining:
                     reject = ("draining", "node is shutting down", 503)
                 elif len(self._queue) + self._running >= self.max_queue:
                     reject = ("queue-full",
@@ -351,6 +398,7 @@ class ConquerNode:
                     job = NodeJob(reg, cube, attempt, idempotency_key,
                                   limits, lemmas, kind, preset_name,
                                   trace_id, parent_span)
+                    self._registrations.move_to_end(reg.key)
                     self._jobs[job.id] = job
                     if idempotency_key:
                         self._by_key[idempotency_key] = job
@@ -368,7 +416,10 @@ class ConquerNode:
 
     def job(self, job_id: str) -> Optional[NodeJob]:
         with self._lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+            if job is not None:
+                self._registrations.move_to_end(job.reg.key)
+            return job
 
     def registration(self, key: str) -> Optional[_Registration]:
         with self._lock:
@@ -379,19 +430,33 @@ class ConquerNode:
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        """One slot: its warm worker serves one registration, engine kind
+        and preset at a time, and is closed when the next job names
+        another, when its registration is evicted, or when the node
+        stops."""
+        slot = binding = None
         while True:
             with self._cv:
-                while not self._queue and not self._draining:
+                while not self._queue and not self._draining \
+                        and not (slot is not None and binding[0].evicted):
                     self._cv.wait(0.5)
-                if not self._queue:
-                    if self._draining:
-                        return
-                    continue
-                job = self._queue.popleft()
-                job.state = RUNNING
-                self._running += 1
+                job = self._queue.popleft() if self._queue else None
+                if job is not None:
+                    job.state = RUNNING
+                    self._running += 1
+            wanted = None if job is None \
+                else (job.reg, job.kind, job.preset_name)
+            if slot is not None and wanted != binding:
+                slot.close(self._span_tracer(None))
+                slot = None
+            if job is None:
+                if self._draining:
+                    return
+                continue
+            if slot is None:
+                slot, binding = self._slot_for(job), wanted
             try:
-                self._run_job(job)
+                self._run_job(job, slot)
             except Exception as exc:  # noqa: BLE001 — a node survives any job
                 job.finish({"status": "FAILED",
                             "failure": {"kind": "CRASHED",
@@ -405,40 +470,42 @@ class ConquerNode:
                     self._running -= 1
                     self._cv.notify_all()
 
-    def _build_worker_job(self, job: NodeJob) -> WorkerJob:
+    def _slot_for(self, job: NodeJob) -> CubeSlot:
         reg = job.reg
+        return CubeSlot(
+            cube_job(reg.circuit, reg.objectives,
+                     name="cube@{}".format(self.name), kind=job.kind,
+                     preset_name=job.preset_name, options=None,
+                     classes=reg.classes, phase_lemmas=reg.phase_lemmas,
+                     mem_limit_mb=self.mem_limit_mb, export_lemmas=True),
+            certify=self.certify, grace_seconds=self.grace_seconds,
+            start_method=self.start_method, spawns=self._next_spawn)
+
+    def _next_spawn(self) -> int:
+        with self._lock:
+            self._spawned += 1
+            return self._spawned - 1
+
+    def _span_tracer(self, job: Optional[NodeJob]):
+        """A tracer for one job's events (or the slot's own, without a
+        job): the coordinator's dispatch span becomes the parent of what
+        the job's worker does, so a merged trace shows coordinator ->
+        dispatch -> worker as one tree."""
+        if self.tracer is None:
+            return None
+        context = None
+        if job is not None and job.trace_id and job.parent_span:
+            context = SpanContext(trace_id=job.trace_id,
+                                  span_id=job.parent_span)
+        return _SpanTracer(self.tracer, context)
+
+    def _run_job(self, job: NodeJob, slot: CubeSlot) -> None:
+        started = time.perf_counter()
         # The job table outlives the solve; the seeds need not.
         seeds, job.lemmas = job.lemmas, None
-        return WorkerJob(
-            circuit=reg.circuit,
-            name="cube@{}".format(self.name),
-            kind=job.kind, preset_name=job.preset_name,
-            objectives=list(reg.objectives),
-            limits=job.limits, mem_limit_mb=self.mem_limit_mb,
-            assumptions=list(job.cube),
-            seed_classes=reg.classes if job.kind == KIND_CSAT else None,
-            seed_lemmas=seeds,
-            export_lemmas=True)
-
-    def _run_job(self, job: NodeJob) -> None:
-        tracer = None
-        if self.tracer is not None:
-            # Cross-process span tree: the dispatch span the coordinator
-            # minted becomes this worker's parent, so a merged trace
-            # shows coordinator -> dispatch -> worker as one tree.
-            context = None
-            if job.trace_id and job.parent_span:
-                context = SpanContext(trace_id=job.trace_id,
-                                      span_id=job.parent_span)
-            tracer = _SpanTracer(self.tracer, context)
-        with self._lock:
-            index = self._spawned
-            self._spawned += 1
-        started = time.perf_counter()
-        payload = run_cube(
-            self._build_worker_job(job), job.attempt,
-            certify=self.certify, grace_seconds=self.grace_seconds,
-            index=index, tracer=tracer, start_method=self.start_method,
+        payload = slot.solve(
+            job.cube, job.attempt, seeds, job.limits, fault=None,
+            tracer=self._span_tracer(job),
             cancelled=lambda: ("node-shutdown" if self._stop_now.is_set()
                                else None))
         job.seconds = time.perf_counter() - started
@@ -477,6 +544,7 @@ class ConquerNode:
                 "done": done,
                 "jobs": len(self._jobs),
                 "circuits": len(self._registrations),
+                "workers_spawned": self._spawned,
                 "counts": dict(self._counts),
                 "draining": self._draining,
             }
@@ -484,6 +552,8 @@ class ConquerNode:
 
 _BAD_LEMMAS = ("'lemmas' must be a list of non-empty clauses of the "
                "circuit's literals")
+_BAD_PHASE_LEMMAS = ("'phase_lemmas' must be a list of non-empty clauses "
+                     "of the circuit's literals")
 _BAD_OBJECTIVES = ("'objectives' must be a non-empty list of the "
                    "circuit's literals")
 _BAD_CLASSES = ("'classes' must be a list of lists of [node, phase] "
@@ -568,7 +638,7 @@ class _NodeHandler(JsonHandler):
         try:
             reg = self.service.register(
                 str(text), body.get("format"), body.get("objectives"),
-                body.get("classes"), label)
+                body.get("classes"), body.get("phase_lemmas"), label)
         except AdmissionRejected as exc:
             self._error(exc.status, exc.code, exc.msg)
             return

@@ -199,6 +199,20 @@ class FlatSolver:
         """Value of a literal: 1, 0 or -1 (unassigned)."""
         return self.val[lit]
 
+    def assume(self, lit: int) -> bool:
+        """Open a decision level asserting ``lit`` (an empty one when it
+        is already true) and propagate; False on a conflict.  The
+        lookahead step of the cube cutter, which backtracks with
+        :meth:`_cancel_until`."""
+        value = self.val[lit]
+        if value == 0:
+            return False
+        self.trail_lim.append(self.trail_len)
+        if value < 0:
+            self._enqueue(lit, NO_REASON)
+            return self._propagate() is None
+        return True
+
     def _enqueue(self, lit: int, reason: int) -> None:
         """Assign ``lit`` true (caller has checked it is unassigned)."""
         val = self.val

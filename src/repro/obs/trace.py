@@ -125,16 +125,24 @@ class Tracer:
 #: Shared always-off tracer instance.
 NULL_TRACER = Tracer()
 
+#: Event kinds a path sink flushes at once: low-rate span and cube
+#: boundaries, never the per-conflict search events.
+_FLUSHED_PREFIXES = ("span_", "cube_")
+
 
 class JsonlTracer(Tracer):
     """Writes one JSON object per event to a file or file-like sink.
 
     ``sink`` may be a path (the file is opened and owned — :meth:`close`
     closes it) or any object with a ``write`` method (borrowed; only
-    flushed on close).  Timestamps come from ``clock`` (default
-    ``time.perf_counter``) relative to construction time, so they are
-    monotonic and start near zero.  Safe to share between threads: each
-    event is written as one line under a lock.
+    flushed on close).  A path sink is block-buffered, but span and cube
+    boundary events (``span_*``, ``cube_*``) are flushed as they are
+    written, so a live run's trace shows where it is and a run killed by
+    a signal leaves its trace readable up to its last boundary.
+    Timestamps come from ``clock`` (default ``time.perf_counter``)
+    relative to construction time, so they are monotonic and start near
+    zero.  Safe to share between threads: each event is written as one
+    line under a lock.
     """
 
     enabled = True
@@ -171,6 +179,8 @@ class JsonlTracer(Tracer):
         with self._lock:
             self._fh.write(line)
             self.events_written += 1
+            if self._owns and kind.startswith(_FLUSHED_PREFIXES):
+                self._fh.flush()
 
     def close(self) -> None:
         with self._lock:

@@ -7,7 +7,8 @@ production deployment needs:
 
 * :mod:`repro.runtime.worker` — the subprocess side: one
   :class:`WorkerJob` solved under a ``resource.setrlimit`` memory cap,
-  reporting a plain-data payload over a pipe;
+  reporting a plain-data payload over a pipe (or, for a warm cube
+  worker, one payload per task it is sent);
 * :mod:`repro.runtime.supervisor` — the parent side: wall-clock watchdog
   (SIGTERM, then SIGKILL after a grace period), crash containment into
   the :class:`repro.errors.WorkerFailure` taxonomy (TIMEOUT / MEMOUT /

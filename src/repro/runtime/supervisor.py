@@ -29,18 +29,25 @@ import multiprocessing.connection
 import os
 import signal
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import (CORRUPT_ANSWER, CRASHED, LOST, MEMOUT, TIMEOUT,
                       WorkerFailure)
 from ..obs.context import SpanContext, context_of
 from ..obs.metrics import (MEMORY_BUCKETS, default_registry, observe_solve)
 from ..obs.summary import read_trace
-from ..result import Limits, SAT, SolverResult, UNSAT
+from ..result import Limits, SAT, SolverResult, UNKNOWN, UNSAT
 from .worker import (KIND_CNF, KIND_SWEEP, WorkerJob, payload_to_result,
                      run_worker)
+
+#: Held from a spawn's first pipe to the close of its child-side ends.
+#: Slot threads spawn concurrently, and a fork in between would leak one
+#: worker's pipe ends into its sibling: that worker's exit then goes
+#: unseen by ``join`` until the sibling exits too.
+_SPAWN_LOCK = threading.Lock()
 
 #: Certification levels for answers crossing the worker boundary.
 CERTIFY_OFF = "off"      # trust the worker
@@ -95,22 +102,33 @@ class WorkerOutcome:
 
 
 class WorkerHandle:
-    """Parent-side handle on one running worker."""
+    """Parent-side handle on one running worker.
+
+    A one-shot worker runs its job and is reaped once.  A *warm* worker
+    (``spawn_worker(..., warm=True)``) takes tasks through :meth:`run`,
+    each under its own watchdog, until :meth:`close` or a failed task
+    reaps it; :attr:`alive` tells whether it can take another.
+    """
 
     def __init__(self, proc, conn, job: WorkerJob, index: int,
                  deadline: Optional[float], grace_seconds: float,
                  span: Optional[SpanContext] = None,
-                 spawn_t: float = 0.0):
+                 spawn_t: float = 0.0, warm: bool = False):
         self.proc = proc
         self.conn = conn
         self.job = job
         self.index = index
-        self.started = time.perf_counter()
+        self.born = self.started = time.perf_counter()
         self.deadline = deadline          # absolute perf_counter time
         self.grace_seconds = grace_seconds
         self.killed = False               # we sent SIGTERM/SIGKILL
         self.span = span                  # worker span (trace correlation)
         self.spawn_t = spawn_t            # parent-tracer time at spawn
+        self.warm = warm
+        self.alive = True                 # not reaped yet
+        self.busy = 0.0                   # warm: child seconds of answers
+        self._closing = False
+        self._pending = None              # a message received, not used
 
     @property
     def elapsed(self) -> float:
@@ -135,26 +153,73 @@ class WorkerHandle:
                 self.proc.kill()
                 self.proc.join(5.0)
 
+    def run(self, task: dict, wall_seconds: Optional[float],
+            certify: str = CERTIFY_SAT, tracer=None,
+            cancelled: Callable[[], Optional[str]] = lambda: None
+            ) -> WorkerOutcome:
+        """Warm workers: solve one task (see :func:`run_worker`) and wait
+        for its answer under a watchdog of ``wall_seconds``; a
+        ``cancelled()`` reason kills the worker early.
+
+        An answer that passes boundary certification leaves the worker
+        waiting for its next task.  Anything else — a failure, a death,
+        a timeout, a cancellation, a corrupt answer — reaps it.
+        """
+        self.started = time.perf_counter()
+        self.deadline = (self.started + wall_seconds
+                         if wall_seconds is not None else None)
+        try:
+            self.conn.send(("task", task))
+        except (OSError, ValueError):
+            pass  # already dead: the reap below classifies it
+        while not self.expired() and self.proc.is_alive():
+            reason = cancelled()
+            if reason is not None:
+                self.kill(tracer=tracer, reason=reason)
+                break
+            try:
+                if self.conn.poll(0.2):
+                    break
+            except (OSError, ValueError):
+                break
+        if not self.killed:
+            message = self._receive()
+            if message is not None and message[0] == "result":
+                outcome = self._answer(message[1], certify)
+                if outcome.ok:
+                    self.deadline = None   # idle: no watchdog
+                    self.busy += outcome.result.time_seconds or 0.0
+                    self._report(outcome, tracer)
+                    return outcome
+            self._pending = message
+        return self.reap(certify=certify, tracer=tracer)
+
+    def close(self, tracer=None) -> WorkerOutcome:
+        """Warm workers: ask the idle worker to exit, then reap it.  The
+        outcome's result spans the worker's whole life: ``time_seconds``
+        is the child's time on the tasks it answered."""
+        self._closing = True
+        self.deadline = None
+        return self.reap(tracer=tracer)
+
     def reap(self, certify: str = CERTIFY_SAT, tracer=None) -> WorkerOutcome:
         """Collect this worker's outcome; call once the worker finished,
         failed, or expired.  Always leaves the process dead and the pipe
         closed."""
         name = self.job.name
+        if self._closing:
+            return self._finish(WorkerOutcome(
+                name, result=SolverResult(status=UNKNOWN,
+                                          time_seconds=self.busy),
+                seconds=time.perf_counter() - self.born), tracer,
+                delivered=True)
         message = None
         if not self.killed:
-            try:
-                if self.conn.poll(0):
-                    message = self.conn.recv()
-            except (EOFError, OSError):
-                message = None
+            message = self._receive()
         if message is None and self.expired():
             self.kill(tracer=tracer, reason="deadline")
             # Accept a result that raced the watchdog by a hair.
-            try:
-                if self.conn.poll(0):
-                    message = self.conn.recv()
-            except (EOFError, OSError):
-                message = None
+            message = self._receive()
             if message is None:
                 return self._finish(WorkerOutcome(
                     name, failure=WorkerFailure(
@@ -167,11 +232,7 @@ class WorkerHandle:
         if message is None:
             # No message and not expired: the process must have died.
             self.proc.join(0.5)
-            try:
-                if self.conn.poll(0):
-                    message = self.conn.recv()
-            except (EOFError, OSError):
-                message = None
+            message = self._receive()
         if message is None:
             return self._finish(self._classify_exit(), tracer)
 
@@ -181,20 +242,35 @@ class WorkerHandle:
                 name, failure=WorkerFailure(
                     payload.get("kind", CRASHED),
                     payload.get("detail", ""),
-                    engine=name, seconds=self.elapsed)), tracer)
+                    engine=name, seconds=self.elapsed)), tracer,
+                delivered=True)
+        return self._finish(self._answer(payload, certify), tracer,
+                            delivered=True)
+
+    def _receive(self):
+        """The worker's next message, or None when none is waiting."""
+        message, self._pending = self._pending, None
+        if message is not None:
+            return message
+        try:
+            if self.conn.poll(0):
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def _answer(self, payload: dict, certify: str) -> WorkerOutcome:
+        """A result message as an outcome, certified at the boundary."""
+        name = self.job.name
         result = payload_to_result(payload)
         detail = _certify_payload(self.job, result, payload, certify)
         if detail is not None:
-            return self._finish(WorkerOutcome(
-                name, failure=WorkerFailure(CORRUPT_ANSWER, detail,
-                                            engine=name,
-                                            seconds=self.elapsed)), tracer)
-        return self._finish(WorkerOutcome(name, result=result,
-                                          seconds=self.elapsed,
-                                          lemmas=payload.get("lemmas"),
-                                          maxrss_mb=payload.get("maxrss_mb"),
-                                          payload=payload),
-                            tracer)
+            return WorkerOutcome(name, failure=WorkerFailure(
+                CORRUPT_ANSWER, detail, engine=name, seconds=self.elapsed))
+        return WorkerOutcome(name, result=result, seconds=self.elapsed,
+                             lemmas=payload.get("lemmas"),
+                             maxrss_mb=payload.get("maxrss_mb"),
+                             payload=payload)
 
     def _classify_exit(self) -> WorkerOutcome:
         """Worker died without a message: classify from the exit status."""
@@ -229,18 +305,49 @@ class WorkerHandle:
                                     engine=name, seconds=seconds)
         return WorkerOutcome(name, failure=failure, seconds=seconds)
 
-    def _finish(self, outcome: WorkerOutcome, tracer=None) -> WorkerOutcome:
+    def _finish(self, outcome: WorkerOutcome, tracer=None,
+                delivered: bool = False) -> WorkerOutcome:
+        """End the process and the pipe, then account for ``outcome``.
+
+        A worker that has ``delivered`` its message (or, warm, was told
+        to close) exits on its own: it gets the grace period before any
+        signal, which keeps a lemma-exporting worker from flushing a
+        salvage file nobody reads.  SIGTERM, grace, SIGKILL remain for
+        the rest."""
         outcome.seconds = outcome.seconds or self.elapsed
+        self.alive = False
         if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(1.0)
+            if delivered:
+                if self.warm:
+                    try:
+                        self.conn.send(("close", None))
+                    except (OSError, ValueError):
+                        pass
+                self.proc.join(self.grace_seconds)
             if self.proc.is_alive():
-                self.proc.kill()
-                self.proc.join(5.0)
+                self.proc.terminate()
+                self.proc.join(1.0)
+                if self.proc.is_alive():
+                    self.proc.kill()
+                    self.proc.join(5.0)
         try:
             self.conn.close()
         except OSError:
             pass
+        if not self._closing:
+            self._report(outcome, tracer)
+        self._merge_child_trace(tracer)
+        self._read_salvage(outcome, tracer)
+        if tracer is not None and self.span is not None:
+            status = ("CLOSED" if self._closing else outcome.result.status
+                      if outcome.ok else outcome.failure.kind)
+            tracer.emit("span_end", span=self.span.span_id, status=status,
+                        maxrss_mb=outcome.maxrss_mb)
+        return outcome
+
+    def _report(self, outcome: WorkerOutcome, tracer=None) -> None:
+        """The ``worker_result``/``worker_fail`` event and the metrics of
+        one answer or failure."""
         if tracer is not None:
             if outcome.ok:
                 tracer.emit("worker_result", engine=self.job.name,
@@ -251,15 +358,7 @@ class WorkerHandle:
                             index=self.index, failure=outcome.failure.kind,
                             detail=outcome.failure.detail,
                             seconds=round(outcome.seconds, 6))
-        self._merge_child_trace(tracer)
-        self._read_salvage(outcome, tracer)
-        if tracer is not None and self.span is not None:
-            status = (outcome.result.status if outcome.ok
-                      else outcome.failure.kind)
-            tracer.emit("span_end", span=self.span.span_id, status=status,
-                        maxrss_mb=outcome.maxrss_mb)
         self._record_metrics(outcome)
-        return outcome
 
     def _read_salvage(self, outcome: WorkerOutcome, tracer=None) -> None:
         """Recover the lemma pool a dying worker flushed (if any).
@@ -383,13 +482,16 @@ def spawn_worker(job: WorkerJob,
                  grace_seconds: float = 1.0,
                  index: int = 0,
                  tracer=None,
-                 start_method: Optional[str] = None) -> WorkerHandle:
+                 start_method: Optional[str] = None,
+                 warm: bool = False) -> WorkerHandle:
     """Start one isolated worker; returns immediately with its handle.
 
     ``wall_seconds`` is the *hard* budget: the watchdog TERMs at the
     deadline and KILLs ``grace_seconds`` later.  The job's cooperative
     ``limits`` default to the same number so a healthy worker returns
-    UNKNOWN on its own just before the watchdog would fire.
+    UNKNOWN on its own just before the watchdog would fire.  A ``warm``
+    worker builds the job's engine and waits for tasks
+    (:meth:`WorkerHandle.run`), each with its own budget.
     """
     if job.limits is not None:
         job.limits.validate()
@@ -424,12 +526,13 @@ def spawn_worker(job: WorkerJob,
         # cache, compiling) it again, which costs about a cube's search.
         from .. import kernel  # noqa: F401
     ctx = _context(start_method)
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=run_worker, args=(child_conn, job),
-                       name="repro-worker-{}-{}".format(index, job.name),
-                       daemon=True)
-    proc.start()
-    child_conn.close()
+    with _SPAWN_LOCK:
+        parent_conn, child_conn = ctx.Pipe(duplex=warm)
+        proc = ctx.Process(target=run_worker, args=(child_conn, job, warm),
+                           name="repro-worker-{}-{}".format(index, job.name),
+                           daemon=True)
+        proc.start()
+        child_conn.close()
     deadline = (time.perf_counter() + wall_seconds
                 if wall_seconds is not None else None)
     if tracer is not None:
@@ -446,7 +549,7 @@ def spawn_worker(job: WorkerJob,
         registry.counter("repro_worker_spawns_total",
                          "Isolated workers spawned").inc()
     return WorkerHandle(proc, parent_conn, job, index, deadline,
-                        grace_seconds, span=span, spawn_t=spawn_t)
+                        grace_seconds, span=span, spawn_t=spawn_t, warm=warm)
 
 
 def run_supervised(job: WorkerJob,

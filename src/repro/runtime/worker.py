@@ -16,6 +16,14 @@ and sends exactly one message back over the pipe:
     (segfault, SIGKILL, hang) are classified by the parent from the exit
     status instead.
 
+A *warm* worker (``run_worker(conn, job, warm=True)``, the cube
+conquests' per-slot worker) builds the job's engine once and then
+answers one task per message it receives — ``("task", {"assumptions",
+"lemmas", "limits", "fault"})`` — with the same two message kinds, until
+``("close", None)`` or its first failure ends it.  The engine, and the
+clauses it learns, persist from one task to the next; faults, the
+memory cap's MEMOUT and lemma salvage stay per task.
+
 Everything here must stay importable at module top level so the
 ``spawn`` start method can find :func:`run_worker` by qualified name.
 """
@@ -246,10 +254,12 @@ class _Salvage:
         self.collect = None   # installed once the engine exists
 
     def install(self) -> None:
-        try:
-            signal.signal(signal.SIGTERM, self._on_term)
-        except (ValueError, OSError):
-            pass  # non-main thread or unsupported platform
+        _set_sigterm(self._on_term)
+
+    def disarm(self) -> None:
+        """The answer is sent: a SIGTERM now must not flush a file the
+        supervisor would delete unread."""
+        _set_sigterm(signal.SIG_DFL)
 
     def _on_term(self, signum, frame) -> None:
         self.write()
@@ -270,6 +280,13 @@ class _Salvage:
             pass
 
 
+def _set_sigterm(handler) -> None:
+    try:
+        signal.signal(signal.SIGTERM, handler)
+    except (ValueError, OSError):
+        pass  # non-main thread or unsupported platform
+
+
 def _circuit_to_dimacs(lit: int) -> int:
     """Circuit literal -> DIMACS literal under the Tseitin var = node + 1."""
     var = (lit >> 1) + 1
@@ -281,79 +298,162 @@ def _dimacs_to_circuit(d: int) -> int:
     return 2 * node + (1 if d < 0 else 0)
 
 
+class JobEngine:
+    """The engine of a csat or cnf job: built once, solved per call.
+
+    Each :meth:`payload` call solves the job's objectives plus that
+    call's assumptions; the engine and its learned clauses persist from
+    one call to the next.  One class serves a one-shot job, a warm
+    worker's tasks and the in-process cube slot, which hands in the
+    conquer driver's prepared
+    :class:`~repro.core.solver.CircuitSolver` as ``solver`` — an engine
+    that already holds the job's seed lemmas.
+
+    Seed lemmas and :meth:`add` batches are injected at decision level 0
+    and never twice: a clause the engine was given or exported is
+    skipped when it comes back.
+    """
+
+    def __init__(self, job: WorkerJob, tracer=None, solver=None):
+        circuit = job.circuit
+        self.job = job
+        self.objectives = (list(job.objectives) if job.objectives is not None
+                           else list(circuit.outputs))
+        self.proof = None
+        self._held = set()
+        if solver is not None:
+            self.solver = solver
+            self._held.update(frozenset(c) for c in job.seed_lemmas or ())
+            return
+        if job.collect_proof:
+            from ..proof import ProofLog
+            self.proof = ProofLog()
+        if job.kind == KIND_CSAT:
+            from ..core.solver import CircuitSolver
+            from ..csat.options import preset
+            if job.options is not None:
+                options = (job.options.replace(**job.overrides)
+                           if job.overrides else job.options)
+            else:
+                options = preset(job.preset_name, **job.overrides)
+            if tracer is not None:
+                options = options.replace(trace=tracer)
+            solver = CircuitSolver(circuit, options, proof=self.proof)
+            if job.seed_classes is not None:
+                from ..cube.sharing import deserialize_classes
+                # Pre-seeding skips the worker's own simulation pass.
+                solver.correlations = deserialize_classes(job.seed_classes)
+        elif job.kind == KIND_CNF:
+            from ..circuit.cnf_convert import tseitin
+            from ..kernel.cnf import FlatCnfSolver
+            formula, _ = tseitin(circuit, objectives=self.objectives)
+            solver = FlatCnfSolver(formula, proof=self.proof, trace=tracer)
+        else:
+            raise ValueError("assumptions require a csat or cnf worker, "
+                             "not {!r}".format(job.kind))
+        self.solver = solver
+        self.add(job.seed_lemmas)
+
+    def add(self, lemmas) -> None:
+        """Inject shared lemmas (circuit ∧ objectives consequences)."""
+        new = [list(c) for c in lemmas or ()
+               if frozenset(c) not in self._held]
+        if not new:
+            return
+        self._held.update(frozenset(c) for c in new)
+        if self.job.kind == KIND_CSAT:
+            from ..cube.sharing import inject_csat_lemmas
+            inject_csat_lemmas(self.solver.engine, new)
+        else:
+            for clause in new:
+                # Shared lemmas hold for circuit AND objectives — exactly
+                # the Tseitin formula — so they join it directly.
+                self.solver.add_clause([_circuit_to_dimacs(l)
+                                        for l in clause])
+
+    def lemmas(self) -> List[List[int]]:
+        """Root units + learned binaries, shareable with sibling cubes:
+        the ones this engine has neither given out nor been given, at
+        most ``MAX_SHARED_LEMMAS`` of them, units first."""
+        from ..cube.sharing import (MAX_SHARED_LEMMAS, collect_cnf_lemmas,
+                                    collect_csat_lemmas)
+        if self.job.kind == KIND_CSAT:
+            known = collect_csat_lemmas(self.solver.engine, limit=None)
+        else:
+            known = collect_cnf_lemmas(self.solver,
+                                       self.job.circuit.num_nodes, limit=None)
+        new = []
+        for clause in known:
+            key = frozenset(clause)
+            if key not in self._held:
+                self._held.add(key)
+                new.append(clause)
+                if len(new) == MAX_SHARED_LEMMAS:
+                    break
+        return new
+
+    def payload(self, assumptions, limits: Optional[Limits]) -> dict:
+        """Solve under ``assumptions``; the result payload dict."""
+        assumptions = list(assumptions or ())
+        if self.job.kind == KIND_CSAT:
+            result = self.solver.solve(
+                objectives=self.objectives + assumptions, limits=limits)
+            core = result.core
+        else:
+            result = self.solver.solve(
+                assumptions=[_circuit_to_dimacs(l) for l in assumptions],
+                limits=limits)
+            if result.status == SAT:
+                # CNF var = node + 1; map back so the parent's
+                # circuit-level certifier can replay the model.
+                result.model = {var - 1: value
+                                for var, value in result.model.items()}
+            core = (None if result.core is None
+                    else [_dimacs_to_circuit(d) for d in result.core])
+        proof_steps = None
+        if self.proof is not None and result.status == UNSAT:
+            proof_steps = list(self.proof.steps)
+        # Boundary certification replays *all* requirements, cube
+        # literals included — a SAT model must satisfy its cube too.
+        return _result_payload(
+            self.job, result, self.objectives + assumptions, core=core,
+            proof=proof_steps,
+            lemmas=self.lemmas() if self.job.export_lemmas else None)
+
+
+def _result_payload(job: WorkerJob, result: SolverResult,
+                    objectives: List[int], core=None, proof=None,
+                    lemmas=None) -> dict:
+    """The ``("result", payload)`` message body: primitives only."""
+    return {
+        "engine": job.name,
+        "status": result.status,
+        "model": result.model,
+        "stats": result.stats.as_dict(),
+        "time_seconds": result.time_seconds,
+        "sim_seconds": result.sim_seconds,
+        "interrupted": result.interrupted,
+        "proof": proof,
+        "objectives": objectives,
+        "core": core,
+        "lemmas": lemmas,
+    }
+
+
 def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
-    """Run the solve a job describes; returns the result payload dict."""
+    """Run the solve a one-shot job describes; returns the result payload."""
     circuit = job.circuit
     objectives = (list(job.objectives) if job.objectives is not None
                   else list(circuit.outputs))
-    assumptions = list(job.assumptions or [])
-    if assumptions and job.kind not in (KIND_CSAT, KIND_CNF):
+    if job.kind in (KIND_CSAT, KIND_CNF):
+        engine = JobEngine(job, tracer)
+        if salvage is not None:
+            salvage.collect = engine.lemmas
+        return engine.payload(job.assumptions, job.limits)
+    if job.assumptions:
         raise ValueError("assumptions require a csat or cnf worker, "
                          "not {!r}".format(job.kind))
-    proof = None
-    lemmas = None
-    core = None
-    if job.kind == KIND_CSAT:
-        from ..core.solver import CircuitSolver
-        from ..csat.options import preset
-        if job.options is not None:
-            options = (job.options.replace(**job.overrides)
-                       if job.overrides else job.options)
-        else:
-            options = preset(job.preset_name, **job.overrides)
-        if tracer is not None:
-            options = options.replace(trace=tracer)
-        if job.collect_proof:
-            from ..proof import ProofLog
-            proof = ProofLog()
-        solver = CircuitSolver(circuit, options, proof=proof)
-        if job.seed_classes is not None:
-            from ..cube.sharing import deserialize_classes
-            # Pre-seeding skips the worker's own simulation pass.
-            solver.correlations = deserialize_classes(job.seed_classes)
-        if job.seed_lemmas:
-            from ..cube.sharing import inject_csat_lemmas
-            inject_csat_lemmas(solver.engine, job.seed_lemmas)
-        if salvage is not None:
-            from ..cube.sharing import collect_csat_lemmas
-            salvage.collect = lambda: collect_csat_lemmas(solver.engine)
-        result = solver.solve(objectives=objectives + assumptions,
-                              limits=job.limits)
-        core = result.core
-        if job.export_lemmas:
-            from ..cube.sharing import collect_csat_lemmas
-            lemmas = collect_csat_lemmas(solver.engine)
-    elif job.kind == KIND_CNF:
-        from ..circuit.cnf_convert import tseitin
-        from ..kernel.cnf import FlatCnfSolver
-        formula, _ = tseitin(circuit, objectives=objectives)
-        if job.collect_proof:
-            from ..proof import ProofLog
-            proof = ProofLog()
-        solver = FlatCnfSolver(formula, proof=proof, trace=tracer)
-        if job.seed_lemmas:
-            for clause in job.seed_lemmas:
-                # Shared lemmas hold for circuit AND objectives — exactly
-                # this formula — so they join the clause database directly.
-                solver.add_clause([_circuit_to_dimacs(l) for l in clause])
-        if salvage is not None:
-            from ..cube.sharing import collect_cnf_lemmas
-            salvage.collect = \
-                lambda: collect_cnf_lemmas(solver, circuit.num_nodes)
-        result = solver.solve(
-            assumptions=[_circuit_to_dimacs(l) for l in assumptions],
-            limits=job.limits)
-        if result.status == SAT:
-            # CNF var = node + 1; map back so the parent's circuit-level
-            # certifier can replay the model.
-            result.model = {var - 1: value
-                            for var, value in result.model.items()}
-        if result.core is not None:
-            core = [_dimacs_to_circuit(d) for d in result.core]
-        if job.export_lemmas:
-            from ..cube.sharing import collect_cnf_lemmas
-            lemmas = collect_cnf_lemmas(solver, circuit.num_nodes)
-    elif job.kind == KIND_SWEEP:
+    if job.kind == KIND_SWEEP:
         from ..circuit.bench_io import write_bench
         from ..core.sweep import sat_sweep
         # Sweeps always prove on the flat kernel: preset_name, options
@@ -380,7 +480,7 @@ def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
             "sweep_bench": write_bench(sweep.circuit),
             "sweep_substitutions": dict(sweep.substitutions),
         }
-    elif job.kind == KIND_BRUTE:
+    if job.kind == KIND_BRUTE:
         from ..verify.oracle import _brute_force
         result = _brute_force(circuit, objectives)
     elif job.kind == KIND_BDD:
@@ -388,25 +488,7 @@ def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
         result = _bdd_check(circuit, objectives, job.bdd_node_limit)
     else:
         raise ValueError("unknown worker kind {!r}".format(job.kind))
-
-    proof_steps = None
-    if proof is not None and result.status == UNSAT:
-        proof_steps = list(proof.steps)
-    return {
-        "engine": job.name,
-        "status": result.status,
-        "model": result.model,
-        "stats": result.stats.as_dict(),
-        "time_seconds": result.time_seconds,
-        "sim_seconds": result.sim_seconds,
-        "interrupted": result.interrupted,
-        "proof": proof_steps,
-        # Boundary certification replays *all* requirements, cube literals
-        # included — a SAT model must satisfy its cube too.
-        "objectives": objectives + assumptions,
-        "core": core,
-        "lemmas": lemmas,
-    }
+    return _result_payload(job, result, objectives)
 
 
 def _safe_send(conn, message: Tuple[str, Optional[dict]]) -> None:
@@ -416,38 +498,49 @@ def _safe_send(conn, message: Tuple[str, Optional[dict]]) -> None:
         pass  # parent gone or allocation failed: parent classifies as LOST
 
 
-def run_worker(conn, job: WorkerJob) -> None:
-    """Child-process entry point: solve, classify own failures, report."""
+def run_worker(conn, job: WorkerJob, warm: bool = False) -> None:
+    """Child-process entry point: solve, classify own failures, report.
+
+    One-shot, the child solves ``job`` and exits.  ``warm``, it builds
+    the job's engine once and answers task after task (see the module
+    docstring); the first failure, a ``lost`` fault or a ``close``
+    message ends it.
+    """
+    # A forked child inherits the parent's handlers — a CLI that turns
+    # SIGTERM into an interrupt, a server that drains on it — but the
+    # watchdog's SIGTERM must end this process (after a salvage flush).
+    _set_sigterm(signal.SIG_DFL)
     tracer = None
     salvage = None
     if job.salvage_path is not None and job.export_lemmas:
-        # Installed before the fault injection so a hang-hard fault's
-        # SIG_IGN still wins (that fault exists to test SIGKILL escalation).
         salvage = _Salvage(job.salvage_path)
-        salvage.install()
     try:
         _apply_mem_limit(job.mem_limit_mb)
-        _apply_pre_fault(job.fault, job.mem_limit_mb)
-        if job.trace_path is not None:
-            # Worker-side trace: our own JSONL file, stamped with the
-            # span the parent minted, merged back by the supervisor.
-            from ..obs.context import SpanContext
-            from ..obs.trace import JsonlTracer
-            context = None
-            if job.span_id is not None:
-                context = SpanContext(trace_id=job.trace_id or "",
-                                      span_id=job.span_id,
-                                      parent_id=job.parent_span)
-            tracer = _CoarseTracer(JsonlTracer(job.trace_path,
-                                               context=context))
-        payload = _solve_job(job, tracer, salvage)
-        payload["maxrss_mb"] = _maxrss_mb()
-        payload = _apply_post_fault(job.fault, job, payload)
-        # Flush the trace before the result crosses the pipe: the parent
-        # merges our file the moment it sees the message.
-        tracer = _close_tracer(tracer)
-        if payload is not None:
-            _safe_send(conn, ("result", payload))
+        if not warm:
+            _start_solve(salvage, job.fault, job.mem_limit_mb)
+            tracer = _worker_tracer(job)
+            payload = _solve_job(job, tracer, salvage)
+            # Flush the trace before the result crosses the pipe: the
+            # parent merges our file the moment it sees the message.
+            tracer = _close_tracer(tracer)
+            _send_answer(conn, job, job.fault, payload, salvage)
+            return
+        tracer = _worker_tracer(job)
+        engine = JobEngine(job, tracer)
+        if salvage is not None:
+            salvage.collect = engine.lemmas
+        while True:
+            kind, task = conn.recv()
+            if kind != "task":
+                return
+            fault = task.get("fault")
+            _start_solve(salvage, fault, job.mem_limit_mb)
+            engine.add(task.get("lemmas"))
+            payload = engine.payload(task["assumptions"], task.get("limits"))
+            if not _send_answer(conn, job, fault, payload, salvage):
+                return
+    except EOFError:
+        pass  # the parent is gone: nobody is left to answer
     except MemoryError:
         if salvage is not None:
             salvage.write()
@@ -467,6 +560,44 @@ def run_worker(conn, job: WorkerJob) -> None:
             conn.close()
         except OSError:
             pass
+
+
+def _worker_tracer(job: WorkerJob):
+    """The worker's own JSONL trace, stamped with the span the parent
+    minted and merged back by the supervisor; None when untraced."""
+    if job.trace_path is None:
+        return None
+    from ..obs.context import SpanContext
+    from ..obs.trace import JsonlTracer
+    context = None
+    if job.span_id is not None:
+        context = SpanContext(trace_id=job.trace_id or "",
+                              span_id=job.span_id, parent_id=job.parent_span)
+    return _CoarseTracer(JsonlTracer(job.trace_path, context=context))
+
+
+def _start_solve(salvage, fault: Optional[str],
+                 mem_limit_mb: Optional[int]) -> None:
+    """Arm the salvage flush, then inject the solve's pre-solve fault."""
+    if salvage is not None:
+        # Armed first so a hang-hard fault's SIG_IGN still wins (that
+        # fault exists to test SIGKILL escalation).
+        salvage.install()
+    _apply_pre_fault(fault, mem_limit_mb)
+
+
+def _send_answer(conn, job: WorkerJob, fault: Optional[str], payload: dict,
+                 salvage) -> bool:
+    """Send one answer, tampered by its post-solve fault; False when a
+    ``lost`` fault swallowed it."""
+    payload["maxrss_mb"] = _maxrss_mb()
+    payload = _apply_post_fault(fault, job, payload)
+    if payload is None:
+        return False
+    _safe_send(conn, ("result", payload))
+    if salvage is not None:
+        salvage.disarm()
+    return True
 
 
 def _close_tracer(tracer):

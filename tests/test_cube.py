@@ -11,7 +11,9 @@ from repro.cube import (CubeOutcome, CubeReport, CutterOptions, PRUNED,
                         generate_cubes, inject_csat_lemmas, prunes,
                         serialize_classes, solve_cubes)
 from repro.gen.arith import array_multiplier, csa_multiplier
+from repro.obs.trace import Tracer
 from repro.runtime import FaultPlan
+from repro.runtime.supervisor import WorkerHandle
 from repro.verify.certify import certify_sat_model
 
 from conftest import build_random_circuit
@@ -286,7 +288,8 @@ def test_cnf_workers_answer_and_share_circuit_literals(tmp_path, expected):
 
 
 def test_workers_fault_injection_failover():
-    report = solve_cubes(small_miter(3), workers=2,
+    # mult4: the driver's explicit phase closes mult3 before any cube.
+    report = solve_cubes(small_miter(4), workers=2,
                          cutter=CutterOptions(max_cubes=4), budget=60,
                          faults=FaultPlan.parse("crash@0"), max_retries=1)
     assert report.result.status == UNSAT
@@ -299,6 +302,170 @@ def test_workers_unretried_timeout_degrades_to_unknown():
                          cutter=CutterOptions(max_cubes=2),
                          budget=0.05)
     assert report.result.status == UNKNOWN
+
+
+# ----------------------------------------------------------------------
+# Warm workers: one process per slot, isolation per cube
+# ----------------------------------------------------------------------
+
+class Recorder(Tracer):
+    """Keeps every (kind, fields) event; safe across slot threads."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, kind, **fields):
+        self.events.append((kind, fields))
+
+    def of(self, kind):
+        return [f for k, f in self.events if k == kind]
+
+
+def warm_conquest(faults, workers=1, **kwargs):
+    events = Recorder()
+    closed = []
+    close = WorkerHandle.close
+
+    def spy(handle, tracer=None):
+        outcome = close(handle, tracer)
+        closed.append(handle.proc.exitcode)
+        return outcome
+
+    WorkerHandle.close = spy
+    try:
+        report = solve_cubes(small_miter(4), workers=workers, budget=120,
+                             cutter=CutterOptions(max_cubes=4 * workers),
+                             faults=FaultPlan.parse(faults), trace=events,
+                             **kwargs)
+    finally:
+        WorkerHandle.close = close
+    assert report.lost == report.double_counted == 0
+    # Workers that outlive the conquest are closed, never signalled.
+    assert closed and all(code == 0 for code in closed)
+    return report, events
+
+
+def test_warm_worker_serves_every_cube_of_its_slot():
+    report, events = warm_conquest("")
+    assert report.result.status == UNSAT
+    assert len(events.of("cube_start")) >= 2
+    assert len(events.of("worker_spawn")) == 1
+
+
+def test_warm_slots_are_never_shared_between_slot_threads():
+    # More slots than cores and a short switch interval: a slot handed to
+    # two threads at once would interleave two cubes on one worker's pipe
+    # or spawn more workers than slots.
+    import sys
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report, events = warm_conquest("", workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.result.status == UNSAT
+    assert len(events.of("worker_spawn")) <= 4
+    assert len(events.of("worker_result")) == len(events.of("cube_start"))
+
+
+def test_warm_crash_fails_only_its_cube_and_retries_on_a_fresh_worker():
+    # Fault-plan indices count cube dispatches: crash@1 is the second cube.
+    report, events = warm_conquest("crash@1")
+    assert report.result.status == UNSAT
+    assert [f["kind"] for f in report.result.failures] == ["CRASHED"]
+    starts = events.of("cube_start")
+    crashed = starts[1]["cube"]
+    assert [c.index for c in report.cubes if c.attempts > 1] == [crashed]
+    assert [(s["cube"], s["attempt"]) for s in starts[2:3]] == [(crashed, 1)]
+    # The crash ended the first worker; the retry's fresh one served the
+    # rest.
+    assert len(events.of("worker_spawn")) == 2
+
+
+def test_warm_hang_is_its_cubes_timeout_and_the_next_cube_runs():
+    report, events = warm_conquest("hang@1", limits=Limits(max_seconds=2.0),
+                                   grace_seconds=0.5)
+    statuses = [c.status for c in report.cubes]
+    assert statuses.count("TIMEOUT") == 1
+    assert all(s in (UNSAT, "REFUTED", "TIMEOUT") for s in statuses)
+    assert report.result.status == UNKNOWN   # TIMEOUT is final
+    # The watchdog ended the hung worker; a fresh one ran the next cubes.
+    assert len(events.of("worker_spawn")) == 2
+
+
+def test_warm_membomb_is_its_cubes_memout():
+    report, events = warm_conquest("membomb@0", mem_limit_mb=256)
+    statuses = [c.status for c in report.cubes]
+    assert statuses.count("MEMOUT") == 1
+    assert all(s in (UNSAT, "REFUTED", "MEMOUT") for s in statuses)
+    assert report.result.status == UNKNOWN
+
+
+def test_slot_replaces_a_worker_that_died_idle():
+    import os
+    import signal
+    from repro.cube.conquer import CubeSlot, cube_job
+    circuit = small_miter(4)
+    cubes = generate_cubes(circuit, options=CutterOptions(max_cubes=4)).cubes
+    spawns = iter(range(10))
+    slot = CubeSlot(cube_job(circuit, circuit.outputs, name="cube",
+                             kind="csat", preset_name="kernel", options=None,
+                             classes=None, phase_lemmas=None,
+                             mem_limit_mb=None, export_lemmas=True),
+                    certify="sat", grace_seconds=1.0, start_method=None,
+                    spawns=lambda: next(spawns))
+    answers = []
+    try:
+        for cube in cubes[:2]:
+            answers.append(slot.solve(cube.literals, 0, None, None,
+                                      fault=None, tracer=None,
+                                      cancelled=lambda: None))
+            # SIGKILL from outside while the worker waits for its next
+            # cube: it is no cube's failure, and the slot starts afresh.
+            os.kill(slot.worker.proc.pid, signal.SIGKILL)
+            slot.worker.proc.join(5.0)
+    finally:
+        slot.close()
+    assert [a["status"] for a in answers] == [UNSAT, UNSAT]
+    assert next(spawns) == 2
+
+
+def test_phase_lemmas_reach_workers_uncut(monkeypatch):
+    """c6288.equiv's explicit phase exports more clauses than a pool
+    snapshot carries; every one of them reaches the warm worker."""
+    from repro.bench.instances import instance_by_name
+    from repro.cube import MAX_SHARED_LEMMAS, conquer
+    from repro.runtime.worker import JobEngine
+    circuit = instance_by_name("c6288.equiv").build()
+    jobs = []
+    spawn = conquer.spawn_worker
+
+    def spy(job, **kwargs):
+        jobs.append(job)
+        return spawn(job, **kwargs)
+
+    monkeypatch.setattr(conquer, "spawn_worker", spy)
+    # The miter output is refuted at the root, so ask for its negation:
+    # the phase and its clauses are the same, and cubes get dispatched.
+    (out,) = circuit.outputs
+    report = solve_cubes(circuit, [out ^ 1], workers=1, budget=60,
+                         cutter=CutterOptions(max_cubes=2))
+    assert report.result.status == SAT
+    assert report.phase_lemmas == 839 > MAX_SHARED_LEMMAS
+    (job,) = jobs
+    assert len(job.seed_lemmas) == 839
+    assert len(JobEngine(job)._held) == 839
+
+
+def test_root_refuted_objective_needs_no_cube():
+    from repro.bench.instances import instance_by_name
+    report = solve_cubes(instance_by_name("c3540.equiv").build(), workers=2,
+                         budget=60)
+    assert report.result.status == UNSAT
+    assert report.result.stats.conflicts - report.phase_conflicts < 100
+    assert report.elapsed < 5.0
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +509,7 @@ def test_cli_cube_json(tmp_path, capsys):
 def test_cube_trace_events(tmp_path):
     import json
     trace = tmp_path / "cube.jsonl"
-    report = solve_cubes(small_miter(3), workers=0,
+    report = solve_cubes(small_miter(4), workers=0,
                          cutter=CutterOptions(max_cubes=4),
                          trace=str(trace))
     assert report.result.status == UNSAT
@@ -394,3 +561,41 @@ def test_ctrl_c_stops_in_process_cubes_promptly():
     assert proc.returncode == 0, err.decode()
     assert b"mult6.arith: UNKNOWN" in out
     assert elapsed < 5.0
+
+
+def test_sigterm_ends_in_process_cubes_with_a_closed_trace(tmp_path):
+    """SIGTERM ends a CLI run the way Ctrl-C does: a clean UNKNOWN, and
+    a trace file whose cube boundaries reached the disk as they happened
+    (no terminal needed) and which parses whole afterwards."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    trace = tmp_path / "t.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "solve", "--instance",
+         "mult6.arith", "--workers", "0", "--budget", "120",
+         "--trace", str(trace)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (trace.exists() and b"cube_start" in trace.read_bytes()):
+            assert time.monotonic() < deadline, "no cube started within 60s"
+            assert proc.poll() is None, proc.communicate()
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err.decode()
+    assert b"mult6.arith: UNKNOWN" in out
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    kinds = [e["kind"] for e in events]
+    assert "cube_start" in kinds and kinds[-2:] == ["cube_end", "span_end"]

@@ -13,7 +13,6 @@ The fabric's contract under test:
   still lands.
 """
 
-import threading
 import time
 
 import pytest
@@ -26,6 +25,7 @@ from repro.dist import ConquerNode, solve_distributed
 from repro.dist.node import registration_key
 from repro.errors import SolverError
 from repro.gen.arith import array_multiplier, csa_multiplier
+from repro.obs.trace import Tracer
 from repro.serve.client import ServeClient, ServeError
 from repro.verify.certify import certify_sat_model
 from repro.circuit.bench_io import read_bench, write_bench
@@ -226,10 +226,13 @@ class TestConquerNode:
         {"objectives": ["x"]}, {"objectives": [5.7]},
         {"objectives": [10 ** 6]}, {"objectives": []},
         {"classes": [[[10 ** 6, 0], [5, 1]]]}, {"classes": [["x"]]},
-        {"classes": [[[5, 2]]]}, {"classes": "garbage"}], ids=[
+        {"classes": [[[5, 2]]]}, {"classes": "garbage"},
+        {"phase_lemmas": [[10 ** 6]]}, {"phase_lemmas": [[]]},
+        {"phase_lemmas": "x"}], ids=[
         "objective-string", "objective-float", "objective-out-of-range",
         "objectives-empty", "class-node-out-of-range", "class-not-pairs",
-        "class-bad-phase", "classes-not-a-list"])
+        "class-bad-phase", "classes-not-a-list", "phase-lemma-out-of-range",
+        "phase-lemma-empty", "phase-lemmas-not-a-list"])
     def test_bad_objectives_or_classes_are_a_400(self, node, field):
         client = client_for(node)
         with pytest.raises(ServeError) as info:
@@ -272,8 +275,9 @@ class TestConquerNode:
 
 class TestSolveDistributed:
     def test_unsat_across_two_nodes(self, fleet):
+        # mult4: the driver's explicit phase closes mult3 before any cube.
         report = solve_distributed(
-            small_miter(3), nodes=[n.address for n in fleet],
+            small_miter(4), nodes=[n.address for n in fleet],
             cutter=CutterOptions(max_cubes=6), budget=60,
             poll_seconds=1.0)
         assert report.result.status == UNSAT
@@ -335,7 +339,7 @@ class TestSolveDistributed:
 
     def test_checkpoint_resume_skips_closed_cubes(self, node, tmp_path):
         path = str(tmp_path / "dist.ckpt")
-        circuit = small_miter(3)
+        circuit = small_miter(4)
         first = solve_distributed(
             circuit, nodes=[node.address],
             cutter=CutterOptions(max_cubes=6), budget=60,
@@ -372,8 +376,95 @@ class TestSolveDistributed:
 
 
 # ----------------------------------------------------------------------
+# Warm workers on a node: one per slot and registration, bounded state
+# ----------------------------------------------------------------------
+
+def padded_miter(pad: int):
+    """A mult4 miter with ``pad`` dangling inputs: a distinct circuit
+    (and registration) per ``pad``, with the same search."""
+    circuit = small_miter(4)
+    for i in range(pad):
+        circuit.add_input("pad{}".format(i))
+    # Round-tripped through bench, so the node numbers it the same way.
+    return read_bench(write_bench(circuit))
+
+
+class TestWarmNode:
+    def test_slot_keeps_one_warm_worker_for_the_conquest(self, node):
+        report = solve_distributed(
+            small_miter(4), nodes=[node.address],
+            cutter=CutterOptions(max_cubes=6), budget=60, poll_seconds=1.0)
+        assert report.result.status == UNSAT
+        assert report.lost == report.double_counted == 0
+        (info,) = report.nodes
+        assert node.stats()["workers_spawned"] == 1 < info.dispatched
+
+    def test_finished_registrations_are_evicted_with_jobs_and_workers(self):
+        import multiprocessing
+        from repro.dist.node import MAX_REGISTRATIONS
+        before = set(multiprocessing.active_children())
+        node = ConquerNode(workers=1, name="lru").start()
+        try:
+            for pad in range(MAX_REGISTRATIONS + 3):
+                report = solve_distributed(
+                    padded_miter(pad), nodes=[node.address],
+                    cutter=CutterOptions(max_cubes=4), budget=60,
+                    poll_seconds=1.0)
+                assert report.result.status == UNSAT
+                stats = node.stats()
+                assert stats["circuits"] <= MAX_REGISTRATIONS
+                assert stats["jobs"] <= 4 * MAX_REGISTRATIONS
+                live = set(multiprocessing.active_children()) - before
+                assert len(live) <= node.workers
+            assert stats["workers_spawned"] == MAX_REGISTRATIONS + 3
+        finally:
+            node.stop(drain=False)
+        assert not set(multiprocessing.active_children()) - before
+
+    def test_phase_lemmas_ride_on_the_registration_uncut(self, node):
+        from repro.bench.instances import instance_by_name
+        from repro.csat.options import preset
+        from repro.cube import MAX_SHARED_LEMMAS, collect_csat_lemmas
+        circuit = instance_by_name("c6288.equiv").build()
+        driver = CircuitSolver(circuit, preset("kernel"))
+        driver.prepare()
+        lemmas = collect_csat_lemmas(driver.engine, limit=None)
+        assert len(lemmas) == 839 > MAX_SHARED_LEMMAS
+        key = register(client_for(node), circuit,
+                       phase_lemmas=lemmas)["key"]
+        assert node.registration(key).phase_lemmas == lemmas
+
+    def test_correlation_rich_miter_is_unsat_before_any_dispatch(self, node):
+        from repro.bench.instances import instance_by_name
+        report = solve_distributed(
+            instance_by_name("c6288.equiv").build(), nodes=[node.address],
+            budget=10, poll_seconds=1.0)
+        assert report.result.status == UNSAT
+        assert report.elapsed < 10
+        assert report.phase_lemmas == 839
+
+
+# ----------------------------------------------------------------------
 # Resilience: node death mid-run (real subprocesses, real SIGKILL)
 # ----------------------------------------------------------------------
+
+class KillAtFirstDispatch(Tracer):
+    """SIGKILLs a node as the coordinator first dispatches a cube to it,
+    so the node dies mid-conquest however fast the conquest runs."""
+
+    enabled = True
+
+    def __init__(self, node, name):
+        self.node = node
+        self.name = name
+        self.killed = False
+
+    def emit(self, kind, **fields):
+        if kind == "span_start" and fields.get("name") == "dispatch" \
+                and fields.get("node") == self.name and not self.killed:
+            self.killed = True
+            self.node.sigkill()
+
 
 class TestNodeDeath:
     def test_sigkilled_node_is_reassigned_and_answer_lands(self):
@@ -381,14 +472,13 @@ class TestNodeDeath:
         circuit = small_miter(5)
         fleet = launch_local_nodes(2, workers=1)
         try:
-            timer = threading.Timer(1.0, fleet[1].sigkill)
-            timer.start()
+            assassin = KillAtFirstDispatch(fleet[1], "bench-node-1")
             report = solve_distributed(
                 circuit, nodes=[n.url for n in fleet],
                 cutter=CutterOptions(max_cubes=4), budget=180,
                 client_timeout=5.0, client_retries=1,
-                steal_after=0.5, poll_seconds=1.0)
-            timer.cancel()
+                steal_after=0.5, poll_seconds=1.0, trace=assassin)
+            assert assassin.killed
         finally:
             for n in fleet:
                 n.stop()

@@ -605,6 +605,61 @@ class TestLemmaSalvage:
         assert families["repro_lemmas_salvaged_total"]["samples"][0][2] \
             == float(len(outcome.lemmas))
 
+    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    def test_warm_worker_watchdog_kill_salvages_its_task(self, registry,
+                                                         kind):
+        # A warm worker's task runs under its own watchdog: killed past
+        # it, the task is a TIMEOUT that still donates what it learned.
+        from repro.runtime.supervisor import spawn_worker
+        from repro.runtime.worker import WorkerJob
+        circuit = instance_by_name("mult6.arith").build()
+        job = WorkerJob(circuit=circuit, name="warm-salvage", kind=kind,
+                        preset_name="kernel",
+                        overrides={"explicit_learning": False},
+                        export_lemmas=True)
+        handle = spawn_worker(job, grace_seconds=3.0, warm=True)
+        outcome = handle.run({"assumptions": [], "lemmas": None,
+                              # never self-stop: only the watchdog ends it
+                              "limits": Limits(max_seconds=1000),
+                              "fault": None}, wall_seconds=1.2)
+        assert outcome.failure is not None
+        assert outcome.failure.kind == "TIMEOUT"
+        assert not handle.alive
+        assert outcome.lemmas, "dying worker should donate its pool"
+        assert all(2 <= lit < 2 * circuit.num_nodes
+                   for clause in outcome.lemmas for lit in clause)
+        families = parse_exposition(registry.render())
+        assert families["repro_lemmas_salvaged_total"]["samples"][0][2] \
+            == float(len(outcome.lemmas))
+
+    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    def test_delivered_worker_exits_cleanly_and_writes_no_salvage(
+            self, monkeypatch, kind):
+        # A worker that has answered is joined, not SIGTERMed: it exits 0
+        # and never flushes the salvage file the reap would delete unread.
+        from repro import miter
+        from repro.gen.arith import array_multiplier, csa_multiplier
+        from repro.runtime.supervisor import WorkerHandle, run_supervised
+        from repro.runtime.worker import WorkerJob
+        seen = []
+        read_salvage = WorkerHandle._read_salvage
+
+        def spy(handle, outcome, tracer=None):
+            seen.append((handle.proc.exitcode,
+                         os.path.getsize(handle.job.salvage_path)))
+            return read_salvage(handle, outcome, tracer)
+
+        monkeypatch.setattr(WorkerHandle, "_read_salvage", spy)
+        job = WorkerJob(circuit=miter(array_multiplier(4),
+                                      csa_multiplier(4)),
+                        name="delivered", kind=kind, preset_name="kernel",
+                        export_lemmas=True)
+        outcome = run_supervised(job, wall_seconds=60)
+        assert outcome.ok and outcome.result.status == UNSAT
+        assert outcome.lemmas
+        assert seen == [(0, 0)]
+        assert job.salvage_path is None
+
     def test_no_salvage_file_without_export(self):
         from repro.runtime.supervisor import spawn_worker
         from repro.runtime.worker import WorkerJob

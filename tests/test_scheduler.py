@@ -7,7 +7,8 @@ subprocesses or sockets:
 
 * a SAT model that fails the scheduler's certification becomes
   CORRUPT_ANSWER and is retried with ``attempt + 1``;
-* a retryable failure is requeued, and the local endpoint reseeds it;
+* a retryable failure is requeued, and the local endpoint reseeds it on
+  a fresh warm worker — one worker per slot, not one per cube;
 * a late answer for an already-closed cube is a counted duplicate,
   never a second application;
 * an empty failed-assumption core closes the instance and prunes the
@@ -22,9 +23,9 @@ from types import SimpleNamespace
 from repro import UNKNOWN, UNSAT, miter
 from repro.csat.options import preset
 from repro.cube import CutterOptions, PRUNED, solve_cubes
-from repro.cube.conquer import EndpointDown, NodeInfo, _conquer
+from repro.cube.conquer import CUBE_PRESET, EndpointDown, NodeInfo, _conquer
 from repro.dist import DistReport
-from repro.errors import CORRUPT_ANSWER, CRASHED
+from repro.errors import CORRUPT_ANSWER, CRASHED, WorkerFailure
 from repro.gen.arith import array_multiplier, csa_multiplier
 from repro.obs.trace import Tracer
 from repro.result import SolverResult, SolverStats
@@ -38,7 +39,8 @@ UNSAT_PAYLOAD = {"status": UNSAT, "core": None,
 
 
 def small_miter():
-    return miter(array_multiplier(3), csa_multiplier(3))
+    # mult4: the driver's explicit phase refutes mult3 before any cube.
+    return miter(array_multiplier(4), csa_multiplier(4))
 
 
 class Scripted:
@@ -133,30 +135,47 @@ def test_retryable_failure_is_requeued():
 def test_local_endpoint_reseeds_a_retry(monkeypatch):
     jobs = []
 
-    def fake_spawn(job, **_kwargs):
-        jobs.append(job)
-        if len(jobs) == 1:
-            from repro.errors import WorkerFailure
-            outcome = WorkerOutcome(job.name, failure=WorkerFailure(
-                CRASHED, "boom", engine=job.name))
-        else:
-            outcome = WorkerOutcome(job.name, result=SolverResult(
+    class FakeWorker:
+        """A warm worker whose first task crashes it."""
+
+        def __init__(self, job):
+            self.job = job
+            self.alive = True
+            self.proc = SimpleNamespace(is_alive=lambda: self.alive)
+
+        def run(self, task, wall_seconds, certify, tracer, cancelled):
+            if len(jobs) == 1:
+                self.alive = False
+                return WorkerOutcome(self.job.name, failure=WorkerFailure(
+                    CRASHED, "boom", engine=self.job.name))
+            return WorkerOutcome(self.job.name, result=SolverResult(
                 status=UNSAT, stats=SolverStats(conflicts=1)))
-        return SimpleNamespace(
-            proc=SimpleNamespace(is_alive=lambda: False),
-            expired=lambda: False,
-            reap=lambda certify, tracer: outcome)
+
+        def close(self, tracer=None):
+            self.alive = False
+
+    def fake_spawn(job, **kwargs):
+        assert kwargs["warm"]
+        jobs.append(job)
+        return FakeWorker(job)
 
     monkeypatch.setattr("repro.cube.conquer.spawn_worker", fake_spawn)
     report = solve_cubes(small_miter(), workers=1, budget=60,
                          cutter=CutterOptions(max_cubes=4))
     assert report.result.status == UNSAT
-    first, retry = jobs[0], jobs[1]
-    assert retry.name == first.name     # the same cube, again
-    base = preset("implicit").sim_seed
-    assert "sim_seed" not in first.overrides and first.seed_classes
+    # One warm worker for the slot, one fresh one for the retry, which
+    # then serves the remaining cubes: never a worker per cube.
+    assert len(jobs) == 2 < sum(1 for c in report.cubes
+                                if c.status == UNSAT)
+    first, retry = jobs
+    base = preset(CUBE_PRESET).sim_seed
+    assert "sim_seed" not in first.overrides
+    assert first.seed_classes is not None
     assert retry.overrides["sim_seed"] == base + RESEED_STRIDE
     assert retry.seed_classes is None
+    # The driver ran the explicit phase; no worker repeats it.
+    assert first.overrides["explicit_learning"] is False
+    assert first.seed_lemmas
 
 
 def test_late_answer_for_closed_cube_is_a_duplicate():
@@ -249,4 +268,6 @@ def test_many_slots_apply_each_cube_exactly_once():
     assert completed == len(opened)
     assert completed + report.duplicates == len(answered)
     assert sum(e.info.dispatched for e in endpoints) == len(answered)
-    assert report.result.stats.conflicts == completed
+    # One conflict per scripted answer, plus the driver's phase.
+    assert report.result.stats.conflicts \
+        == completed + report.phase_conflicts

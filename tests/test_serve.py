@@ -564,10 +564,11 @@ class TestMetricsEndpoint:
         from repro.gen.arith import array_multiplier, csa_multiplier
         from repro.obs.metrics import parse_exposition
         client.submit(circuit_text=AND2_BENCH, wait=30)
-        # A miter is non-trivial under the cutter, so the cube layer
-        # actually partitions and solves (AND2 would close trivially).
-        cube_text = write_bench(miter(array_multiplier(2),
-                                      csa_multiplier(2)))
+        # A mult4 miter survives the driver's explicit phase and the
+        # cutter, so the cube layer actually partitions and solves (AND2
+        # or a smaller miter would close before any cube).
+        cube_text = write_bench(miter(array_multiplier(4),
+                                      csa_multiplier(4)))
         client.submit(circuit_text=cube_text, engine="cube", wait=120,
                       label="cube-traffic")
         with pytest.raises(ServeError):

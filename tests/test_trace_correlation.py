@@ -73,7 +73,8 @@ def test_bound_tracer_stamps_span_on_events(tmp_path):
 def test_cube_solve_yields_single_span_tree(tmp_path):
     from repro.cube import solve_cubes
     path = str(tmp_path / "cube.jsonl")
-    report = solve_cubes(small_miter(3), workers=4, trace=path)
+    # mult4: the driver's explicit phase closes mult3 before any cube.
+    report = solve_cubes(small_miter(4), workers=4, trace=path)
     assert report.result.status == "UNSAT"
     tree = span_tree_of(path)
     # One trace id across parent and every worker file's merged events.
