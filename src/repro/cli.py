@@ -6,7 +6,7 @@ Commands
 ``solve``      solve a circuit (objective: every output = 1): a file, two
                files (their equivalence miter) or ``--instance NAME``, in
                process, as a fault-tolerant portfolio, as cube-and-conquer
-               on local workers or across conquer nodes (see below)
+               on local workers or across serve nodes (see below)
 ``solve-cnf``  solve a DIMACS file with the CNF baseline
 ``sweep``      SAT-sweep a circuit and write the reduced ``.bench``
 ``stats``      structural statistics of a circuit
@@ -22,13 +22,12 @@ Commands
 ``fingerprint``canonical structural fingerprint of a circuit (the serve
                cache key: name-independent, inverter-aware)
 ``serve``      run the solver as a long-lived JSON-over-HTTP service with
-               an answer cache and isolated solve workers
+               an answer cache and isolated solve workers; it also solves
+               the cubes of ``solve --nodes``
 ``submit``     submit an instance to a running ``repro serve`` and wait
                for (or poll) the answer
-``status``     render a running node's ``/status`` (serve server or
-               conquer node); ``--metrics`` scrapes its ``/metrics``
-``conquer-node``
-               serve cube solves for ``solve --nodes``
+``status``     render a running serve node's ``/status``; ``--metrics``
+               scrapes its ``/metrics``
 ``chaos``      kill -9 a serve node or conquer driver at random points,
                restart it, and check that no answer was lost or solved twice
 
@@ -44,7 +43,7 @@ then prints ``EQUIVALENT``, ``NOT EQUIVALENT`` or ``UNDECIDED``) or
 * ``--workers N``: cube-and-conquer on N isolated local workers (0 runs
   the cubes in process);
 * ``--nodes URL,...`` or ``--spawn-local N``: cube-and-conquer across
-  conquer nodes, with work stealing and lemma sharing.
+  serve nodes, with work stealing and lemma sharing.
 
 Every mode reads ``--budget``, ``--trace`` and ``--json``; a flag the
 picked mode does not read exits 2.
@@ -394,7 +393,7 @@ def _solve_on_nodes(args, circuit, label: str, tracer) -> int:
         fleet = launch_local_nodes(args.spawn_local,
                                    **_given(workers=args.workers))
         urls = [node.url for node in fleet]
-        print("spawned {} local conquer node(s): {}".format(
+        print("spawned {} local serve node(s): {}".format(
             len(urls), ", ".join(urls)), file=sys.stderr)
     else:
         urls = [url.strip() for url in args.nodes.split(",") if url.strip()]
@@ -676,18 +675,18 @@ def cmd_fingerprint(args) -> int:
     return 0
 
 
-def _serve_until_signalled(service, noun: str, tracer) -> int:
+def _serve_until_signalled(service, tracer) -> int:
     """Run ``service.serve_forever()`` until it shuts down.
 
     SIGTERM/SIGINT drain it first: a serve node finishes its admitted
-    jobs and closes (fsyncs) its journal, a conquer node finishes its
-    queued cubes, before the listener goes away — so an operator `kill`
-    or Ctrl-C never loses admitted work.
+    jobs, queued cubes included, and closes (fsyncs) its journal before
+    the listener goes away — so an operator `kill` or Ctrl-C never loses
+    admitted work.
     """
     import signal as _signal
 
     def _graceful(signum, frame):
-        print("repro {}: caught signal {}, draining...".format(noun, signum),
+        print("repro serve: caught signal {}, draining...".format(signum),
               file=sys.stderr)
         service.request_shutdown(drain=True)
 
@@ -737,7 +736,7 @@ def cmd_serve(args) -> int:
               .format(server.recovery["records"],
                       server.recovery["rehydrated"],
                       server.recovery["replayed"]), file=sys.stderr)
-    return _serve_until_signalled(server, "serve", tracer)
+    return _serve_until_signalled(server, tracer)
 
 
 #: Exit codes surfacing the worker-failure taxonomy through ``submit``:
@@ -908,21 +907,7 @@ def cmd_status(args) -> int:
         import json
         print(json.dumps(payload, indent=2))
         return 0
-    if "node" in payload:  # a conquer node
-        node = payload["node"]
-        print("{} at {}  [conquer-node]".format(node.get("name", "?"),
-                                                client.url))
-        print("  workers: {}".format(node.get("workers")))
-        print("  queue: {} queued, {} running, {} done of {} jobs{}".format(
-            node.get("queued"), node.get("running"), node.get("done"),
-            node.get("jobs"), "  (draining)" if node.get("draining")
-            else ""))
-        counts = node.get("counts") or {}
-        if counts:
-            print("  counts: " + ", ".join(
-                "{}={}".format(k, counts[k]) for k in sorted(counts)))
-        return 0
-    if "scheduler" in payload:  # a serve server
+    if "scheduler" in payload:
         sched = payload["scheduler"]
         print("serve at {}".format(client.url))
         for key in sorted(sched):
@@ -935,19 +920,6 @@ def cmd_status(args) -> int:
     for key in sorted(payload):
         print("{}: {}".format(key, payload[key]))
     return 0
-
-
-def cmd_conquer_node(args) -> int:
-    from .dist import ConquerNode
-    tracer = _open_trace(args)
-    node = ConquerNode(
-        host=args.host, port=args.port, workers=args.workers,
-        mem_limit_mb=args.mem_limit, grace_seconds=args.grace,
-        certify=args.certify, max_queue=args.max_queue, name=args.name,
-        tracer=tracer)
-    print("repro conquer-node: {} listening on {} ({} workers)".format(
-        node.name, node.address, node.workers), file=sys.stderr)
-    return _serve_until_signalled(node, "conquer-node", tracer)
 
 
 def cmd_chaos(args) -> int:
@@ -1022,10 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 2)")
     g.add_argument("--nodes", metavar="URLS", default=None,
                    help="cube-and-conquer across these comma-separated "
-                        "conquer-node URLs, e.g. "
-                        "http://10.0.0.2:8590,http://10.0.0.3:8590")
+                        "serve-node URLs, e.g. "
+                        "http://10.0.0.2:8587,http://10.0.0.3:8587")
     g.add_argument("--spawn-local", type=int, default=None, metavar="N",
-                   help="cube-and-conquer across N conquer nodes spawned "
+                   help="cube-and-conquer across N serve nodes spawned "
                         "on localhost for this run")
     g.add_argument("--ladder", metavar="NAMES", default=None,
                    help="portfolio: comma-separated configs to try, e.g. "
@@ -1181,7 +1153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8587)
     p.add_argument("--workers", type=int, default=2, metavar="N",
                    help="concurrent solve worker threads (each runs its "
-                        "job in an isolated subprocess; default 2)")
+                        "job in an isolated subprocess, and keeps one warm "
+                        "cube worker; default 2)")
     p.add_argument("--max-queue", type=int, default=64, metavar="N",
                    help="admission control: reject past this queue depth "
                         "(default 64)")
@@ -1264,9 +1237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
     p = sub.add_parser("status",
-                       help="render a running node's /status "
-                            "(serve server or conquer node), or its "
-                            "/metrics")
+                       help="render a running serve node's /status, or "
+                            "its /metrics")
     p.add_argument("url", help="node URL, e.g. http://127.0.0.1:8587")
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--retries", type=int, default=0,
@@ -1280,30 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the raw /status payload (with --metrics: "
                         "the parsed families) as JSON")
     p.set_defaults(func=cmd_status)
-
-    p = sub.add_parser("conquer-node",
-                       help="serve cube solves for a distributed "
-                            "conquest (see `repro solve --nodes`)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8590)
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent cube workers, each an isolated "
-                        "subprocess (default 2)")
-    p.add_argument("--mem-limit", type=int, default=None, metavar="MB",
-                   help="hard per-worker address-space cap in MB")
-    p.add_argument("--grace", type=float, default=1.0, metavar="SEC",
-                   help="SIGTERM-to-SIGKILL grace for overrunning workers")
-    p.add_argument("--certify", choices=("off", "sat"), default="sat",
-                   help="boundary re-certification of cube answers "
-                        "(default: sat models)")
-    p.add_argument("--max-queue", type=int, default=256, metavar="N",
-                   help="admission control: reject past this queue depth")
-    p.add_argument("--name", default=None,
-                   help="node name in traces and reports "
-                        "(default: node-<port>)")
-    p.add_argument("--trace", metavar="FILE", default=None,
-                   help="write node/worker lifecycle events here (JSONL)")
-    p.set_defaults(func=cmd_conquer_node)
 
     p = sub.add_parser("chaos",
                        help="kill -9 a serve node / conquer driver at "

@@ -7,7 +7,7 @@ splits the search space, on that engine, into a balanced tree of
 heuristic that scores variables by J-frontier membership,
 correlation-class membership, fanout, and measured BCP propagation
 power.  The cube scheduler solves each cube under assumptions on
-endpoints — warm :mod:`repro.runtime` workers here, conquer nodes for
+endpoints — warm :mod:`repro.runtime` workers here, serve nodes for
 :mod:`repro.dist` — sharing correlations, the phase's clauses and proven
 lemmas with them (:mod:`repro.cube.sharing`) and pruning siblings with
 failed-assumption cores.  perfbench's ``conquer_mult``

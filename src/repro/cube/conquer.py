@@ -18,8 +18,8 @@ are:
   cross-checks.
 * ``workers >= 1`` — one local endpoint whose slots each keep one warm
   :mod:`repro.runtime` worker (:class:`CubeSlot`).
-* :func:`repro.dist.solve_distributed` — one remote endpoint per
-  conquer node.
+* :func:`repro.dist.solve_distributed` — one remote endpoint per serve
+  node, whose worker threads are its slots.
 
 A slot pulls the hardest open cube, an idle slot re-issues another
 endpoint's straggler (at most :data:`MAX_REDUNDANCY` holders per cube),
@@ -111,7 +111,7 @@ class CubeOutcome:
     core_size: Optional[int] = None
     lemmas_exported: int = 0
     detail: str = ""
-    #: Conquer node that produced the terminal answer (None for the
+    #: Serve node that produced the terminal answer (None for the
     #: unnamed local endpoint).  Checkpoints carry it so a resumed
     #: coordinator knows the prior assignment.
     node: Optional[str] = None
@@ -539,7 +539,8 @@ def cube_job(circuit: Circuit, objectives: Sequence[int], *, name: str,
 
 class CubeSlot:
     """One slot's warm worker: the single cube-to-payload path of the
-    local endpoint and of :class:`repro.dist.ConquerNode`.
+    local endpoint and of a serve node's cube jobs
+    (:class:`repro.serve.scheduler.CubeRequest`).
 
     The slot spawns a supervised worker from ``job`` (:func:`cube_job`)
     at its first cube.  The worker compiles the circuit once, holds the
@@ -963,7 +964,7 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
             if registry is not None:
                 registry.counter(
                     "repro_dist_node_failures_total",
-                    "Conquer nodes lost mid-run",
+                    "Serve nodes lost mid-run",
                     labelnames=("node",)).labels(info.name or info.url).inc()
             if tracer is not None:
                 tracer.emit("dist_node_dead", node=info.name, url=info.url,

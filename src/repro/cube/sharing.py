@@ -41,6 +41,7 @@ DRUP proofs (see :func:`repro.cube.conquer.solve_cubes`).
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -58,12 +59,56 @@ def literals_ok(literals, num_nodes: int) -> bool:
     literals: ints in ``[2, 2 * num_nodes)``.  The constant node is never
     a cube literal or part of a shared lemma.
 
-    The rule a conquer node applies to the cubes and lemma batches it is
+    The rule a serve node applies to the cubes and lemma batches it is
     sent, and a resumed checkpoint to its cubes and lemma pool; an
     out-of-range literal would crash every worker it reaches.
     """
     return isinstance(literals, list) and all(
         type(lit) is int and 2 <= lit < 2 * num_nodes for lit in literals)
+
+
+def lemmas_ok(batch, num_nodes: int) -> bool:
+    """True when ``batch`` is absent or a list of non-empty clauses of a
+    ``num_nodes``-node circuit's literals (:func:`literals_ok`)."""
+    return batch is None or isinstance(batch, list) and all(
+        clause and literals_ok(clause, num_nodes) for clause in batch)
+
+
+def objectives_ok(objectives, num_nodes: int) -> bool:
+    """True when ``objectives`` is absent or a non-empty list of literals
+    in ``[0, 2 * num_nodes)``: unlike a cube literal, an output may be a
+    constant."""
+    return objectives is None or isinstance(objectives, list) \
+        and bool(objectives) and all(
+            type(lit) is int and 0 <= lit < 2 * num_nodes
+            for lit in objectives)
+
+
+def classes_ok(classes, num_nodes: int) -> bool:
+    """True when ``classes`` is absent or a list of correlation classes,
+    each a list of ``[node, phase]`` pairs with ``node`` in
+    ``[0, num_nodes)`` and ``phase`` 0 or 1."""
+    return classes is None or isinstance(classes, list) and all(
+        isinstance(cls, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and type(pair[0]) is int and 0 <= pair[0] < num_nodes
+            and type(pair[1]) is int and pair[1] in (0, 1)
+            for pair in cls)
+        for cls in classes)
+
+
+def registration_key(circuit, objectives: Sequence[int]) -> str:
+    """The key a serve node files a conquest's registration under, and
+    the coordinator checks its reply against: the circuit's exact hash
+    (node numbering included, so cube literals mean the same nodes on
+    both sides) and the objectives.  Cube answers and shared lemmas hold
+    only for circuit AND objectives, so two conquests of one circuit
+    under other objectives never share a job."""
+    from ..durable.checkpoint import exact_hash
+    h = hashlib.blake2b(digest_size=16)
+    h.update(exact_hash(circuit).encode())
+    h.update("|{}".format(",".join(map(str, objectives))).encode())
+    return h.hexdigest()
 
 
 def serialize_classes(correlations: Optional[CorrelationSet]) \

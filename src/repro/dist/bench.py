@@ -1,7 +1,7 @@
-"""A local conquer-node fleet, and the node-kill round that uses it.
+"""A local fleet of serve nodes, and the node-kill round that uses it.
 
-:func:`launch_local_nodes` starts real ``repro conquer-node``
-subprocesses on localhost and waits for each ``/health``; the fleet
+:func:`launch_local_nodes` starts real ``repro serve`` subprocesses on
+localhost and waits for each ``/health``; the fleet
 backs ``repro solve --spawn-local``, the dist tests, the dist-smoke CI
 job and perfbench's ``conquer_mult`` workload.  Process plumbing is
 :mod:`repro.durable.chaos`'s, so a node is killed the way the chaos
@@ -31,7 +31,7 @@ KILL_INSTANCE = "mult6.arith"
 
 
 class LocalNode:
-    """One ``repro conquer-node`` subprocess and its address."""
+    """One ``repro serve`` subprocess and its address."""
 
     def __init__(self, proc: subprocess.Popen, url: str, log_path: str):
         self.proc = proc
@@ -52,7 +52,7 @@ def launch_local_nodes(count: int,
                        *,
                        workdir: Optional[str] = None,
                        startup_timeout: float = 30.0) -> List[LocalNode]:
-    """Spawn ``count`` conquer-node subprocesses and wait for /health."""
+    """Spawn ``count`` serve-node subprocesses and wait for /health."""
     workdir = workdir or tempfile.mkdtemp(prefix="repro-dist-")
     nodes: List[LocalNode] = []
     try:
@@ -60,9 +60,7 @@ def launch_local_nodes(count: int,
             port = free_port()
             log_path = os.path.join(workdir, "node-{}.log".format(i))
             proc = spawn_repro(
-                ["conquer-node", "--port", str(port),
-                 "--workers", str(workers),
-                 "--name", "bench-node-{}".format(i)],
+                ["serve", "--port", str(port), "--workers", str(workers)],
                 log_path)
             nodes.append(LocalNode(proc, "http://127.0.0.1:{}".format(port),
                                    log_path))
@@ -71,18 +69,18 @@ def launch_local_nodes(count: int,
             client = ServeClient.from_url(node.url, timeout=2.0)
             while True:
                 try:
-                    if client.health().get("role") == "conquer-node":
+                    if client.health().get("ok"):
                         break
                 except ServeError:
                     pass
                 if time.monotonic() > deadline:
                     raise RuntimeError(
-                        "conquer node at {} did not come up within "
+                        "serve node at {} did not come up within "
                         "{:g}s (log: {})".format(node.url, startup_timeout,
                                                  node.log_path))
                 if node.proc.poll() is not None:
                     raise RuntimeError(
-                        "conquer node at {} exited with {} (log: {})"
+                        "serve node at {} exited with {} (log: {})"
                         .format(node.url, node.proc.returncode,
                                 node.log_path))
                 time.sleep(0.2)

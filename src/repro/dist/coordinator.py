@@ -1,28 +1,30 @@
-"""Coordinator: shard one cube tree across remote conquer nodes.
+"""Coordinator: shard one cube tree across remote serve nodes.
 
 :func:`solve_distributed` is the multi-node sibling of
 :func:`repro.cube.solve_cubes`.  Both run :mod:`repro.cube`'s one cube
 scheduler — one simulation pass, one lookahead cut, hardest-first
 conquest with work stealing, lemma sharing, failed-assumption-core
 pruning, retry with reseed, reassignment and checkpointing — but here
-every endpoint is a :class:`~repro.dist.node.ConquerNode` HTTP service
-whose slots are its workers.  The cube tree is sized by the **total**
-worker count across nodes, so adding a node refines the partition
-exactly as adding local workers would.
+every endpoint is a serve node (:class:`repro.serve.server.ReproServer`,
+``repro serve``) whose worker threads are its slots.  The cube tree is
+sized by the **total** worker count across nodes, so adding a node
+refines the partition exactly as adding local workers would.
 
 What a remote endpoint adds to the shared loop:
 
-* **Fabric** — each node is probed for its role and worker count before
-  the cut, and the circuit, objectives, correlation classes and the
-  driver's phase lemmas are registered on it after; the node's warm
-  workers are built from that registration.  The node's key must equal
-  :func:`~repro.dist.node.registration_key` of the coordinator's own
+* **Fabric** — each node is probed (``/health``) for its name and worker
+  count before the cut, and the circuit, objectives, correlation
+  classes and the driver's phase lemmas are registered on it after
+  (``/circuit``); the node's warm workers are built from that
+  registration.  The node's key must equal
+  :func:`~repro.cube.sharing.registration_key` of the coordinator's own
   circuit and objectives: cube literals must mean the same node
   numbering on both sides, under the same objectives.
-* **Dispatch** — a slot POSTs its cube with the scheduler's lemma
-  snapshot and long-polls for the result, under an idempotency key
-  that names the registration and the cube's literals, so a
-  work-stealing re-issue or a resumed conquest's re-dispatch shares it.
+* **Dispatch** — a slot POSTs its cube (``/conquer``) with the
+  scheduler's lemma snapshot and long-polls for the result, under an
+  idempotency key that names the registration and the cube's literals,
+  so a work-stealing re-issue or a resumed conquest's re-dispatch
+  shares it.
   Every result carries its worker's exported lemmas back to the
   scheduler's one pool.
 * **Node death** — a transport failure after the client's retry budget
@@ -48,13 +50,13 @@ from ..cube.conquer import (CUBE_PRESET, Conquest, CubeReport,
                             EndpointDown, NodeInfo, _conquer,
                             validate_cube_args)
 from ..cube.cutter import Cube, CutterOptions
+from ..cube.sharing import registration_key
 from ..errors import SolverError
 from ..obs.metrics import default_registry
 from ..result import Limits, SolverResult, UNKNOWN
 from ..runtime.supervisor import CERTIFY_SAT
 from ..runtime.worker import KIND_CSAT
 from ..serve.client import ServeClient, ServeError
-from .node import registration_key
 
 
 @dataclass
@@ -117,7 +119,7 @@ class DistReport(CubeReport):
 
 
 class _RemoteEndpoint:
-    """One conquer node: probe, register, dispatch and poll."""
+    """One serve node: probe, register, dispatch and poll."""
 
     def __init__(self, client: ServeClient, *, kind: str, preset_name: str,
                  poll_seconds: float, label: str):
@@ -137,11 +139,6 @@ class _RemoteEndpoint:
         except ServeError as exc:
             self.info.alive = False
             self.info.detail = str(exc)
-            return
-        if health.get("role") != "conquer-node":
-            self.info.alive = False
-            self.info.detail = ("not a conquer node (role {!r})"
-                                .format(health.get("role")))
             return
         self.info.name = str(health.get("name") or self.info.url)
         self.info.workers = max(1, int(health.get("workers") or 1))
@@ -207,7 +204,7 @@ class _RemoteEndpoint:
         if registry is not None:
             registry.counter(
                 "repro_dist_dispatch_total",
-                "Cube dispatches to conquer nodes",
+                "Cube dispatches to serve nodes",
                 labelnames=("node",)).labels(self.info.name).inc()
         status = "error"
         try:
@@ -268,7 +265,7 @@ def solve_distributed(circuit: Circuit,
                       client_retries: int = 2,
                       poll_seconds: float = 5.0,
                       label: str = "dist") -> DistReport:
-    """Cube-and-conquer ``circuit`` across remote conquer ``nodes``.
+    """Cube-and-conquer ``circuit`` across the serve ``nodes`` (URLs).
 
     ``kind`` and ``preset_name`` ride on every ``/conquer`` dispatch, so
     they alone pick the engine of every remote worker.
@@ -299,7 +296,7 @@ def solve_distributed(circuit: Circuit,
             endpoint.probe()
         alive = [e for e in endpoints if e.info.alive]
         if not alive:
-            raise SolverError("no conquer node reachable: {}".format(
+            raise SolverError("no serve node reachable: {}".format(
                 "; ".join("{} ({})".format(e.info.url, e.info.detail)
                           for e in endpoints)))
         report.total_workers = sum(e.info.workers for e in alive)

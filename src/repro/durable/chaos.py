@@ -29,7 +29,7 @@ cleanup, no atexit, no flushed buffers):
 Nothing here is imported by the serving or solving layers — the harness
 sits strictly above them (``repro chaos`` CLI and the chaos-smoke CI
 job).  Its subprocess plumbing (:func:`free_port`, :func:`spawn_repro`,
-:func:`sigkill_group`) also spawns the local conquer-node fleet of
+:func:`sigkill_group`) also spawns the local serve-node fleet of
 :mod:`repro.dist.bench`.
 """
 

@@ -24,8 +24,8 @@ unless all match:
 
 The record's own literals are checked too: every pooled lemma must be a
 non-empty clause, and every cube a list, of the circuit's literals
-(:func:`repro.cube.sharing.literals_ok`, the rule a conquer node applies
-to its wire input), and every objective an int.  A record written
+(:func:`repro.cube.sharing.literals_ok`, the rule a serve node applies
+to its cube input), and every objective an int.  A record written
 through :func:`save_checkpoint` passes its checksum whatever it holds,
 and one out-of-range literal in the pool would crash every resumed
 worker.  The load keeps the literals as read, so a ``"5"`` or ``5.7`` is

@@ -8,11 +8,13 @@ package turns the repo's one-shot machinery into that long-lived service:
   the strashed AIG (name-independent, inverter-aware) used as cache keys;
 * :mod:`repro.serve.cache` — the answer cache (in-memory LRU + optional
   JSONL store) whose SAT entries are re-certified before being served;
-* :mod:`repro.serve.scheduler` — the async job queue over the isolated
-  runtime workers: admission control, in-flight dedup, priorities,
-  graceful drain;
+* :mod:`repro.serve.scheduler` — the one job table and queue over the
+  isolated runtime workers, for solve jobs and for the cubes of a
+  distributed conquest: admission control, idempotency, in-flight
+  dedup, priorities, warm cube workers, graceful drain;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib
-  JSON-over-HTTP protocol behind ``repro serve`` and ``repro submit``;
+  JSON-over-HTTP protocol behind ``repro serve``, ``repro submit`` and
+  ``repro solve --nodes``;
 * :mod:`repro.serve.loadgen` — seeded mixed-traffic load generation
   with differentially checked answers.
 

@@ -1,21 +1,48 @@
-"""The solve scheduler: an async job queue over isolated runtime workers.
+"""The solve scheduler: one job table, queue and worker pool for every job
+a serve node runs.
 
-This is the server's engine room.  Requests are admitted (or rejected
-*at the door* with a structured reason — never queued to fail later),
-fingerprinted, answered from the :class:`~repro.serve.cache.AnswerCache`
-when possible, deduplicated against identical in-flight work, and
-otherwise queued by priority for a pool of worker threads.  Each worker
-thread runs the solve in an **isolated subprocess** via
-:func:`repro.runtime.supervisor.run_supervised` (or fans out further via
-:func:`repro.cube.solve_cubes` for ``engine="cube"``), so a hanging,
-crashing, or memory-bombing solve can never take the server down: it
-surfaces as the PR3 failure taxonomy (TIMEOUT / MEMOUT / CRASHED /
-CORRUPT_ANSWER / LOST), verbatim, in the job's result payload.
+Requests are admitted (or rejected *at the door* with a structured
+reason — never queued to fail later) and queued by priority for a pool
+of worker threads.  Every solve runs in an **isolated subprocess**
+(:mod:`repro.runtime`), so a hanging, crashing, or memory-bombing solve
+can never take the server down: it surfaces as the failure taxonomy
+(TIMEOUT / MEMOUT / CRASHED / CORRUPT_ANSWER / LOST), verbatim, in the
+job's result payload.
+
+Two kinds of job share the table, the queue and the threads.  A
+request's class is its kind, and owns the steps where the kinds differ
+(``identity``, ``admit``, ``run``, ``settle``, ``cancel``):
+
+* a **solve job** (:class:`JobRequest`, ``POST /submit``) is
+  fingerprinted, answered from the :class:`~repro.serve.cache.AnswerCache`
+  when possible, deduplicated against identical in-flight work,
+  journaled, and run on a one-shot worker by
+  :func:`repro.runtime.supervisor.run_supervised` (or fanned out further
+  by :func:`repro.cube.solve_cubes` for ``engine="cube"``);
+* a **cube job** (:class:`CubeRequest`, ``POST /conquer``) is one cube of
+  a coordinator's conquest (:func:`repro.dist.solve_distributed`),
+  solved as an assumption call against a :class:`Registration`
+  (``POST /circuit``).  Each worker thread keeps at most one warm
+  :class:`~repro.cube.conquer.CubeSlot`, bound to a registration, engine
+  kind and preset: replaced when the thread's next cube names another,
+  closed when that registration is evicted or the scheduler stops, and
+  left idle through the solve jobs the thread runs in between.  A cube
+  answer holds only for its registration and literals, so a cube job
+  skips the fingerprint, the answer cache, in-flight dedup, the
+  incremental pre-pass and the journal: the coordinator's checkpoint is
+  its durable record, and a restarted server's ``unknown-circuit`` sends
+  the coordinator back to ``POST /circuit``.
+
+Idempotency: a re-submission under a known key returns the existing job
+only when it names the same request — a solve the same circuit (by
+fingerprint) and engine, a cube the same registration and literals.
+Anything else is a ``key-conflict`` (HTTP 409), and nothing is queued.
 
 Lifecycle: ``submit()`` returns a :class:`Job` immediately; callers
 block on ``job.wait()`` or poll ``job.snapshot()``.  ``close()`` drains
 gracefully — no new admissions, queued and running jobs finish — or
-cancels the queue when asked to stop fast.
+cancels the queue and kills in-flight cube workers when asked to stop
+fast.
 """
 
 from __future__ import annotations
@@ -25,20 +52,24 @@ import itertools
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
 from ..csat.options import DEFAULT_PRESET, preset
+from ..cube.conquer import CUBE_PRESET, CubeSlot, cube_job
+from ..cube.sharing import (classes_ok, lemmas_ok, literals_ok,
+                            objectives_ok, registration_key)
 from ..errors import SolverError
 from ..result import Limits, SAT, UNKNOWN, UNSAT
-from ..runtime.supervisor import (CERTIFY_LEVELS, CERTIFY_SAT,
+from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
                                   run_supervised)
 from ..runtime.worker import (KIND_CNF, KIND_CSAT, KIND_SWEEP,
                               WORKER_KINDS, WorkerJob)
 from ..durable.journal import (KIND_ADMITTED, KIND_CANCELLED, KIND_FINISHED,
                                KIND_STARTED, answer_digest)
-from ..obs.context import child_context, context_of
+from ..obs.context import SpanContext, child_context, context_of
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
 from .cache import AnswerCache, limits_class
@@ -51,11 +82,20 @@ ENGINE_CUBE = "cube"
 ENGINE_SWEEP = KIND_SWEEP
 SERVE_ENGINES = tuple(WORKER_KINDS) + (ENGINE_CUBE, ENGINE_SWEEP)
 
-#: Isolated processes one cube job conquers on.  The server sizes this,
-#: not the request: a worker thread running a cube job forks this many
-#: solver processes, so a fan-out chosen per request could oversubscribe
-#: the host without bound.
+#: The engine label of cube jobs (``POST /conquer``) in job snapshots and
+#: metrics.
+ENGINE_CONQUER = "conquer"
+
+#: Isolated processes one ``engine="cube"`` solve conquers on.  The
+#: server sizes this, not the request: a worker thread running such a
+#: solve forks this many solver processes, so a fan-out chosen per
+#: request could oversubscribe the host without bound.
 SERVE_CUBE_WORKERS = 2
+
+#: Registrations a scheduler keeps, least recently used evicted first.
+#: Registering and admitting a cube refresh one, and one with a queued
+#: or running cube job is never evicted.
+MAX_REGISTRATIONS = 4
 
 #: Job states.
 QUEUED = "QUEUED"
@@ -63,14 +103,32 @@ RUNNING = "RUNNING"
 DONE = "DONE"
 CANCELLED = "CANCELLED"
 
-#: Structured admission-rejection codes (HTTP-ish semantics: ``queue-full``
-#: maps to 503, everything else to 400).
+#: Structured admission-rejection codes.
 REJECT_BAD_ENGINE = "bad-engine"
 REJECT_BAD_PRESET = "bad-preset"
 REJECT_BAD_LIMITS = "bad-limits"
 REJECT_EMPTY_BUDGET = "empty-budget"
 REJECT_QUEUE_FULL = "queue-full"
 REJECT_DRAINING = "draining"
+REJECT_BAD_REQUEST = "bad-request"
+REJECT_BAD_CIRCUIT = "bad-circuit"
+REJECT_UNKNOWN_CIRCUIT = "unknown-circuit"
+REJECT_KEY_CONFLICT = "key-conflict"
+
+#: The HTTP status of a rejection: back-pressure is 503, a known key
+#: naming another request 409, everything else 400.
+_REJECT_STATUS = {REJECT_QUEUE_FULL: 503, REJECT_DRAINING: 503,
+                  REJECT_KEY_CONFLICT: 409}
+
+_BAD_CUBE = "'cube' must be a list of the circuit's literals"
+_BAD_LEMMAS = ("'lemmas' must be a list of non-empty clauses of the "
+               "circuit's literals")
+_BAD_PHASE_LEMMAS = ("'phase_lemmas' must be a list of non-empty clauses "
+                     "of the circuit's literals")
+_BAD_OBJECTIVES = ("'objectives' must be a non-empty list of the "
+                   "circuit's literals")
+_BAD_CLASSES = ("'classes' must be a list of lists of [node, phase] "
+                "pairs of the circuit")
 
 
 def input_assignment(circuit: Circuit,
@@ -95,13 +153,19 @@ class AdmissionError(Exception):
         self.code = code
         self.message = message
 
+    @property
+    def status(self) -> int:
+        """The HTTP status the server answers this rejection with."""
+        return _REJECT_STATUS.get(self.code, 400)
+
     def as_dict(self) -> Dict[str, str]:
         return {"code": self.code, "message": self.message}
 
 
 @dataclass
 class JobRequest:
-    """One solve request as the scheduler sees it (already parsed).
+    """One solve request (``POST /submit``) as the scheduler sees it
+    (already parsed), and the solve kind's steps.
 
     ``fp`` may carry a precomputed fingerprint of ``circuit`` (the
     server's parse memo provides one for byte-identical resubmissions);
@@ -118,9 +182,10 @@ class JobRequest:
     label: str = "request"
     fault: Optional[str] = None       # deterministic fault injection (tests)
     fp: Optional[Fingerprint] = None
-    #: Client-supplied idempotency key: re-submitting the same key never
-    #: double-solves (the scheduler returns the original job).  Minted
-    #: server-side when absent so every journaled job has one.
+    #: Client-supplied idempotency key: re-submitting the same request
+    #: under it never double-solves (the scheduler returns the original
+    #: job).  Minted server-side when absent so every journaled job has
+    #: one.
     idempotency_key: Optional[str] = None
     #: The submission as re-parsable source (``{"circuit": text,
     #: "format": fmt}`` or ``{"instance": name}``), journaled so a
@@ -132,6 +197,334 @@ class JobRequest:
     #: everything it uses — so this is a performance escape hatch, not a
     #: correctness knob, and it is not part of the cache key.
     incremental: bool = True
+
+    def identity(self, sched: "SolveScheduler") -> Tuple:
+        """Check the request at the door (raises :class:`AdmissionError`)
+        and fingerprint it; returns what a re-submission under its key
+        must match: the circuit's fingerprint and the engine."""
+        if self.engine not in SERVE_ENGINES:
+            raise sched._reject(REJECT_BAD_ENGINE,
+                                "unknown engine {!r}; known: {}".format(
+                                    self.engine, ", ".join(SERVE_ENGINES)))
+        try:
+            preset(self.preset)
+        except SolverError as exc:
+            raise sched._reject(REJECT_BAD_PRESET, str(exc))
+        if self.limits is not None:
+            try:
+                self.limits.validate()
+            except SolverError as exc:
+                raise sched._reject(REJECT_BAD_LIMITS, str(exc))
+            if self.limits.exhausted_on_entry():
+                raise sched._reject(
+                    REJECT_EMPTY_BUDGET,
+                    "budget is zero or negative — the solve could never "
+                    "start; fix the limits instead of queueing it")
+        if self.fp is None:
+            self.fp = fingerprint(self.circuit)
+        return (self.engine, self.fp.digest)
+
+    def admit(self, sched: "SolveScheduler", job: "Job") -> None:
+        """Answer from the cache, fold into identical in-flight work, or
+        queue; the journal records the admission either way."""
+        fp = self.fp
+        registry = default_registry()
+        job.add_event("job_submit", label=self.label, engine=self.engine,
+                      digest=fp.digest, priority=self.priority)
+        if sched.tracer is not None:
+            sched.tracer.emit("job_submit", job=job.id, label=self.label,
+                              engine=self.engine, digest=fp.digest)
+
+        # 1. Answer cache.
+        hit = sched.cache.lookup(self.circuit, fp, self.limits, self.engine)
+        if registry is not None:
+            registry.counter("repro_serve_cache_lookups_total",
+                             "Answer-cache lookups at admission",
+                             labelnames=("outcome",)).labels(
+                                 "hit" if hit is not None else "miss").inc()
+        if hit is not None:
+            job.cached = True
+            job.add_event("cache_hit", digest=fp.digest,
+                          status=hit["status"])
+            if sched.tracer is not None:
+                sched.tracer.emit("cache_hit", job=job.id, digest=fp.digest,
+                                  status=hit["status"])
+            payload = sched._result_payload(job, hit, cached=True)
+            record = sched._admitted_record(job)
+            if record is not None:
+                sched._journal_append(KIND_ADMITTED, **record)
+            bits = (model_to_bits(fp, hit.get("model"))
+                    if hit["status"] == SAT else None)
+            sched._journal_finish(job, payload, bits)
+            job.finish(payload)
+            with sched._lock:
+                sched.completed += 1
+            return
+
+        # The admitted record is built outside the lock (it may serialize
+        # the circuit) but appended inside it, so the journal order agrees
+        # with the admission order.
+        record = sched._admitted_record(job)
+        key = "{}|{}|{}".format(fp.digest, limits_class(self.limits),
+                                self.engine)
+
+        # 2. In-flight deduplication: identical work shares one solve.
+        with sched._lock:
+            primary = sched._inflight.get(key)
+            if primary is not None and not primary.done:
+                job.deduped = True
+                sched._followers.setdefault(key, []).append(job)
+                job.add_event("job_dedup", follows=primary.id)
+                if registry is not None:
+                    registry.counter(
+                        "repro_serve_dedup_total",
+                        "Jobs folded into identical in-flight work").inc()
+                if record is not None:
+                    sched._journal_append(KIND_ADMITTED, **record)
+                return
+            # 3. Admission control: bounded queue.
+            sched._enqueue(job)
+            sched._inflight[key] = job
+            job._dedup_key = key
+            if record is not None:
+                sched._journal_append(KIND_ADMITTED, **record)
+
+    def run(self, sched: "SolveScheduler", job: "Job", tracer,
+            seat: "_Seat") -> Dict[str, Any]:
+        """Solve on one-shot isolated workers; the thread's warm cube
+        worker (``seat``) stays idle."""
+        sched._journal_append(KIND_STARTED, key=self.idempotency_key,
+                              job=job.id)
+        try:
+            return sched._solve(job, tracer)
+        except Exception as exc:  # noqa: BLE001 — the server must survive
+            return {"status": UNKNOWN, "model_size": 0, "engine": None,
+                    "cached": False,
+                    "failures": [{"kind": "CRASHED",
+                                  "detail": "{}: {}".format(
+                                      type(exc).__name__, exc),
+                                  "engine": self.engine,
+                                  "seconds": 0.0}]}
+
+    def settle(self, sched: "SolveScheduler", job: "Job",
+               payload: Dict[str, Any]) -> None:
+        """Name the model's inputs, cache the answer, journal the
+        completion and answer the deduplicated followers."""
+        model = payload.pop("_model", None)
+        if payload["status"] == SAT:
+            payload["model_inputs"] = input_assignment(self.circuit, model)
+        if payload["status"] in (SAT, UNSAT):
+            sched.cache.store(
+                job.fp, self.limits, self.engine, payload["status"],
+                model=model,
+                provenance={"engine": payload.get("engine"),
+                            "label": self.label,
+                            "time_seconds": payload.get("time_seconds"),
+                            "stats": payload.get("stats")})
+        bits = (model_to_bits(job.fp, model)
+                if payload["status"] == SAT and model is not None else None)
+        sched._journal_finish(job, payload, bits)
+        sched._resolve_followers(job, payload, model)
+
+    def cancel(self, sched: "SolveScheduler", job: "Job") -> List["Job"]:
+        """A queued job cancelled at shutdown: journal it and its
+        followers, which are cancelled with it."""
+        key = getattr(job, "_dedup_key", None)
+        with sched._lock:
+            followers = sched._followers.pop(key, []) if key else []
+            if key and sched._inflight.get(key) is job:
+                del sched._inflight[key]
+        for waiter in [job] + followers:
+            sched._journal_append(
+                KIND_CANCELLED, key=waiter.request.idempotency_key,
+                job=waiter.id)
+        return [job] + followers
+
+    def trace_parent(self, sched: "SolveScheduler") -> Optional[SpanContext]:
+        """The span a traced job's span opens under: any span the caller
+        bound to the server's tracer."""
+        return context_of(sched.tracer)
+
+
+class Registration:
+    """One circuit and objectives a coordinator registered (``POST
+    /circuit``), filed under :func:`~repro.cube.sharing.registration_key`.
+
+    ``classes`` are the conquest's serialized correlation classes and
+    ``phase_lemmas`` the clauses its driver's explicit phase proved;
+    every warm worker built for the registration holds both.  ``jobs``
+    are its cube jobs, dropped from the job table with it.
+    """
+
+    def __init__(self, key: str, circuit: Circuit, objectives: List[int],
+                 classes, phase_lemmas, label: str):
+        self.key = key
+        self.circuit = circuit
+        self.objectives = objectives
+        self.classes = classes
+        self.phase_lemmas = phase_lemmas
+        self.label = label
+        self.jobs: List["Job"] = []
+        self.evicted = False
+
+
+@dataclass
+class CubeRequest:
+    """One cube of a registered conquest (``POST /conquer``), and the cube
+    kind's steps.
+
+    The cube is solved as an assumption call on the worker thread's warm
+    worker for its registration, ``kind`` and ``preset`` (the engine the
+    coordinator picked), seeded with ``lemmas`` beyond the registration's
+    phase lemmas.  ``trace_id`` and ``parent_span`` name the
+    coordinator's dispatch span, under which a traced job's span opens.
+    """
+
+    registration: Registration
+    cube: List[int]
+    attempt: int = 0
+    lemmas: Optional[List[List[int]]] = None
+    kind: str = KIND_CSAT
+    preset: str = CUBE_PRESET
+    limits: Optional[Limits] = None
+    idempotency_key: Optional[str] = None
+    trace_id: Optional[str] = None
+    parent_span: Optional[str] = None
+
+    engine: ClassVar[str] = ENGINE_CONQUER
+    priority: ClassVar[int] = 0
+    #: A cube answer holds for its registration alone: nothing about it
+    #: is fingerprinted.
+    fp: ClassVar[None] = None
+
+    @property
+    def label(self) -> str:
+        return self.registration.label
+
+    def identity(self, sched: "SolveScheduler") -> Tuple:
+        """Check the cube against its registration at the door (raises
+        :class:`AdmissionError`); returns what a re-submission under its
+        key must match: the registration and the cube's literals."""
+        if sched.certify == CERTIFY_FULL:
+            raise sched._reject(
+                REJECT_BAD_REQUEST,
+                "this server certifies UNSAT answers in full, and a cube "
+                "refutation carries no closed proof")
+        num_nodes = self.registration.circuit.num_nodes
+        if not literals_ok(self.cube, num_nodes):
+            raise sched._reject(REJECT_BAD_REQUEST, _BAD_CUBE)
+        if not lemmas_ok(self.lemmas, num_nodes):
+            raise sched._reject(REJECT_BAD_REQUEST, _BAD_LEMMAS)
+        if self.kind not in (KIND_CSAT, KIND_CNF):
+            raise sched._reject(REJECT_BAD_REQUEST,
+                                "cube workers solve csat or cnf cubes, not "
+                                "{!r}".format(self.kind))
+        try:
+            preset(self.preset)
+            if self.limits is not None:
+                self.limits.validate()
+        except SolverError as exc:
+            raise sched._reject(REJECT_BAD_REQUEST, str(exc))
+        return (self.engine, self.registration.key, tuple(self.cube))
+
+    def admit(self, sched: "SolveScheduler", job: "Job") -> None:
+        """Queue the cube, unless its registration was evicted since it
+        was looked up (``unknown-circuit``: the coordinator registers
+        again)."""
+        reg = self.registration
+        job.add_event("job_submit", label=self.label, engine=self.engine,
+                      circuit=reg.key, priority=self.priority)
+        if sched.tracer is not None:
+            sched.tracer.emit("job_submit", job=job.id, label=self.label,
+                              engine=self.engine, circuit=reg.key)
+        with sched._lock:
+            if reg.evicted:
+                sched._drop(job)
+                raise sched._reject(REJECT_UNKNOWN_CIRCUIT,
+                                    "registration evicted; POST /circuit "
+                                    "again")
+            sched._enqueue(job)
+            reg.jobs.append(job)
+            sched._registrations.move_to_end(reg.key)
+
+    def run(self, sched: "SolveScheduler", job: "Job", tracer,
+            seat: "_Seat") -> Dict[str, Any]:
+        """Solve the cube on the thread's warm worker for this
+        registration and engine, spawned at its first cube."""
+        reg = self.registration
+        # The job table outlives the solve; the seeds need not.
+        seeds, self.lemmas = self.lemmas, None
+
+        def warm_slot() -> CubeSlot:
+            return CubeSlot(
+                cube_job(reg.circuit, reg.objectives, name="cube",
+                         kind=self.kind, preset_name=self.preset,
+                         options=None, classes=reg.classes,
+                         phase_lemmas=reg.phase_lemmas,
+                         mem_limit_mb=sched.mem_limit_mb,
+                         export_lemmas=True),
+                certify=sched.certify, grace_seconds=sched.grace_seconds,
+                start_method=None, spawns=sched._next_spawn)
+
+        try:
+            slot = seat.slot_for((reg, self.kind, self.preset), warm_slot)
+            return slot.solve(
+                self.cube, self.attempt, seeds, self.limits, fault=None,
+                tracer=tracer,
+                cancelled=lambda: ("server-shutdown" if sched._halt.is_set()
+                                   else None))
+        except Exception as exc:  # noqa: BLE001 — the server must survive
+            return {"status": "FAILED",
+                    "failure": {"kind": "CRASHED",
+                                "detail": "{}: {}".format(
+                                    type(exc).__name__, exc),
+                                "engine": self.engine, "seconds": 0.0},
+                    "lemmas": []}
+
+    def settle(self, sched: "SolveScheduler", job: "Job",
+               payload: Dict[str, Any]) -> None:
+        """Nothing to record: the coordinator checkpoints cube answers."""
+
+    def cancel(self, sched: "SolveScheduler", job: "Job") -> List["Job"]:
+        """A queued cube cancelled at shutdown takes nothing with it."""
+        return [job]
+
+    def trace_parent(self, sched: "SolveScheduler") -> Optional[SpanContext]:
+        """The span a traced job's span opens under: the coordinator's
+        dispatch span, when the request names one."""
+        if self.trace_id and self.parent_span:
+            return SpanContext(trace_id=self.trace_id,
+                               span_id=self.parent_span)
+        return context_of(sched.tracer)
+
+
+class _Seat:
+    """One worker thread's warm cube worker: at most one
+    :class:`~repro.cube.conquer.CubeSlot`, bound to a registration, an
+    engine kind and a preset."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.slot: Optional[CubeSlot] = None
+        self.binding: Optional[Tuple] = None
+
+    def slot_for(self, binding: Tuple,
+                 make: Callable[[], CubeSlot]) -> CubeSlot:
+        """The slot bound to ``binding``, closing one bound to another."""
+        if binding != self.binding:
+            self.close()
+            self.slot, self.binding = make(), binding
+        return self.slot
+
+    @property
+    def stale(self) -> bool:
+        """Bound to a registration the scheduler has evicted."""
+        return self.binding is not None and self.binding[0].evicted
+
+    def close(self) -> None:
+        if self.slot is not None:
+            slot, self.slot, self.binding = self.slot, None, None
+            slot.close(self.tracer)
 
 
 class _JobTracer(Tracer):
@@ -156,12 +549,14 @@ class _JobTracer(Tracer):
 
 
 class Job:
-    """Parent-side handle on one admitted request."""
+    """Parent-side handle on one admitted request, of either kind."""
 
-    def __init__(self, job_id: str, request: JobRequest, fp: Fingerprint):
+    def __init__(self, job_id: str, request, identity: Tuple):
         self.id = job_id
         self.request = request
-        self.fp = fp
+        #: What a re-submission under the job's key must match.
+        self.identity = identity
+        self.fp = request.fp
         self.state = QUEUED
         self.result: Optional[Dict[str, Any]] = None
         self.cached = False
@@ -202,7 +597,8 @@ class Job:
             "state": self.state,
             "cached": self.cached,
             "deduped": self.deduped,
-            "fingerprint": self.fp.as_dict(),
+            "fingerprint": self.fp.as_dict() if self.fp is not None
+            else None,
             "queue_seconds": round(max(0.0, waited), 6),
         }
         if self.result is not None:
@@ -211,7 +607,9 @@ class Job:
 
 
 class SolveScheduler:
-    """Priority job queue + worker-thread pool + answer cache."""
+    """One job table, priority queue and worker-thread pool for solve and
+    cube jobs, plus the solve jobs' answer cache and the cube jobs'
+    registrations."""
 
     def __init__(self,
                  workers: int = 2,
@@ -233,6 +631,7 @@ class SolveScheduler:
             raise ValueError("certify must be one of {}".format(
                 CERTIFY_LEVELS))
         self.cache = cache if cache is not None else AnswerCache()
+        self.workers = workers
         self.max_queue = max_queue
         self.mem_limit_mb = mem_limit_mb
         self.grace_seconds = grace_seconds
@@ -256,8 +655,14 @@ class SolveScheduler:
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, Job] = {}  # dedup key -> primary job
         self._followers: Dict[str, List[Job]] = {}
+        self._registrations: "OrderedDict[str, Registration]" = \
+            OrderedDict()
+        self._spawned = 0                    # warm cube workers started
         self._running = 0
         self._closed = False
+        #: Set when the scheduler stops without draining: in-flight cube
+        #: workers are killed.
+        self._halt = threading.Event()
         self.submitted = 0
         self.completed = 0
         self.rejected = 0
@@ -345,203 +750,197 @@ class SolveScheduler:
                 "time_seconds": payload.get("time_seconds")}
         self._journal_append(KIND_FINISHED, **record)
 
-    def submit(self, request: JobRequest) -> Job:
-        """Admit one request; raises :class:`AdmissionError` otherwise."""
+    def submit(self, request) -> Job:
+        """Admit one request of either kind; raises :class:`AdmissionError`
+        otherwise."""
         registry = default_registry()
         if registry is not None:
             registry.counter("repro_serve_submitted_total",
                              "Requests presented at the door").inc()
-        if request.idempotency_key:
-            # Idempotent re-submission: the same key never double-solves,
-            # whatever state the original job is in.
-            with self._lock:
-                existing = self._idempotency.get(request.idempotency_key)
-            if existing is not None:
-                return existing
-        if request.engine not in SERVE_ENGINES:
-            raise self._reject(REJECT_BAD_ENGINE,
-                               "unknown engine {!r}; known: {}".format(
-                                   request.engine,
-                                   ", ".join(SERVE_ENGINES)))
-        try:
-            preset(request.preset)
-        except SolverError as exc:
-            raise self._reject(REJECT_BAD_PRESET, str(exc))
-        if request.limits is not None:
-            try:
-                request.limits.validate()
-            except SolverError as exc:
-                raise self._reject(REJECT_BAD_LIMITS, str(exc))
-            if request.limits.exhausted_on_entry():
-                raise self._reject(
-                    REJECT_EMPTY_BUDGET,
-                    "budget is zero or negative — the solve could never "
-                    "start; fix the limits instead of queueing it")
-        fp = request.fp if request.fp is not None \
-            else fingerprint(request.circuit)
-        key = "{}|{}|{}".format(fp.digest, limits_class(request.limits),
-                                request.engine)
-        if not request.idempotency_key:
-            # Every journaled job carries a key so crash replay and
-            # client retries converge on one identity.
-            request.idempotency_key = uuid.uuid4().hex
+        identity = request.identity(self)
+        key = request.idempotency_key
+        job = existing = None
         with self._lock:
-            if self._closed:
-                raise self._reject(REJECT_DRAINING,
-                                   "server is draining; not accepting "
-                                   "new work")
-            job = Job("j{}".format(next(self._ids)), request, fp)
-            self._jobs[job.id] = job
-            self._idempotency[request.idempotency_key] = job
-            self.submitted += 1
-        job.add_event("job_submit", label=request.label,
-                      engine=request.engine, digest=fp.digest,
-                      priority=request.priority)
-        if self.tracer is not None:
-            self.tracer.emit("job_submit", job=job.id, label=request.label,
-                             engine=request.engine, digest=fp.digest)
-
-        # 1. Answer cache.
-        hit = self.cache.lookup(request.circuit, fp, request.limits,
-                                request.engine)
-        if registry is not None:
-            registry.counter("repro_serve_cache_lookups_total",
-                             "Answer-cache lookups at admission",
-                             labelnames=("outcome",)).labels(
-                                 "hit" if hit is not None else "miss").inc()
-        if hit is not None:
-            job.cached = True
-            job.add_event("cache_hit", digest=fp.digest,
-                          status=hit["status"])
-            if self.tracer is not None:
-                self.tracer.emit("cache_hit", job=job.id, digest=fp.digest,
-                                 status=hit["status"])
-            payload = self._result_payload(job, hit, cached=True)
-            record = self._admitted_record(job)
-            if record is not None:
-                self._journal_append(KIND_ADMITTED, **record)
-            bits = (model_to_bits(fp, hit.get("model"))
-                    if hit["status"] == SAT else None)
-            self._journal_finish(job, payload, bits)
-            job.finish(payload)
-            with self._lock:
-                self.completed += 1
-            return job
-
-        # The admitted record is built outside the lock (it may serialize
-        # the circuit) but appended inside it, so the journal order agrees
-        # with the admission order.
-        record = self._admitted_record(job)
-
-        # 2. In-flight deduplication: identical work shares one solve.
-        with self._lock:
-            primary = self._inflight.get(key)
-            if primary is not None and not primary.done:
-                job.deduped = True
-                self._followers.setdefault(key, []).append(job)
-                job.add_event("job_dedup", follows=primary.id)
-                if registry is not None:
-                    registry.counter(
-                        "repro_serve_dedup_total",
-                        "Jobs folded into identical in-flight work").inc()
-                if record is not None:
-                    self._journal_append(KIND_ADMITTED, **record)
-                return job
-            # 3. Admission control: bounded queue.
-            depth = len(self._queue)
-            if depth >= self.max_queue:
-                del self._jobs[job.id]
-                self._idempotency.pop(request.idempotency_key, None)
+            if key:
+                existing = self._idempotency.get(key)
+            if existing is None and not self._closed:
+                if not key:
+                    # Every journaled job carries a key so crash replay
+                    # and client retries converge on one identity.
+                    key = request.idempotency_key = uuid.uuid4().hex
+                job = Job("j{}".format(next(self._ids)), request, identity)
+                self._jobs[job.id] = job
+                self._idempotency[key] = job
+                self.submitted += 1
+        if existing is not None:
+            if existing.identity != identity:
                 raise self._reject(
-                    REJECT_QUEUE_FULL,
-                    "queue is full ({} jobs); retry later".format(depth))
-            self._inflight[key] = job
-            job._dedup_key = key
-            if record is not None:
-                self._journal_append(KIND_ADMITTED, **record)
-            heapq.heappush(self._queue,
-                           (-request.priority, next(self._seq), job))
-            if registry is not None:
-                registry.gauge("repro_serve_queue_depth",
-                               "Jobs queued, not yet running").set(
-                                   len(self._queue))
-            self._work.notify()
+                    REJECT_KEY_CONFLICT,
+                    "idempotency key {!r} names another request (job "
+                    "{})".format(key, existing.id))
+            # Idempotent re-submission: the same request never runs
+            # twice, whatever state its job is in.
+            return existing
+        if job is None:
+            raise self._reject(REJECT_DRAINING,
+                               "server is draining; not accepting new work")
+        request.admit(self, job)
         return job
+
+    def _enqueue(self, job: Job) -> None:
+        """Queue an admitted job, or forget it and refuse it when the
+        queue is full.  Called with the lock held."""
+        depth = len(self._queue)
+        if depth >= self.max_queue:
+            self._drop(job)
+            raise self._reject(
+                REJECT_QUEUE_FULL,
+                "queue is full ({} jobs); retry later".format(depth))
+        heapq.heappush(self._queue,
+                       (-job.request.priority, next(self._seq), job))
+        registry = default_registry()
+        if registry is not None:
+            registry.gauge("repro_serve_queue_depth",
+                           "Jobs queued, not yet running").set(
+                               len(self._queue))
+        self._work.notify()
+
+    def _drop(self, job: Job) -> None:
+        """Forget a job refused after it entered the table.  Called with
+        the lock held."""
+        del self._jobs[job.id]
+        if self._idempotency.get(job.request.idempotency_key) is job:
+            del self._idempotency[job.request.idempotency_key]
 
     def job(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
 
     # ------------------------------------------------------------------
+    # Registrations (cube jobs)
+    # ------------------------------------------------------------------
+
+    def register(self, circuit: Circuit, objectives: Optional[List[int]],
+                 classes, phase_lemmas, label: str) -> Registration:
+        """File a conquest's circuit and objectives (``POST /circuit``);
+        idempotent on :func:`~repro.cube.sharing.registration_key`.
+
+        ``objectives`` default to the circuit's outputs.  Raises
+        :class:`AdmissionError` when ``objectives``, ``classes`` or
+        ``phase_lemmas`` do not name the circuit's literals and nodes.
+        """
+        num_nodes = circuit.num_nodes
+        for ok, message in (
+                (objectives_ok(objectives, num_nodes), _BAD_OBJECTIVES),
+                (classes_ok(classes, num_nodes), _BAD_CLASSES),
+                (lemmas_ok(phase_lemmas, num_nodes), _BAD_PHASE_LEMMAS)):
+            if not ok:
+                raise self._reject(REJECT_BAD_REQUEST, message)
+        objs = list(objectives) if objectives is not None \
+            else list(circuit.outputs)
+        if not objs:
+            raise self._reject(REJECT_BAD_CIRCUIT,
+                               "circuit has no outputs and no objectives "
+                               "were given")
+        key = registration_key(circuit, objs)
+        with self._lock:
+            reg = self._registrations.get(key)
+            if reg is None:
+                reg = self._registrations[key] = Registration(
+                    key, circuit, objs, classes, phase_lemmas, label)
+                self._evict()
+            else:
+                self._registrations.move_to_end(key)
+                reg.classes = reg.classes or classes
+                reg.phase_lemmas = reg.phase_lemmas or phase_lemmas
+        return reg
+
+    def registration(self, key: str) -> Optional[Registration]:
+        with self._lock:
+            return self._registrations.get(key)
+
+    def _evict(self) -> None:
+        """Drop the least recently used registrations past
+        :data:`MAX_REGISTRATIONS` — with their cube jobs and idempotency
+        keys — skipping any with a queued or running cube; the worker
+        threads close the warm workers bound to them.  Called with the
+        lock held."""
+        for key in list(self._registrations):
+            if len(self._registrations) <= MAX_REGISTRATIONS:
+                break
+            reg = self._registrations[key]
+            if any(not job.done for job in reg.jobs):
+                continue
+            del self._registrations[key]
+            reg.evicted = True
+            for job in reg.jobs:
+                self._drop(job)
+            reg.jobs = []
+        self._work.notify_all()
+
+    def _next_spawn(self) -> int:
+        """Number the next warm cube worker."""
+        with self._lock:
+            self._spawned += 1
+            return self._spawned - 1
+
+    # ------------------------------------------------------------------
     # Worker threads
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._closed:
-                    self._work.wait(0.2)
-                if not self._queue:
-                    if self._closed:
+        seat = _Seat(self.tracer)
+        try:
+            while True:
+                with self._lock:
+                    while not self._queue and not self._closed \
+                            and not seat.stale:
+                        self._work.wait(0.2)
+                    job = heapq.heappop(self._queue)[2] if self._queue \
+                        else None
+                    closed = self._closed
+                    if job is not None:
+                        self._running += 1
+                        registry = default_registry()
+                        if registry is not None:
+                            registry.gauge(
+                                "repro_serve_queue_depth",
+                                "Jobs queued, not yet running").set(
+                                    len(self._queue))
+                if seat.stale:
+                    seat.close()   # its registration was evicted
+                if job is None:
+                    if closed:
                         return
                     continue
-                _, _, job = heapq.heappop(self._queue)
-                self._running += 1
-                registry = default_registry()
-                if registry is not None:
-                    registry.gauge("repro_serve_queue_depth",
-                                   "Jobs queued, not yet running").set(
-                                       len(self._queue))
-            try:
-                self._execute(job)
-            finally:
-                with self._lock:
-                    self._running -= 1
-                    self.completed += 1
-                    self._work.notify_all()
+                try:
+                    self._execute(job, seat)
+                finally:
+                    with self._lock:
+                        self._running -= 1
+                        self.completed += 1
+                        self._work.notify_all()
+        finally:
+            seat.close()
 
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, seat: _Seat) -> None:
         request = job.request
         job.state = RUNNING
         job.started = time.time()
-        self._journal_append(KIND_STARTED, key=request.idempotency_key,
-                             job=job.id)
         job.add_event("job_start", engine=request.engine)
         if self.tracer is not None:
             self.tracer.emit("job_start", job=job.id, engine=request.engine)
         tracer = _JobTracer(job, self.tracer)
         span = None
         if self.tracer is not None:
-            # Root a job span (child of any caller-bound span on the
-            # global tracer) so worker/cube sub-spans correlate to it.
-            span = child_context(context_of(self.tracer))
+            # Root a job span so worker sub-spans correlate to it.
+            span = child_context(request.trace_parent(self))
             tracer.context = span
             fields = span.as_fields()
             fields.update(name="job:{}".format(job.id),
                           engine=request.engine, label=request.label)
             tracer.emit("span_start", **fields)
-        try:
-            payload = self._solve(job, tracer)
-        except Exception as exc:  # noqa: BLE001 — the server must survive
-            payload = {"status": UNKNOWN, "model_size": 0, "engine": None,
-                       "cached": False,
-                       "failures": [{"kind": "CRASHED",
-                                     "detail": "{}: {}".format(
-                                         type(exc).__name__, exc),
-                                     "engine": request.engine,
-                                     "seconds": 0.0}]}
-        model = payload.pop("_model", None)
-        if payload["status"] == SAT:
-            payload["model_inputs"] = input_assignment(
-                request.circuit, model)
-        if payload["status"] in (SAT, UNSAT):
-            self.cache.store(
-                job.fp, request.limits, request.engine, payload["status"],
-                model=model,
-                provenance={"engine": payload.get("engine"),
-                            "label": request.label,
-                            "time_seconds": payload.get("time_seconds"),
-                            "stats": payload.get("stats")})
+        payload = request.run(self, job, tracer, seat)
         job.add_event("job_done", status=payload["status"])
         if self.tracer is not None:
             self.tracer.emit("job_done", job=job.id,
@@ -549,12 +948,10 @@ class SolveScheduler:
         if span is not None:
             tracer.emit("span_end", span=span.span_id,
                         status=payload["status"])
-        # Durability barrier: the completion hits the journal (fsynced)
-        # before any client — or follower — can observe the result.
-        bits = (model_to_bits(job.fp, model)
-                if payload["status"] == SAT and model is not None else None)
-        self._journal_finish(job, payload, bits)
-        self._resolve_followers(job, payload, model)
+        # Durability barrier: what the job's kind records (a solve's
+        # journal entry, its followers' answers) lands before any client
+        # can observe the result.
+        request.settle(self, job, payload)
         job.finish(payload)
         registry = default_registry()
         if registry is not None:
@@ -814,8 +1211,12 @@ class SolveScheduler:
                     "rejected": self.rejected,
                     "queued": len(self._queue),
                     "running": self._running,
-                    "workers": len(self._threads),
+                    "workers": self.workers,
                     "closed": self._closed,
+                    "registrations": len(self._registrations),
+                    "cube_jobs": sum(len(reg.jobs) for reg in
+                                     self._registrations.values()),
+                    "workers_spawned": self._spawned,
                     "cache": self.cache.stats()}
 
     def close(self, drain: bool = True,
@@ -825,26 +1226,21 @@ class SolveScheduler:
         ``drain=True`` (graceful): refuse new work, let queued + running
         jobs finish.  ``drain=False``: additionally cancel everything
         still queued (their jobs finish CANCELLED with a structured
-        payload).  Returns True once all worker threads exited.
+        payload) and kill in-flight cube workers.  Returns True once all
+        worker threads exited; a drain that outlives ``timeout`` kills
+        the cube workers still running.
         """
         with self._lock:
             self._closed = True
             if not drain:
                 cancelled = [job for _, _, job in self._queue]
                 self._queue.clear()
+                self._halt.set()
             else:
                 cancelled = []
             self._work.notify_all()
         for job in cancelled:
-            key = getattr(job, "_dedup_key", None)
-            with self._lock:
-                followers = self._followers.pop(key, []) if key else []
-                if key and self._inflight.get(key) is job:
-                    del self._inflight[key]
-            for waiter in [job] + followers:
-                self._journal_append(
-                    KIND_CANCELLED, key=waiter.request.idempotency_key,
-                    job=waiter.id)
+            for waiter in job.request.cancel(self, job):
                 waiter.finish({"status": UNKNOWN, "model_size": 0,
                                "engine": None, "cached": False,
                                "failures": [{"kind": "LOST",
@@ -861,4 +1257,5 @@ class SolveScheduler:
                 remaining = max(0.0, deadline - time.monotonic())
             thread.join(remaining)
             ok = ok and not thread.is_alive()
+        self._halt.set()
         return ok

@@ -1,12 +1,18 @@
 """Solver-as-a-service: a stdlib JSON-over-HTTP front end.
 
 The protocol is deliberately tiny (no dependencies, one JSON object per
-request/response) so any EDA tool with an HTTP client can drive it:
+request/response) so any EDA tool with an HTTP client can drive it.  The
+same node solves whole circuits (``/submit``) and the cubes of a
+distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
+:func:`repro.dist.solve_distributed`); both kinds of job share one
+:class:`~repro.serve.scheduler.SolveScheduler`:
 
 ``GET /health``
-    Liveness: ``{"ok": true, "version": ...}``.
+    Liveness and capacity: ``{"ok": true, "version": ..., "name":
+    "node-<port>", "workers": N}``.
 ``GET /status``
-    Scheduler + cache statistics (queue depth, workers, hit rates).
+    Scheduler + cache statistics (queue depth, workers, hit rates,
+    registrations, cube jobs, warm workers spawned).
 ``POST /submit``
     Body: ``{"circuit": <text>}`` or ``{"instance": <name>}`` plus
     optional ``format`` (bench/aiger/dimacs; sniffed otherwise),
@@ -21,8 +27,37 @@ request/response) so any EDA tool with an HTTP client can drive it:
     (:data:`~repro.serve.scheduler.SERVE_CUBE_WORKERS`).
     Responds with the job snapshot; admission failures are structured
     ``{"error": {"code", "message"}}`` with status 400 (bad request, an
-    unknown engine or preset, bad limits) or 503 (queue full / draining)
-    — an invalid request is **never queued**.
+    unknown engine or preset, bad limits), 409 (``key-conflict``: the
+    ``idempotency_key`` names a job for another circuit or engine) or
+    503 (queue full / draining) — an invalid request is **never
+    queued**.  A re-submission of the same circuit and engine under a
+    known key returns that key's job.
+``POST /circuit``
+    Register a conquest once: ``{"circuit": <text>, "objectives": [...],
+    "classes": [...], "phase_lemmas": [...]}``.  Responds ``{"key":
+    <registration key>}``; every later ``/conquer`` references the key,
+    so cube dispatches stay tiny.  ``objectives`` (the circuit's outputs
+    when absent), ``classes`` (correlation classes of ``[node, phase]``
+    pairs) and ``phase_lemmas`` (the clauses the coordinator's explicit
+    phase proved, which every warm worker of the registration holds) are
+    checked against the parsed circuit before anything is registered.
+    The key (:func:`~repro.cube.sharing.registration_key`) covers the
+    **exact** structural hash (node numbering included) and the
+    objectives; the coordinator compares it against its own.  The node
+    keeps :data:`~repro.serve.scheduler.MAX_REGISTRATIONS` of them.
+``POST /conquer``
+    Solve one cube: ``{"key": ..., "cube": [literals], "attempt": n,
+    "idempotency_key": ..., "limits": {...}, "lemmas": [...],
+    "kind": ..., "preset": ..., "wait": seconds}``.  ``kind`` and
+    ``preset`` pick the worker's engine (default ``csat`` and
+    :data:`~repro.cube.conquer.CUBE_PRESET`); ``lemmas`` seed the worker
+    beyond the registration's phase lemmas.  Cube literals and lemma
+    batches are checked against the registration (400 otherwise), and
+    an unknown or evicted key is ``unknown-circuit``, on which the
+    coordinator registers again.  Responds with the job snapshot plus
+    ``deduped`` (the key already named this cube); the result carries
+    the lemmas the worker exported.  A server certifying ``full``
+    refuses cubes: their refutations carry no closed proof.
 ``GET /result/<job>?wait=<seconds>``
     Poll or block for a job's result snapshot.
 ``GET /events/<job>?since=<n>``
@@ -30,7 +65,8 @@ request/response) so any EDA tool with an HTTP client can drive it:
     returns ``{"events": [...], "next": m}``; poll with ``since=m`` to
     tail a running solve.
 ``POST /shutdown``
-    Graceful drain (``{"drain": false}`` cancels the queue instead).
+    Graceful drain (``{"drain": false}`` cancels the queue and kills
+    in-flight cube workers instead).
 
 Every worker failure crosses this protocol verbatim as the PR3 taxonomy
 (TIMEOUT / MEMOUT / CRASHED / CORRUPT_ANSWER / LOST) inside the result's
@@ -40,24 +76,31 @@ server.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from collections import OrderedDict
-from http.server import ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import DEFAULT_PRESET
+from ..cube.conquer import CUBE_PRESET
 from ..durable.journal import Journal, ReplayState, replay_journal
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.metrics import default_registry, enable_metrics
 from ..result import Limits, SAT, UNSAT
+from ..runtime.worker import KIND_CSAT
 from .cache import AnswerCache
-from .envelope import MAX_WAIT_SECONDS, JsonHandler
 from .fingerprint import fingerprint
-from .scheduler import (AdmissionError, JobRequest, REJECT_DRAINING,
-                        REJECT_QUEUE_FULL, SolveScheduler)
+from .scheduler import (AdmissionError, CubeRequest, JobRequest,
+                        SolveScheduler)
+
+#: Hard cap on how long one HTTP request may block waiting for a result;
+#: longer waits should poll (keeps worker-less proxies and tests honest).
+MAX_WAIT_SECONDS = 600.0
 
 #: Entries in the byte-identical parse memo (the L1 in front of the
 #: canonical fingerprint cache).
@@ -134,6 +177,7 @@ class ReproServer:
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
         self.host, self.port = self.httpd.server_address[:2]
+        self.name = "node-{}".format(self.port)
         self._thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         # L1 parse memo: byte-identical request text skips parsing and
@@ -166,16 +210,10 @@ class ReproServer:
                     source.get("format"))
         except (ParseError, CircuitError, ReproError, KeyError):
             return None
-        limits = None
-        raw = record.get("limits")
-        if raw:
-            try:
-                limits = Limits(
-                    max_conflicts=raw.get("max_conflicts"),
-                    max_decisions=raw.get("max_decisions"),
-                    max_seconds=raw.get("max_seconds")).validate()
-            except (AttributeError, TypeError, SolverError):
-                return None
+        try:
+            limits = _parse_limits(record.get("limits"))
+        except SolverError:
+            return None
         try:
             return JobRequest(
                 circuit=circuit, engine=str(record.get("engine") or "csat"),
@@ -261,7 +299,7 @@ class ReproServer:
         """Serve in a background thread; returns self."""
         if self.tracer is not None:
             self.tracer.emit("serve_start", host=self.host, port=self.port,
-                             workers=self.scheduler.stats()["workers"])
+                             workers=self.scheduler.workers)
         self._thread = threading.Thread(target=self.httpd.serve_forever,
                                         name="repro-serve", daemon=True)
         self._thread.start()
@@ -271,7 +309,7 @@ class ReproServer:
         """Serve on the calling thread (the CLI's blocking mode)."""
         if self.tracer is not None:
             self.tracer.emit("serve_start", host=self.host, port=self.port,
-                             workers=self.scheduler.stats()["workers"])
+                             workers=self.scheduler.workers)
         try:
             self.httpd.serve_forever()
         except KeyboardInterrupt:
@@ -301,16 +339,75 @@ class ReproServer:
                          daemon=True).start()
 
 
-class _ServeHandler(JsonHandler):
-    """One HTTP request; all state lives on ``service`` (the server)."""
+class _ServeHandler(BaseHTTPRequestHandler):
+    """One HTTP request: one JSON object in, one JSON object out, errors
+    as structured ``{"error": {"code", "message"}}`` bodies.  All state
+    lives on ``service`` (the server)."""
 
     service: ReproServer = None  # injected by ReproServer
     server_version = "repro-serve/" + __version__
+    protocol_version = "HTTP/1.1"
 
-    def get(self, path: str, query: Dict[str, str]) -> bool:
+    # Silence the default stderr-per-request logging; the tracer is the
+    # observability channel.
+    def log_message(self, fmt, *args):  # noqa: D102
+        pass
+
+    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        try:
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away; nothing to clean up
+
+    def _error(self, code: int, err_code: str, message: str) -> None:
+        self._send_json(code, {"error": {"code": err_code,
+                                         "message": message}})
+
+    def _read_body(self) -> Dict[str, Any]:
+        length = int(self.headers.get("Content-Length") or 0)
+        if length <= 0:
+            return {}
+        raw = self.rfile.read(length)
+        data = json.loads(raw.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("request body must be a JSON object")
+        return data
+
+    def _route(self) -> Tuple[str, Dict[str, str]]:
+        parsed = urlparse(self.path)
+        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        return parsed.path.rstrip("/") or "/", query
+
+    def _job(self, job_id: str):
+        """The job, or None after answering 404."""
+        job = self.service.job(job_id)
+        if job is None:
+            self._error(404, "unknown-job",
+                        "no job {!r} on this server".format(job_id))
+        return job
+
+    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
+        path, query = self._route()
         server = self.service
-        if path == "/health":
-            self._send_json(200, {"ok": True, "version": __version__})
+        if path == "/metrics":
+            body = server.registry.render().encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type",
+                             "text/plain; version=0.0.4; charset=utf-8")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        elif path.startswith("/result/"):
+            self._get_result(path[len("/result/"):], query)
+        elif path == "/health":
+            self._send_json(200, {"ok": True, "version": __version__,
+                                  "name": server.name,
+                                  "workers": server.scheduler.workers})
         elif path == "/status":
             payload = {"ok": True, "scheduler": server.scheduler.stats()}
             if server.journal is not None:
@@ -322,8 +419,20 @@ class _ServeHandler(JsonHandler):
         elif path.startswith("/events/"):
             self._get_events(path[len("/events/"):], query)
         else:
-            return False
-        return True
+            self._error(404, "not-found", "unknown endpoint {}".format(path))
+
+    def _get_result(self, job_id: str, query: Dict[str, str]) -> None:
+        job = self._job(job_id)
+        if job is None:
+            return
+        try:
+            wait = min(float(query.get("wait", 0) or 0), MAX_WAIT_SECONDS)
+        except ValueError:
+            self._error(400, "bad-request", "wait must be a number")
+            return
+        if wait > 0:
+            job.wait(wait)
+        self._send_json(200, job.snapshot())
 
     def _get_events(self, job_id: str, query: Dict[str, str]) -> None:
         job = self._job(job_id)
@@ -338,11 +447,43 @@ class _ServeHandler(JsonHandler):
         self._send_json(200, {"job": job.id, "state": job.state,
                               "events": events, "next": since + len(events)})
 
-    def post(self, path: str, body: Dict[str, Any]) -> bool:
-        if path != "/submit":
-            return False
-        self._post_submit(body)
-        return True
+    def do_POST(self) -> None:  # noqa: N802
+        path, _ = self._route()
+        try:
+            body = self._read_body()
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._error(400, "bad-json",
+                        "malformed request body: {}".format(exc))
+            return
+        if path == "/shutdown":
+            drain = bool(body.get("drain", True))
+            self._send_json(200, {"ok": True, "drain": drain})
+            self.service.request_shutdown(drain=drain)
+            return
+        handler = {"/submit": self._post_submit,
+                   "/circuit": self._post_circuit,
+                   "/conquer": self._post_conquer}.get(path)
+        if handler is None:
+            self._error(404, "not-found", "unknown endpoint {}".format(path))
+        else:
+            handler(body)
+
+    def _admit(self, request, wait_field):
+        """Admit ``request`` and wait up to ``wait_field`` seconds for its
+        job; None after answering a rejection."""
+        try:
+            wait = min(float(wait_field or 0), MAX_WAIT_SECONDS)
+        except (TypeError, ValueError):
+            self._error(400, "bad-request", "wait must be a number")
+            return None
+        try:
+            job = self.service.scheduler.submit(request)
+        except AdmissionError as exc:
+            self._send_json(exc.status, {"error": exc.as_dict()})
+            return None
+        if wait > 0:
+            job.wait(wait)
+        return job
 
     def _post_submit(self, body: Dict[str, Any]) -> None:
         text = body.get("circuit")
@@ -387,18 +528,64 @@ class _ServeHandler(JsonHandler):
             fault=body.get("fault"), fp=fp,
             idempotency_key=idempotency_key, source=source,
             incremental=bool(body.get("incremental", True)))
+        job = self._admit(request, body.get("wait"))
+        if job is not None:
+            self._send_json(200, job.snapshot())
+
+    def _post_circuit(self, body: Dict[str, Any]) -> None:
+        text = body.get("circuit")
+        if not text:
+            self._error(400, "bad-request", "missing 'circuit' text")
+            return
+        label = str(body.get("label") or "dist")
         try:
-            job = self.service.scheduler.submit(request)
+            circuit = read_circuit_text(str(text), name=label,
+                                        fmt=body.get("format"))
+            reg = self.service.scheduler.register(
+                circuit, body.get("objectives"), body.get("classes"),
+                body.get("phase_lemmas"), label)
         except AdmissionError as exc:
-            status = (503 if exc.code in (REJECT_QUEUE_FULL,
-                                          REJECT_DRAINING) else 400)
-            self._send_json(status, {"error": exc.as_dict()})
+            self._send_json(exc.status, {"error": exc.as_dict()})
+            return
+        except (ParseError, CircuitError, ReproError) as exc:
+            self._error(400, "bad-circuit", str(exc))
+            return
+        self._send_json(200, {"ok": True, "key": reg.key,
+                              "nodes": reg.circuit.num_nodes,
+                              "objectives": list(reg.objectives)})
+
+    def _post_conquer(self, body: Dict[str, Any]) -> None:
+        reg = self.service.scheduler.registration(str(body.get("key") or ""))
+        if reg is None:
+            # The coordinator registers again and retries on this code:
+            # the path a restarted server, or one that evicted the
+            # registration, takes back into the conquest.
+            self._error(400, "unknown-circuit",
+                        "no circuit registered under that key; "
+                        "POST /circuit first")
             return
         try:
-            wait = min(float(body.get("wait") or 0), MAX_WAIT_SECONDS)
+            attempt = int(body.get("attempt") or 0)
         except (TypeError, ValueError):
-            self._error(400, "bad-request", "wait must be a number")
+            self._error(400, "bad-request", "attempt must be an integer")
             return
-        if wait > 0:
-            job.wait(wait)
-        self._send_json(200, job.snapshot())
+        try:
+            limits = _parse_limits(body.get("limits"))
+        except SolverError as exc:
+            self._error(400, "bad-limits", str(exc))
+            return
+        key = body.get("idempotency_key")
+        request = CubeRequest(
+            registration=reg, cube=body.get("cube"), attempt=attempt,
+            lemmas=body.get("lemmas"),
+            kind=str(body.get("kind") or KIND_CSAT),
+            preset=str(body.get("preset") or CUBE_PRESET), limits=limits,
+            idempotency_key=str(key)[:200] if key else None,
+            trace_id=body.get("trace_id"),
+            parent_span=body.get("parent_span"))
+        job = self._admit(request, body.get("wait"))
+        if job is not None:
+            snap = job.snapshot()
+            # The key already named this cube: a re-issue, not a solve.
+            snap["deduped"] = job.request is not request
+            self._send_json(200, snap)

@@ -1,11 +1,13 @@
 """Distributed conquer fabric: node protocol, coordinator, resilience.
 
-The fabric's contract under test:
+A node is a serve node (``ReproServer``): its ``/circuit`` and
+``/conquer`` endpoints take a coordinator's cubes as jobs of its one
+scheduler.  The fabric's contract under test:
 
-* a conquer node is idempotent at every boundary (circuit registration
-  keys on the exact structural hash and the objectives; cube re-issues
-  under one idempotency key map onto one job, and a key naming another
-  cube or registration is a 409),
+* a node is idempotent at every boundary (circuit registration keys on
+  the exact structural hash and the objectives; cube re-issues under one
+  idempotency key map onto one job, and a key naming another cube or
+  registration is a 409),
 * the coordinator applies each cube result exactly once — steals and
   node deaths produce discarded duplicates, never double counting,
 * answers are certified on the coordinator against its own circuit, and
@@ -21,12 +23,14 @@ from repro import SAT, UNKNOWN, UNSAT, miter
 from repro.core.solver import CircuitSolver
 from repro.cube import CutterOptions, generate_cubes
 from repro.cube.conquer import _CLOSED
-from repro.dist import ConquerNode, solve_distributed
-from repro.dist.node import registration_key
+from repro.cube.sharing import registration_key
+from repro.dist import solve_distributed
 from repro.errors import SolverError
 from repro.gen.arith import array_multiplier, csa_multiplier
 from repro.obs.trace import Tracer
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.scheduler import MAX_REGISTRATIONS
+from repro.serve.server import ReproServer
 from repro.verify.certify import certify_sat_model
 from repro.circuit.bench_io import read_bench, write_bench
 from repro.circuit.netlist import Circuit
@@ -60,15 +64,14 @@ def sat_circuit():
 
 @pytest.fixture
 def node():
-    n = ConquerNode(workers=1, name="tnode").start()
+    n = ReproServer(port=0, workers=1).start()
     yield n
     n.stop(drain=False)
 
 
 @pytest.fixture
 def fleet():
-    nodes = [ConquerNode(workers=1, name="fleet-{}".format(i)).start()
-             for i in range(2)]
+    nodes = [ReproServer(port=0, workers=1).start() for _ in range(2)]
     yield nodes
     for n in nodes:
         n.stop(drain=False)
@@ -85,15 +88,20 @@ def register(client, circuit, **extra):
     return client.call("POST", "/circuit", body=body)
 
 
+def scheduler_status(client):
+    return client.status()["scheduler"]
+
+
 # ----------------------------------------------------------------------
 # Node protocol
 # ----------------------------------------------------------------------
 
 class TestConquerNode:
-    def test_health_announces_role_and_capacity(self, node):
+    """A serve node's conquest endpoints, ``/circuit`` and ``/conquer``."""
+
+    def test_health_announces_name_and_capacity(self, node):
         health = client_for(node).health()
-        assert health["role"] == "conquer-node"
-        assert health["name"] == "tnode"
+        assert health["name"] == "node-{}".format(node.port)
         assert health["workers"] == 1
 
     def test_register_keys_on_exact_hash(self, node):
@@ -103,7 +111,7 @@ class TestConquerNode:
         assert first["key"] == registration_key(circuit, circuit.outputs)
         # Idempotent: the same circuit re-registers onto one entry.
         assert register(client, circuit)["key"] == first["key"]
-        assert client.status()["node"]["circuits"] == 1
+        assert scheduler_status(client)["registrations"] == 1
 
     def test_conquer_solves_a_cube(self, node):
         circuit = small_miter(3)
@@ -154,7 +162,7 @@ class TestConquerNode:
                     body, idempotency_key="cube-k", wait=60))
             assert (info.value.status, info.value.code) == \
                 (409, "key-conflict")
-        assert client.status()["node"]["jobs"] == 1
+        assert scheduler_status(client)["cube_jobs"] == 1
         # The cube the key names still dedups onto its job.
         again = client.call("POST", "/conquer", body={
             "key": key, "cube": list(cubes[0].literals),
@@ -201,7 +209,7 @@ class TestConquerNode:
                         body={"key": key, "cube": list(cube.literals),
                               "lemmas": lemmas}, retries=0)
         assert (info.value.status, info.value.code) == (400, "bad-request")
-        assert client.status()["node"]["jobs"] == 0
+        assert scheduler_status(client)["cube_jobs"] == 0
         # Nothing was queued: the cube still gets a real answer.
         snap = client.call("POST", "/conquer",
                            body={"key": key, "cube": list(cube.literals),
@@ -220,7 +228,7 @@ class TestConquerNode:
         with pytest.raises(ServeError) as info:
             client.call("POST", "/conquer", body=body, retries=0)
         assert (info.value.status, info.value.code) == (400, "bad-request")
-        assert client.status()["node"]["jobs"] == 0
+        assert scheduler_status(client)["cube_jobs"] == 0
 
     @pytest.mark.parametrize("field", [
         {"objectives": ["x"]}, {"objectives": [5.7]},
@@ -238,7 +246,7 @@ class TestConquerNode:
         with pytest.raises(ServeError) as info:
             register(client, small_miter(3), **field)
         assert (info.value.status, info.value.code) == (400, "bad-request")
-        assert client.status()["node"]["circuits"] == 0
+        assert scheduler_status(client)["registrations"] == 0
 
     def test_constant_objective_registers(self, node):
         # An output may be a constant literal, which no cube may name.
@@ -253,7 +261,7 @@ class TestConquerNode:
         # The node holds no engine setting: /status names none, and each
         # dispatch runs the engine its body names.
         assert not {"kind", "preset", "backend"} & set(
-            client.status()["node"])
+            scheduler_status(client))
         cube = generate_cubes(circuit,
                               options=CutterOptions(max_cubes=4)).cubes[0]
         for kind, preset_name in (("cnf", None), ("csat", "kernel")):
@@ -264,9 +272,35 @@ class TestConquerNode:
             snap = client.call("POST", "/conquer", body=body)
             assert snap["result"]["status"] in (SAT, UNSAT)
 
-    def test_rejects_full_certification(self):
-        with pytest.raises(SolverError):
-            ConquerNode(certify="full")
+    def test_rejects_full_certification(self, monkeypatch):
+        # A server certifying UNSAT proofs refuses cubes (a cube
+        # refutation has no closed proof) and keeps checking the proofs
+        # of its whole-circuit solves.
+        import repro.verify.certify as certify
+        checked = []
+        original = certify.certify_unsat_proof
+
+        def counting(*args, **kwargs):
+            checked.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "certify_unsat_proof", counting)
+        server = ReproServer(port=0, workers=1, certify="full").start()
+        try:
+            client = client_for(server)
+            key = register(client, small_miter(3))["key"]
+            with pytest.raises(ServeError) as info:
+                client.call("POST", "/conquer", retries=0,
+                            body={"key": key, "cube": [2], "wait": 60})
+            assert (info.value.status, info.value.code) == \
+                (400, "bad-request")
+            assert scheduler_status(client)["cube_jobs"] == 0
+            snap = client.submit(circuit_text=write_bench(small_miter(3)),
+                                 wait=60)
+            assert snap["result"]["status"] == UNSAT
+            assert checked
+        finally:
+            server.stop(drain=False)
 
 
 # ----------------------------------------------------------------------
@@ -323,19 +357,52 @@ class TestSolveDistributed:
                               nodes=["http://127.0.0.1:{}".format(sock_port)],
                               client_retries=0, client_timeout=1.0)
 
-    def test_rejects_non_conquer_nodes(self, fleet):
-        # A serve server answers /health without the conquer-node role;
-        # the coordinator must refuse to shard cubes onto it.
-        from repro.serve.server import ReproServer
-        server = ReproServer(port=0, workers=1)
-        server.start()
+    def test_takes_a_plain_serve_node(self):
+        # Any `repro serve` node takes a conquest's cubes, with its
+        # default settings.
+        server = ReproServer(port=0).start()
         try:
-            with pytest.raises(SolverError):
-                solve_distributed(small_miter(3),
-                                  nodes=[server.address],
-                                  client_retries=0)
+            report = solve_distributed(
+                small_miter(4), nodes=[server.address],
+                cutter=CutterOptions(max_cubes=6), budget=60,
+                poll_seconds=1.0)
         finally:
-            server.request_shutdown(drain=False)
+            server.stop(drain=False)
+        assert report.result.status == UNSAT
+        assert report.total_workers == 2
+        assert sum(info.dispatched for info in report.nodes) >= 1
+        assert report.lost == report.double_counted == 0
+
+    def test_submits_and_a_conquest_share_one_server(self):
+        # Whole-circuit solves and a conquest's cubes run side by side
+        # on one server's threads, and every answer is right.
+        import threading
+        from repro.bench.instances import instance_by_name
+        server = ReproServer(port=0, workers=2).start()
+        answers = {}
+
+        def submit(name):
+            snap = client_for(server).submit(instance=name, wait=120)
+            answers[name] = snap["result"]["status"]
+
+        names = ("c1355.equiv", "9vliw010")
+        threads = [threading.Thread(target=submit, args=(name,))
+                   for name in names]
+        try:
+            for thread in threads:
+                thread.start()
+            report = solve_distributed(
+                small_miter(5), nodes=[server.address],
+                cutter=CutterOptions(max_cubes=8), budget=120,
+                poll_seconds=1.0)
+            for thread in threads:
+                thread.join(120)
+        finally:
+            server.stop(drain=False)
+        assert report.result.status == UNSAT
+        assert report.lost == report.double_counted == 0
+        assert answers == {name: instance_by_name(name).expected
+                           for name in names}
 
     def test_checkpoint_resume_skips_closed_cubes(self, node, tmp_path):
         path = str(tmp_path / "dist.ckpt")
@@ -397,13 +464,13 @@ class TestWarmNode:
         assert report.result.status == UNSAT
         assert report.lost == report.double_counted == 0
         (info,) = report.nodes
-        assert node.stats()["workers_spawned"] == 1 < info.dispatched
+        assert node.scheduler.stats()["workers_spawned"] == 1 \
+            < info.dispatched
 
     def test_finished_registrations_are_evicted_with_jobs_and_workers(self):
         import multiprocessing
-        from repro.dist.node import MAX_REGISTRATIONS
         before = set(multiprocessing.active_children())
-        node = ConquerNode(workers=1, name="lru").start()
+        node = ReproServer(port=0, workers=1).start()
         try:
             for pad in range(MAX_REGISTRATIONS + 3):
                 report = solve_distributed(
@@ -411,15 +478,59 @@ class TestWarmNode:
                     cutter=CutterOptions(max_cubes=4), budget=60,
                     poll_seconds=1.0)
                 assert report.result.status == UNSAT
-                stats = node.stats()
-                assert stats["circuits"] <= MAX_REGISTRATIONS
-                assert stats["jobs"] <= 4 * MAX_REGISTRATIONS
+                stats = node.scheduler.stats()
+                assert stats["registrations"] <= MAX_REGISTRATIONS
+                assert stats["cube_jobs"] <= 4 * MAX_REGISTRATIONS
                 live = set(multiprocessing.active_children()) - before
-                assert len(live) <= node.workers
+                assert len(live) <= node.scheduler.workers
             assert stats["workers_spawned"] == MAX_REGISTRATIONS + 3
         finally:
             node.stop(drain=False)
         assert not set(multiprocessing.active_children()) - before
+
+    def test_solve_jobs_and_keys_survive_every_eviction(self):
+        from repro.serve.scheduler import JobRequest
+        node = ReproServer(port=0, workers=2).start()
+        solves = []
+        try:
+            for pad in range(MAX_REGISTRATIONS + 3):
+                solves.append(node.scheduler.submit(JobRequest(
+                    circuit=padded_miter(pad), label="solve",
+                    idempotency_key="solve-{}".format(pad))))
+                report = solve_distributed(
+                    padded_miter(pad), nodes=[node.address],
+                    cutter=CutterOptions(max_cubes=4), budget=60,
+                    poll_seconds=1.0)
+                assert report.result.status == UNSAT
+                stats = node.scheduler.stats()
+                assert stats["registrations"] <= MAX_REGISTRATIONS
+                assert stats["cube_jobs"] <= 4 * MAX_REGISTRATIONS
+            for pad, job in enumerate(solves):
+                assert job.wait(60) and job.result["status"] == UNSAT
+                assert node.job(job.id) is job
+                # The key still names its job.
+                assert node.scheduler.submit(JobRequest(
+                    circuit=padded_miter(pad),
+                    idempotency_key="solve-{}".format(pad))) is job
+        finally:
+            node.stop(drain=False)
+
+    def test_cubes_leave_no_journal_record_or_cache_entry(self, tmp_path):
+        from repro.durable.journal import replay_journal
+        journal = str(tmp_path / "serve.wal")
+        node = ReproServer(port=0, workers=2, journal_path=journal,
+                           store_path=str(tmp_path / "store.jsonl")).start()
+        try:
+            report = solve_distributed(
+                small_miter(4), nodes=[node.address],
+                cutter=CutterOptions(max_cubes=6), budget=60,
+                poll_seconds=1.0)
+            assert report.result.status == UNSAT
+            assert sum(info.dispatched for info in report.nodes) >= 1
+            assert node.cache.stats()["entries"] == 0
+            assert replay_journal(journal).records == 0
+        finally:
+            node.stop(drain=False)
 
     def test_phase_lemmas_ride_on_the_registration_uncut(self, node):
         from repro.bench.instances import instance_by_name
@@ -432,7 +543,7 @@ class TestWarmNode:
         assert len(lemmas) == 839 > MAX_SHARED_LEMMAS
         key = register(client_for(node), circuit,
                        phase_lemmas=lemmas)["key"]
-        assert node.registration(key).phase_lemmas == lemmas
+        assert node.scheduler.registration(key).phase_lemmas == lemmas
 
     def test_correlation_rich_miter_is_unsat_before_any_dispatch(self, node):
         from repro.bench.instances import instance_by_name
@@ -472,7 +583,8 @@ class TestNodeDeath:
         circuit = small_miter(5)
         fleet = launch_local_nodes(2, workers=1)
         try:
-            assassin = KillAtFirstDispatch(fleet[1], "bench-node-1")
+            assassin = KillAtFirstDispatch(
+                fleet[1], "node-" + fleet[1].url.rsplit(":", 1)[1])
             report = solve_distributed(
                 circuit, nodes=[n.url for n in fleet],
                 cutter=CutterOptions(max_cubes=4), budget=180,
@@ -516,15 +628,15 @@ class TestCli:
         from repro.cli import main
         assert main(["status", node.address]) == 0
         out = capsys.readouterr().out
-        assert "conquer-node" in out
-        assert "tnode" in out
+        assert "serve at {}".format(node.address) in out
+        assert "registrations: 0" in out
 
     def test_status_json_is_the_raw_payload(self, node, capsys):
         import json
         from repro.cli import main
         assert main(["status", node.address, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["node"]["role"] == "conquer-node"
+        assert payload["scheduler"]["workers_spawned"] == 0
 
     def test_status_bad_url_is_exit_2(self, capsys):
         from repro.cli import main
@@ -541,7 +653,7 @@ class TestCli:
         assert code == 20  # UNSAT
         out = capsys.readouterr().out
         assert "dist: UNSAT" in out
-        assert "fleet-0" in out
+        assert "node-{}".format(fleet[0].port) in out
 
     def test_failure_exit_codes_cover_the_taxonomy(self):
         from repro.cli import _failure_exit
@@ -560,7 +672,7 @@ class TestCli:
 
 class TestKernelBackend:
     def test_cnf_kernel_cubes_through_a_node(self):
-        node = ConquerNode(workers=1, name="kern").start()
+        node = ReproServer(port=0, workers=1).start()
         try:
             report = solve_distributed(
                 small_miter(3), nodes=[node.address], kind="cnf",

@@ -218,6 +218,60 @@ class TestAdmission:
             assert exc.value.code == "empty-budget"
         assert scheduler.stats()["submitted"] == 0
 
+    def test_reused_key_naming_another_request_is_a_conflict(
+            self, scheduler):
+        first = scheduler.submit(JobRequest(circuit=build_unsat(),
+                                            idempotency_key="k"))
+        for other in (JobRequest(circuit=build_full_adder(),
+                                 idempotency_key="k"),
+                      JobRequest(circuit=build_unsat(), engine="cnf",
+                                 idempotency_key="k")):
+            with pytest.raises(AdmissionError) as exc:
+                scheduler.submit(other)
+            assert (exc.value.code, exc.value.status) == \
+                ("key-conflict", 409)
+        # The same circuit and engine, renamed, still names the job.
+        again = scheduler.submit(JobRequest(
+            circuit=renamed_copy(build_unsat(), "tw"), idempotency_key="k"))
+        assert again is first
+        assert scheduler.stats()["submitted"] == 1
+        assert first.wait(30) and first.result["status"] == UNSAT
+
+    def test_racing_resubmits_under_one_key_share_one_job(self):
+        # Check-then-act on the key map: submits of one request racing
+        # under one key, with more threads than cores and a short switch
+        # interval, must all get the same job.
+        import sys
+        sched = SolveScheduler(workers=1, cache=AnswerCache())
+        circuit = build_random_circuit(5)
+        fp = fingerprint(circuit)
+        jobs, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def submit():
+            try:
+                barrier.wait(10)
+                jobs.append(sched.submit(JobRequest(
+                    circuit=circuit, fp=fp, idempotency_key="race")))
+            except Exception as exc:     # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            sched.close(drain=False, timeout=10)
+        assert not errors
+        assert len(jobs) == 8 and all(job is jobs[0] for job in jobs)
+        assert sched.stats()["submitted"] == 1
+
     def test_draining_rejects_new_work(self):
         sched = SolveScheduler(workers=1, cache=AnswerCache())
         sched.close(drain=True, timeout=10)
@@ -489,6 +543,29 @@ class TestHttp:
         with pytest.raises(ServeError) as exc:
             client.result("j999999")
         assert exc.value.status == 404
+
+    def test_reused_key_naming_another_circuit_is_a_409(self, client,
+                                                         server, capsys):
+        from repro.cli import main
+        first = client.submit(instance="c1355.equiv", wait=60,
+                              idempotency_key="reused-key")
+        assert first["result"]["status"] == UNSAT
+        before = server.scheduler.stats()["submitted"]
+        with pytest.raises(ServeError) as exc:
+            client.submit(instance="9vliw010", wait=60,
+                          idempotency_key="reused-key")
+        assert (exc.value.status, exc.value.code) == (409, "key-conflict")
+        assert exc.value.attempts == 1     # a 409 is never retried
+        # The CLI prints the server's error and exits 2.
+        assert main(["submit", "--port", str(server.port),
+                     "--instance", "9vliw010",
+                     "--idempotency-key", "reused-key"]) == 2
+        assert "key-conflict" in capsys.readouterr().err
+        assert server.scheduler.stats()["submitted"] == before
+        # An identical re-submit still gets the first job.
+        again = client.submit(instance="c1355.equiv",
+                              idempotency_key="reused-key")
+        assert again["job"] == first["job"]
 
     def test_poll_then_wait(self, client):
         snap = client.submit(circuit_text="INPUT(a)\nOUTPUT(y)\n"
