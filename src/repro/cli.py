@@ -913,7 +913,8 @@ def cmd_status(args) -> int:
         for key in sorted(sched):
             print("  {}: {}".format(key, sched[key]))
         if payload.get("journal"):
-            print("  journal: {}".format(payload["journal"]))
+            print("  journal: {} ({} live records)".format(
+                payload["journal"], payload.get("journal_records")))
         if payload.get("recovery"):
             print("  recovery: {}".format(payload["recovery"]))
         return 0
@@ -1159,7 +1160,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission control: reject past this queue depth "
                         "(default 64)")
     p.add_argument("--cache-size", type=int, default=512, metavar="N",
-                   help="answer cache capacity in entries (default 512)")
+                   help="answer cache capacity in entries; the job table "
+                        "and the journal's live view also keep only the "
+                        "last N finished jobs (default 512)")
     p.add_argument("--cache-file", metavar="FILE", default=None,
                    help="persist the answer cache to this JSONL file")
     p.add_argument("--no-cache-unsat", action="store_true",

@@ -12,9 +12,10 @@ cleanup, no atexit, no flushed buffers):
     node drain, then the invariants are checked:
 
     * **no certified answer lost** — every key has a finished record in
-      the journal's live view, and keys answered before a kill are
-      served from the recovered cache (``cached``/``deduped``), never
-      re-solved;
+      the journal's live view (which keeps the node's last
+      ``--cache-size`` finished jobs; the workload is smaller), and keys
+      answered before a kill are served from the recovered cache
+      (``cached``/``deduped``), never re-solved;
     * **answers agree** — all responses and journal records for one key
       report the same status (and the same answer digest where present);
     * **replay is deterministic** — folding the journal twice yields the

@@ -32,20 +32,26 @@ every *served* answer survives a crash.  Replay (:func:`replay_journal`)
 is a pure read keyed on the idempotency key — running it twice yields
 the same state — and drops damaged lines with a count.
 
-Compaction keeps the live view: every finished job's ``admitted`` and
-``finished`` records, every ``cancelled`` one, then the pending
-``admitted`` records, after the terminal ones so that a re-admitted key
-stays pending.  That view grows with every job the server finishes,
-so the journal is bounded by the jobs of the server's lifetime (at most
-twice the live view plus ``COMPACT_FLOOR`` records), not by its working
-set.
+The live view, what a compaction keeps, is every pending ``admitted``
+record plus the most recent terminal records (each key's last
+``finished`` record, or its ``cancelled`` one if it never finished),
+and no ``admitted`` record of a terminated job.  The serve node keeps
+as many terminal records as its answer cache keeps entries, so the
+journal is bounded by the server's working set (at most twice the live
+view plus ``COMPACT_FLOOR`` records), not by the jobs of its lifetime.
+The journal folds its file into that view once, when it is opened, then
+each record it appends, so a compaction writes the view without reading
+the file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from ..obs.metrics import default_registry
@@ -82,19 +88,39 @@ def answer_digest(status: str, model_bits: Optional[List[int]]) -> str:
 class Journal:
     """The serve node's write-ahead log; every append is fsynced before
     it returns.  Thread-safe: admission and worker threads append
-    concurrently, and compaction folds the file under the log's lock.
+    concurrently, and each append folds its record into the live view,
+    in file order, under the journal's lock.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._log = _log(path)
+        self._lock = threading.Lock()
+        #: The live view: the file folded once here, then every append.
+        self._state = replay_journal(path)
+
+    def recover(self, keep: Optional[int]) -> Optional[ReplayState]:
+        """Boot: keep the ``keep`` most recent terminal records from now
+        on, compact the file to that view, and return a copy of it (None
+        when there is no file)."""
+        with self._lock:
+            self._state.bound(keep)
+            if not os.path.exists(self.path):
+                return None
+            # Drop superseded records and any torn line a crash left.
+            self._log.rewrite(self._state.live_records())
+            return self._state.copy()
 
     def append(self, kind: str, **fields: Any) -> Dict[str, Any]:
         """Durably append one record; returns it (with its timestamp)."""
         record = {"kind": kind, "t": round(time.time(), 3)}
         record.update(fields)
-        self._log.append(record,
-                         lambda: replay_journal(self.path).live_records())
+        with self._lock:
+            # Folded first, so a compaction this append triggers keeps
+            # it; a failed write leaves the view ahead of the file, and
+            # the next compaction writes the record.
+            self._state.fold(record)
+            self._log.append(record, self._state.live_records)
         registry = default_registry()
         if registry is not None:
             registry.counter("repro_journal_records_total",
@@ -102,14 +128,26 @@ class Journal:
                              labelnames=("kind",)).labels(kind).inc()
         return record
 
-    def compact(self, records: List[Dict[str, Any]]) -> None:
-        """Atomically replace the journal with ``records``.
+    def live_records(self) -> List[Dict[str, Any]]:
+        """The live view: what a compaction would write now."""
+        with self._lock:
+            return self._state.live_records()
 
-        The caller supplies the live view (typically
-        ``replay_journal(path).live_records()``); a crash during
-        compaction leaves either the old or the new file, never a mix.
-        """
-        self._log.rewrite(records)
+    def live_count(self) -> int:
+        """The number of records in the live view."""
+        with self._lock:
+            return len(self._state.terminal) + len(self._state.pending)
+
+    def compact(self, records: List[Dict[str, Any]]) -> None:
+        """Atomically replace the journal with ``records``, which become
+        its live view; a crash during compaction leaves either the old
+        or the new file, never a mix."""
+        with self._lock:
+            state = ReplayState(keep=self._state.keep)
+            for record in records:
+                state.fold(record)
+            self._log.rewrite(records)
+            self._state = state
 
     def close(self) -> None:
         self._log.close()
@@ -138,55 +176,80 @@ def read_journal(path: str,
 class ReplayState:
     """The journal reduced to its live view, keyed on idempotency key."""
 
-    #: key -> finished record (the latest one; re-finishes must agree).
-    finished: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: key -> cancelled record (terminal for that admission).
-    cancelled: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Terminal records kept, the most recent ones (None: every one).
+    keep: Optional[int] = None
+    #: key -> the key's terminal record, oldest first: its latest
+    #: finished record, or its cancelled one if it never finished
+    #: (finished beats cancelled).
+    terminal: "OrderedDict[str, Dict[str, Any]]" = field(
+        default_factory=OrderedDict)
     #: key -> admitted record for jobs with no terminal record since
     #: their last admission — these are re-admitted on boot.
     pending: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: key -> admitted record for *every* admitted job (terminal or not).
-    admitted: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     records: int = 0
     skipped: int = 0
+
+    @property
+    def finished(self) -> Dict[str, Dict[str, Any]]:
+        """key -> finished record, for the kept terminal records."""
+        return {key: record for key, record in self.terminal.items()
+                if record["kind"] == KIND_FINISHED}
+
+    @property
+    def cancelled(self) -> Dict[str, Dict[str, Any]]:
+        """key -> cancelled record, for the kept terminal records."""
+        return {key: record for key, record in self.terminal.items()
+                if record["kind"] == KIND_CANCELLED}
+
+    def fold(self, record: Dict[str, Any]) -> None:
+        """Apply one record, in file order."""
+        self.records += 1
+        key = record.get("key")
+        if not key:
+            return
+        kind = record.get("kind")
+        if kind == KIND_ADMITTED:
+            self.pending[key] = record
+        elif kind in (KIND_FINISHED, KIND_CANCELLED):
+            self.pending.pop(key, None)
+            held = self.terminal.get(key)
+            if (kind == KIND_CANCELLED and held is not None
+                    and held["kind"] == KIND_FINISHED):
+                return
+            self.terminal[key] = record
+            self.terminal.move_to_end(key)
+            self._trim()
+        # KIND_STARTED is diagnostic only: a started-but-unfinished job
+        # replays exactly like a queued one.
+
+    def bound(self, keep: Optional[int]) -> None:
+        """Keep the ``keep`` most recent terminal records (None: every
+        one), now and after every later fold."""
+        self.keep = keep
+        self._trim()
+
+    def _trim(self) -> None:
+        while self.keep is not None and len(self.terminal) > self.keep:
+            self.terminal.popitem(last=False)
+
+    def copy(self) -> "ReplayState":
+        """A snapshot that later folds into this state leave alone."""
+        return replace(self, terminal=OrderedDict(self.terminal),
+                       pending=dict(self.pending))
 
     def live_records(self) -> List[Dict[str, Any]]:
         """The compacted journal body equivalent to this state; terminal
         records come first, so a key admitted again stays pending."""
-        live: List[Dict[str, Any]] = []
-        for key, record in self.finished.items():
-            admitted = self.admitted.get(key)
-            if admitted is not None:
-                live.append(admitted)
-            live.append(record)
-        live.extend(self.cancelled.values())
-        live.extend(self.pending.values())
-        return live
+        return list(self.terminal.values()) + list(self.pending.values())
 
 
-def replay_journal(path: str,
-                   skipped: Optional[List[int]] = None) -> ReplayState:
-    """Fold a journal into its live state (a pure, idempotent read)."""
+def replay_journal(path: str, skipped: Optional[List[int]] = None,
+                   keep: Optional[int] = None) -> ReplayState:
+    """Fold a journal into its live state (a pure, idempotent read),
+    keeping the ``keep`` most recent terminal records (None: all)."""
     lines: List[int] = [] if skipped is None else skipped
-    state = ReplayState()
+    state = ReplayState(keep=keep)
     for record in _log(path).scan(lines):
-        state.records += 1
-        key = record.get("key")
-        if not key:
-            continue
-        kind = record["kind"]
-        if kind == KIND_ADMITTED:
-            state.admitted[key] = record
-            state.pending[key] = record
-        elif kind == KIND_FINISHED:
-            state.finished[key] = record
-            state.pending.pop(key, None)
-            state.cancelled.pop(key, None)
-        elif kind == KIND_CANCELLED:
-            if key not in state.finished:
-                state.cancelled[key] = record
-            state.pending.pop(key, None)
-        # KIND_STARTED is diagnostic only: a started-but-unfinished job
-        # replays exactly like a queued one.
+        state.fold(record)
     state.skipped = len(lines)
     return state

@@ -38,6 +38,16 @@ only when it names the same request — a solve the same circuit (by
 fingerprint) and engine, a cube the same registration and literals.
 Anything else is a ``key-conflict`` (HTTP 409), and nothing is queued.
 
+Retention: the table keeps queued and running jobs, the deduplicated
+followers waiting on them, each registration's cube jobs while the
+registration lasts, and the last ``cache.max_entries`` finished solve
+jobs; :meth:`SolveScheduler.stats` counts the table as ``jobs`` and
+the followers as ``waiting``.  An older finished solve job
+is retired: its id is unknown, and its key forgotten, so a re-submission
+under the key makes a fresh job, answered from the cache or solved
+again to the same status, and one naming another circuit is no longer
+a conflict.
+
 Lifecycle: ``submit()`` returns a :class:`Job` immediately; callers
 block on ``job.wait()`` or poll ``job.snapshot()``.  ``close()`` drains
 gracefully — no new admissions, queued and running jobs finish — or
@@ -52,9 +62,10 @@ import itertools
 import threading
 import time
 import uuid
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from collections import OrderedDict, deque
+from dataclasses import dataclass, replace
+from typing import (Any, Callable, ClassVar, Deque, Dict, List, Optional,
+                    Tuple)
 
 from ..circuit.netlist import Circuit
 from ..csat.options import DEFAULT_PRESET, preset
@@ -93,8 +104,9 @@ ENGINE_CONQUER = "conquer"
 SERVE_CUBE_WORKERS = 2
 
 #: Registrations a scheduler keeps, least recently used evicted first.
-#: Registering and admitting a cube refresh one, and one with a queued
-#: or running cube job is never evicted.
+#: Registering and admitting a cube refresh one.  Neither the one being
+#: registered nor one with a queued or running cube job is evicted, so
+#: the table holds more while every older one is busy.
 MAX_REGISTRATIONS = 4
 
 #: Job states.
@@ -143,6 +155,14 @@ def input_assignment(circuit: Circuit,
     return {circuit.name_of(pi) or "n{}".format(pi):
             int(bool(model.get(pi, False)))
             for pi in circuit.inputs}
+
+
+def _cancelled_payload() -> Dict[str, Any]:
+    """The result of a queued job cancelled at shutdown."""
+    return {"status": UNKNOWN, "model_size": 0, "engine": None,
+            "cached": False,
+            "failures": [{"kind": "LOST", "detail": "cancelled at shutdown",
+                          "engine": "", "seconds": 0.0}]}
 
 
 class AdmissionError(Exception):
@@ -256,7 +276,7 @@ class JobRequest:
             bits = (model_to_bits(fp, hit.get("model"))
                     if hit["status"] == SAT else None)
             sched._journal_finish(job, payload, bits)
-            job.finish(payload)
+            sched._finish(job, payload)
             with sched._lock:
                 sched.completed += 1
             return
@@ -309,7 +329,7 @@ class JobRequest:
     def settle(self, sched: "SolveScheduler", job: "Job",
                payload: Dict[str, Any]) -> None:
         """Name the model's inputs, cache the answer, journal the
-        completion and answer the deduplicated followers."""
+        completion, answer the deduplicated followers, then publish."""
         model = payload.pop("_model", None)
         if payload["status"] == SAT:
             payload["model_inputs"] = input_assignment(self.circuit, model)
@@ -325,10 +345,11 @@ class JobRequest:
                 if payload["status"] == SAT and model is not None else None)
         sched._journal_finish(job, payload, bits)
         sched._resolve_followers(job, payload, model)
+        sched._finish(job, payload)
 
-    def cancel(self, sched: "SolveScheduler", job: "Job") -> List["Job"]:
-        """A queued job cancelled at shutdown: journal it and its
-        followers, which are cancelled with it."""
+    def cancel(self, sched: "SolveScheduler", job: "Job") -> None:
+        """A queued job cancelled at shutdown: journal and publish it and
+        its followers, which are cancelled with it."""
         key = getattr(job, "_dedup_key", None)
         with sched._lock:
             followers = sched._followers.pop(key, []) if key else []
@@ -338,7 +359,7 @@ class JobRequest:
             sched._journal_append(
                 KIND_CANCELLED, key=waiter.request.idempotency_key,
                 job=waiter.id)
-        return [job] + followers
+            sched._finish(waiter, _cancelled_payload(), CANCELLED)
 
     def trace_parent(self, sched: "SolveScheduler") -> Optional[SpanContext]:
         """The span a traced job's span opens under: any span the caller
@@ -483,11 +504,14 @@ class CubeRequest:
 
     def settle(self, sched: "SolveScheduler", job: "Job",
                payload: Dict[str, Any]) -> None:
-        """Nothing to record: the coordinator checkpoints cube answers."""
+        """Publish; there is nothing to record, as the coordinator
+        checkpoints cube answers, and the job stays in the table while
+        its registration does."""
+        job.finish(payload)
 
-    def cancel(self, sched: "SolveScheduler", job: "Job") -> List["Job"]:
+    def cancel(self, sched: "SolveScheduler", job: "Job") -> None:
         """A queued cube cancelled at shutdown takes nothing with it."""
-        return [job]
+        job.finish(_cancelled_payload(), CANCELLED)
 
     def trace_parent(self, sched: "SolveScheduler") -> Optional[SpanContext]:
         """The span a traced job's span opens under: the coordinator's
@@ -653,6 +677,8 @@ class SolveScheduler:
         self._seq = itertools.count()
         self._ids = itertools.count(1)
         self._jobs: Dict[str, Job] = {}
+        #: Finished solve jobs still in the table, oldest first.
+        self._finished: "Deque[Job]" = deque()
         self._inflight: Dict[str, Job] = {}  # dedup key -> primary job
         self._followers: Dict[str, List[Job]] = {}
         self._registrations: "OrderedDict[str, Registration]" = \
@@ -806,11 +832,23 @@ class SolveScheduler:
         self._work.notify()
 
     def _drop(self, job: Job) -> None:
-        """Forget a job refused after it entered the table.  Called with
-        the lock held."""
+        """Forget a job: refused after it entered the table, retired, or
+        evicted with its registration.  Called with the lock held."""
         del self._jobs[job.id]
         if self._idempotency.get(job.request.idempotency_key) is job:
             del self._idempotency[job.request.idempotency_key]
+
+    def _finish(self, job: Job, payload: Dict[str, Any],
+                state: str = DONE) -> None:
+        """Publish a solve job's result, and retire the oldest finished
+        solve job past the answer cache's ``max_entries``."""
+        # A finished job's snapshot reads neither its circuit nor source.
+        job.request = replace(job.request, circuit=None, source=None)
+        job.finish(payload, state)
+        with self._lock:
+            self._finished.append(job)
+            while len(self._finished) > self.cache.max_entries:
+                self._drop(self._finished.popleft())
 
     def job(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -848,7 +886,7 @@ class SolveScheduler:
             if reg is None:
                 reg = self._registrations[key] = Registration(
                     key, circuit, objs, classes, phase_lemmas, label)
-                self._evict()
+                self._evict(reg)
             else:
                 self._registrations.move_to_end(key)
                 reg.classes = reg.classes or classes
@@ -859,17 +897,17 @@ class SolveScheduler:
         with self._lock:
             return self._registrations.get(key)
 
-    def _evict(self) -> None:
+    def _evict(self, filed: Registration) -> None:
         """Drop the least recently used registrations past
         :data:`MAX_REGISTRATIONS` — with their cube jobs and idempotency
-        keys — skipping any with a queued or running cube; the worker
-        threads close the warm workers bound to them.  Called with the
-        lock held."""
+        keys — skipping ``filed``, the one just registered, and any with
+        a queued or running cube; the worker threads close the warm
+        workers bound to them.  Called with the lock held."""
         for key in list(self._registrations):
             if len(self._registrations) <= MAX_REGISTRATIONS:
                 break
             reg = self._registrations[key]
-            if any(not job.done for job in reg.jobs):
+            if reg is filed or any(not job.done for job in reg.jobs):
                 continue
             del self._registrations[key]
             reg.evicted = True
@@ -949,10 +987,9 @@ class SolveScheduler:
             tracer.emit("span_end", span=span.span_id,
                         status=payload["status"])
         # Durability barrier: what the job's kind records (a solve's
-        # journal entry, its followers' answers) lands before any client
-        # can observe the result.
+        # journal entry, its followers' answers) lands before the settle
+        # step publishes the result to any client.
         request.settle(self, job, payload)
-        job.finish(payload)
         registry = default_registry()
         if registry is not None:
             registry.counter("repro_serve_jobs_total",
@@ -1178,7 +1215,7 @@ class SolveScheduler:
             follower_bits = bits if shared["status"] == SAT else None
             self._journal_finish(follower, shared, follower_bits,
                                  deduped_into=primary.id)
-            follower.finish(shared)
+            self._finish(follower, shared)
             with self._lock:
                 self.completed += 1
 
@@ -1208,9 +1245,12 @@ class SolveScheduler:
         with self._lock:
             return {"submitted": self.submitted,
                     "completed": self.completed,
+                    "jobs": len(self._jobs),
                     "rejected": self.rejected,
                     "queued": len(self._queue),
                     "running": self._running,
+                    "waiting": sum(len(followers) for followers in
+                                   self._followers.values()),
                     "workers": self.workers,
                     "closed": self._closed,
                     "registrations": len(self._registrations),
@@ -1240,14 +1280,7 @@ class SolveScheduler:
                 cancelled = []
             self._work.notify_all()
         for job in cancelled:
-            for waiter in job.request.cancel(self, job):
-                waiter.finish({"status": UNKNOWN, "model_size": 0,
-                               "engine": None, "cached": False,
-                               "failures": [{"kind": "LOST",
-                                             "detail": "cancelled at "
-                                                       "shutdown",
-                                             "engine": "", "seconds": 0.0}]},
-                              state=CANCELLED)
+            job.request.cancel(self, job)
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
         ok = True

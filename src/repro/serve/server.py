@@ -11,8 +11,10 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
     Liveness and capacity: ``{"ok": true, "version": ..., "name":
     "node-<port>", "workers": N}``.
 ``GET /status``
-    Scheduler + cache statistics (queue depth, workers, hit rates,
-    registrations, cube jobs, warm workers spawned).
+    Scheduler + cache statistics (queue depth, workers, retained jobs,
+    waiting followers, hit rates, registrations, cube jobs, warm workers
+    spawned), and with a journal its path, live-view size
+    (``journal_records``) and boot recovery counts.
 ``POST /submit``
     Body: ``{"circuit": <text>}`` or ``{"instance": <name>}`` plus
     optional ``format`` (bench/aiger/dimacs; sniffed otherwise),
@@ -28,9 +30,9 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
     Responds with the job snapshot; admission failures are structured
     ``{"error": {"code", "message"}}`` with status 400 (bad request, an
     unknown engine or preset, bad limits), 409 (``key-conflict``: the
-    ``idempotency_key`` names a job for another circuit or engine) or
-    503 (queue full / draining) — an invalid request is **never
-    queued**.  A re-submission of the same circuit and engine under a
+    ``idempotency_key`` names a retained job for another circuit or
+    engine) or 503 (queue full / draining) — an invalid request is
+    **never queued**.  A re-submission of the same circuit and engine under a
     known key returns that key's job.
 ``POST /circuit``
     Register a conquest once: ``{"circuit": <text>, "objectives": [...],
@@ -44,7 +46,10 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
     The key (:func:`~repro.cube.sharing.registration_key`) covers the
     **exact** structural hash (node numbering included) and the
     objectives; the coordinator compares it against its own.  The node
-    keeps :data:`~repro.serve.scheduler.MAX_REGISTRATIONS` of them.
+    keeps the :data:`~repro.serve.scheduler.MAX_REGISTRATIONS` most
+    recently used; the one just registered and any with a queued or
+    running cube are never evicted, so it holds more while every older
+    one is busy.
 ``POST /conquer``
     Solve one cube: ``{"key": ..., "cube": [literals], "attempt": n,
     "idempotency_key": ..., "limits": {...}, "lemmas": [...],
@@ -59,7 +64,9 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
     the lemmas the worker exported.  A server certifying ``full``
     refuses cubes: their refutations carry no closed proof.
 ``GET /result/<job>?wait=<seconds>``
-    Poll or block for a job's result snapshot.
+    Poll or block for a job's result snapshot.  A finished solve job is
+    kept until the answer cache's ``max_entries`` later ones finish;
+    then it and its ``/events`` answer 404 ``unknown-job``.
 ``GET /events/<job>?since=<n>``
     Incremental event stream (obs worker lifecycle + job lifecycle):
     returns ``{"events": [...], "next": m}``; poll with ``since=m`` to
@@ -77,18 +84,17 @@ server.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import DEFAULT_PRESET
 from ..cube.conquer import CUBE_PRESET
-from ..durable.journal import Journal, ReplayState, replay_journal
+from ..durable.journal import Journal, ReplayState
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.metrics import default_registry, enable_metrics
 from ..result import Limits, SAT, UNSAT
@@ -145,18 +151,15 @@ class ReproServer:
         self.cache = cache if cache is not None else AnswerCache()
         # Crash safety: replay the write-ahead journal *before* serving —
         # finished jobs rehydrate the answer cache, unfinished ones are
-        # re-admitted under their original idempotency keys.
+        # re-admitted under their original idempotency keys.  Its live
+        # view keeps as many finished jobs as the cache keeps answers,
+        # as the job table does.
         self.journal: Optional[Journal] = None
         self.recovery: Dict[str, int] = {}
         state: Optional[ReplayState] = None
-        skipped: List[int] = []
         if journal_path:
             self.journal = Journal(journal_path)
-            if os.path.exists(journal_path):
-                state = replay_journal(journal_path, skipped=skipped)
-                # Boot compaction: drop superseded records and any torn
-                # trailing line the crash left behind.
-                self.journal.compact(state.live_records())
+            state = self.journal.recover(self.cache.max_entries)
         # Knowledge store: cone-keyed equivalences/constants/lemmas
         # that sweep jobs fill and solve jobs replay (repro.inc).
         self.store = None
@@ -188,7 +191,7 @@ class ReproServer:
             OrderedDict()
         self._parse_lock = threading.Lock()
         if state is not None:
-            self._recover(state, skipped)
+            self._recover(state)
 
     # ------------------------------------------------------------------
     # Crash recovery (boot-time journal replay)
@@ -225,7 +228,7 @@ class ReproServer:
         except (TypeError, ValueError):
             return None
 
-    def _recover(self, state: ReplayState, skipped: List[int]) -> None:
+    def _recover(self, state: ReplayState) -> None:
         """Apply a replayed journal: rehydrate the cache, re-admit work."""
         rehydrated = 0
         for record in state.finished.values():
@@ -257,11 +260,11 @@ class ReproServer:
                     "Journaled jobs re-admitted after a restart").inc()
         self.recovery = {"records": state.records, "replayed": replayed,
                          "rehydrated": rehydrated, "failed": failed,
-                         "skipped_lines": len(skipped)}
-        if skipped:
+                         "skipped_lines": state.skipped}
+        if state.skipped:
             import sys
             print("repro serve: journal replay skipped {} torn/corrupt "
-                  "line(s)".format(len(skipped)), file=sys.stderr)
+                  "line(s)".format(state.skipped), file=sys.stderr)
         if self.tracer is not None:
             self.tracer.emit("serve_recover", **self.recovery)
 
@@ -412,6 +415,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             payload = {"ok": True, "scheduler": server.scheduler.stats()}
             if server.journal is not None:
                 payload["journal"] = server.journal.path
+                payload["journal_records"] = server.journal.live_count()
                 payload["recovery"] = server.recovery
             if server.store is not None:
                 payload["store"] = server.store.stats()

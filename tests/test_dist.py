@@ -488,6 +488,34 @@ class TestWarmNode:
             node.stop(drain=False)
         assert not set(multiprocessing.active_children()) - before
 
+    def test_a_new_registration_is_never_its_own_eviction(self):
+        from repro.result import Limits
+        from repro.serve.scheduler import (CubeRequest, JobRequest,
+                                           SolveScheduler)
+        sched = SolveScheduler(workers=1)
+        try:
+            blocker = sched.submit(JobRequest(
+                circuit=small_miter(3), fault="hang",
+                limits=Limits(max_seconds=1)))
+            deadline = time.monotonic() + 30.0
+            while blocker.started is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for pad in range(MAX_REGISTRATIONS):
+                busy = sched.register(padded_miter(pad), None, None, None,
+                                      "busy")
+                sched.submit(CubeRequest(registration=busy, cube=[]))
+            fresh = sched.register(padded_miter(MAX_REGISTRATIONS), None,
+                                   None, None, "fresh")
+            assert not fresh.evicted
+            assert sched.registration(fresh.key) is fresh
+            cube = sched.submit(CubeRequest(registration=fresh, cube=[]))
+            assert cube.state == "QUEUED"
+            # Every registration is busy: the table holds one extra until
+            # an older one goes idle.
+            assert sched.stats()["registrations"] == MAX_REGISTRATIONS + 1
+        finally:
+            sched.close(drain=False, timeout=30)
+
     def test_solve_jobs_and_keys_survive_every_eviction(self):
         from repro.serve.scheduler import JobRequest
         node = ReproServer(port=0, workers=2).start()

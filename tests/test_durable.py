@@ -20,10 +20,12 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Circuit
 from repro.bench.instances import instance_by_name
@@ -139,8 +141,9 @@ class TestJournal:
         after = replay_journal(path)
         assert after.finished.keys() == before.finished.keys()
         assert set(after.pending) == {"open"}
-        # Compacted file is smaller: one admitted+finished pair per key.
-        assert len(read_journal(path)) == 2 * 4 + 1
+        # Compacted file is smaller: one finished record per key, and no
+        # admitted record of a finished job.
+        assert len(read_journal(path)) == 4 + 1
         journal.close()
 
     def test_admission_after_a_terminal_record_is_pending(self, tmp_path):
@@ -174,6 +177,146 @@ class TestJournal:
         assert answer_digest(SAT, [1, 0]) == answer_digest(SAT, [1, 0])
         assert answer_digest(SAT, [1, 0]) != answer_digest(SAT, [0, 1])
         assert answer_digest(SAT, None) != answer_digest(UNSAT, None)
+
+    def test_live_view_keeps_the_last_terminal_records(self, tmp_path):
+        path = str(tmp_path / "j.wal")
+        journal = Journal(path)
+        assert journal.recover(3) is None      # no file yet
+        for i in list(range(10)) + [8]:     # k8 finishes again last
+            journal.append(KIND_ADMITTED, key="k{}".format(i), job="j")
+            journal.append(KIND_FINISHED, key="k{}".format(i), job="j",
+                           status=UNSAT)
+        journal.append(KIND_ADMITTED, key="open", job="j")
+        journal.append(KIND_ADMITTED, key="gone", job="j")
+        journal.append(KIND_CANCELLED, key="gone", job="j")
+        live = journal.live_records()
+        # A cancelled record counts among the kept terminal records.
+        assert [(r["kind"], r["key"]) for r in live] == [
+            (KIND_FINISHED, "k9"), (KIND_FINISHED, "k8"),
+            (KIND_CANCELLED, "gone"), (KIND_ADMITTED, "open")]
+        journal.close()
+
+    def test_compaction_writes_the_view_without_reading_the_file(
+            self, tmp_path, monkeypatch):
+        from repro.durable import log
+        monkeypatch.setattr(log, "COMPACT_FLOOR", 8)
+        path = str(tmp_path / "j.wal")
+        journal = Journal(path)
+        journal.recover(4)
+        scans = []
+        scan = log.DurableLog.scan
+
+        def spy(self, damaged=None):
+            scans.append(self.path)
+            return scan(self, damaged)
+        monkeypatch.setattr(log.DurableLog, "scan", spy)
+        for i in range(40):
+            journal.append(KIND_ADMITTED, key="k{}".format(i), job="j")
+            journal.append(KIND_FINISHED, key="k{}".format(i), job="j",
+                           status=UNSAT)
+        assert not scans
+        journal.close()
+        # 80 appends crossed the floor: the file is the 4-record view
+        # plus the appends since the last compaction.
+        assert len(read_journal(path)) < 4 + 8
+        assert replay_journal(path, keep=4).live_records() == \
+            journal.live_records()
+
+    def test_concurrent_appends_fold_in_file_order(self, tmp_path,
+                                                   monkeypatch):
+        from repro.durable import log
+        monkeypatch.setattr(log, "COMPACT_FLOOR", 16)
+        path = str(tmp_path / "j.wal")
+        journal = Journal(path)
+
+        def client(t):
+            for i in range(40):
+                key = "t{}-{}".format(t, i)
+                journal.append(KIND_ADMITTED, key=key, job=key)
+                journal.append(KIND_FINISHED, key=key, job=key,
+                               status=UNSAT)
+            journal.append(KIND_ADMITTED, key="open{}".format(t), job="j")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        live = journal.live_records()
+        journal.close()
+        assert live == replay_journal(path).live_records()
+        assert [r["kind"] for r in live] == \
+            [KIND_FINISHED] * 320 + [KIND_ADMITTED] * 8
+
+    def test_head_shaped_journal_boots_to_the_bounded_view(self, tmp_path):
+        # The unbounded shape older servers wrote: an admitted+finished
+        # pair per key, source text included.
+        path = str(tmp_path / "serve.wal")
+        source = {"circuit": write_bench(build_unsat()), "format": "bench"}
+        journal = Journal(path)
+        for i in range(20):
+            key = "k{}".format(i)
+            journal.append(KIND_ADMITTED, key=key, job=key, engine="csat",
+                           label=key, source=source)
+            journal.append(KIND_FINISHED, key=key, job=key, engine="csat",
+                           status=UNSAT, digest="d{}".format(i),
+                           limits_class="unlimited")
+        journal.close()
+        srv = ReproServer(port=0, workers=1,
+                          cache=AnswerCache(max_entries=8),
+                          journal_path=path).start()
+        try:
+            assert srv.recovery["rehydrated"] == 8
+            assert srv.recovery["replayed"] == 0
+        finally:
+            srv.stop()
+        records = read_journal(path)
+        assert [r["key"] for r in records] == \
+            ["k{}".format(i) for i in range(12, 20)]
+        assert all(r["kind"] == KIND_FINISHED for r in records)
+
+
+JOURNAL_STEPS = st.lists(
+    st.tuples(st.sampled_from((KIND_ADMITTED, KIND_STARTED, KIND_FINISHED,
+                               KIND_CANCELLED, "compact", "reopen")),
+              st.integers(0, 7)),
+    max_size=80)
+
+
+@given(JOURNAL_STEPS, st.one_of(st.none(), st.integers(1, 5)))
+@settings(max_examples=60, deadline=None)
+def test_in_memory_fold_matches_a_replay(steps, keep):
+    """Whatever the appends, however many compactions they cross, and
+    however often the journal is reopened on its file, its in-memory
+    view is what a replay of its file folds."""
+    from unittest import mock
+    from repro.durable import log
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(log, "COMPACT_FLOOR", 6):
+        path = os.path.join(tmp, "j.wal")
+        journal = Journal(path)
+        journal.recover(keep)
+        for kind, key in steps:
+            if kind == "reopen":
+                journal.close()
+                journal = Journal(path)
+                journal.recover(keep)
+            elif kind == "compact":
+                journal.compact(journal.live_records())
+            else:
+                journal.append(kind, key="k{}".format(key), job="j",
+                               status=UNSAT)
+            assert journal.live_records() == \
+                replay_journal(path, keep=keep).live_records()
+            assert journal.live_count() == len(journal.live_records())
+        journal.close()
 
 
 # ----------------------------------------------------------------------
@@ -446,6 +589,96 @@ class TestServerRecovery:
                 srv.journal.compact(state.live_records())
         finally:
             srv.stop(drain=False)
+
+    def test_bounded_journal_survives_a_kill(self, tmp_path, monkeypatch):
+        from repro.durable import log
+        from repro.gen.random_circuit import random_dag
+        monkeypatch.setattr(log, "COMPACT_FLOOR", 16)
+        journal = str(tmp_path / "serve.wal")
+        killed = str(tmp_path / "killed.wal")
+        srv = ReproServer(port=0, workers=1,
+                          cache=AnswerCache(max_entries=8),
+                          journal_path=journal).start()
+        answers = {}
+        try:
+            for seed in range(50):
+                key = "k{}".format(seed)
+                job = srv.scheduler.submit(JobRequest(
+                    circuit=random_dag(6, 20, seed=seed),
+                    idempotency_key=key))
+                assert job.wait(30)
+                answers[key] = (seed, job.result["status"])
+            # Sweep jobs stay pending behind a hanging one; a sweep's
+            # answer is never cached, so none evicts a rehydrated one.
+            blocker = srv.scheduler.submit(JobRequest(
+                circuit=build_full_adder(), engine="sweep", fault="hang",
+                limits=Limits(max_seconds=1), idempotency_key="blocker"))
+            deadline = time.monotonic() + 30.0
+            while blocker.started is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            pending = {"blocker"}
+            for seed in range(3):
+                key = "p{}".format(seed)
+                srv.scheduler.submit(JobRequest(
+                    circuit=random_dag(7, 20, seed=seed), engine="sweep",
+                    idempotency_key=key))
+                pending.add(key)
+            live = srv.journal.live_records()
+            # What a SIGKILL leaves: every append is fsynced.
+            with open(journal, "rb") as src, open(killed, "wb") as dst:
+                dst.write(src.read())
+        finally:
+            srv.stop(drain=False)
+        last = ["k{}".format(seed) for seed in range(42, 50)]
+        assert [r["key"] for r in live if r["kind"] == KIND_FINISHED] \
+            == last
+        assert {r["key"] for r in live if r["kind"] == KIND_ADMITTED} \
+            == pending
+        assert replay_journal(killed, keep=8).live_records() == live
+        again = ReproServer(port=0, workers=1,
+                            cache=AnswerCache(max_entries=8),
+                            journal_path=killed).start()
+        try:
+            assert again.recovery["replayed"] == len(pending)
+            assert again.recovery["rehydrated"] == 8
+            for key in last:
+                seed, status = answers[key]
+                job = again.scheduler.submit(JobRequest(
+                    circuit=random_dag(6, 20, seed=seed),
+                    idempotency_key=key))
+                assert job.cached and job.result["status"] == status
+        finally:
+            again.stop()
+
+    def test_recovered_job_answered_from_the_cache_at_admission(
+            self, tmp_path):
+        # Re-admitting the first pending job journals its cache hit while
+        # boot still walks the pending admissions.
+        journal = str(tmp_path / "serve.wal")
+        circuit = build_unsat()
+        srv = ReproServer(port=0, workers=1, journal_path=journal).start()
+        try:
+            assert srv.scheduler.submit(JobRequest(
+                circuit=circuit, idempotency_key="done")).wait(30.0)
+        finally:
+            srv.stop()
+        writer = Journal(journal)
+        for key, pending in (("again", circuit),
+                             ("other", build_full_adder())):
+            writer.append(KIND_ADMITTED, key=key, job=key, engine="csat",
+                          label=key, source={"circuit": write_bench(pending),
+                                             "format": "bench"})
+        writer.close()
+        node = ReproServer(port=0, workers=1, journal_path=journal).start()
+        try:
+            assert node.recovery["replayed"] == 2
+            again = node.scheduler.submit(JobRequest(
+                circuit=circuit, idempotency_key="again"))
+            assert again.cached and again.result["status"] == UNSAT
+        finally:
+            node.stop()
+        assert set(replay_journal(journal).finished) == \
+            {"done", "again", "other"}
 
     def test_replay_twice_is_idempotent(self, tmp_path):
         """Booting twice off the same journal must not duplicate work."""

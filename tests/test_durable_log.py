@@ -417,9 +417,9 @@ def test_file_stays_within_twice_live_plus_floor(tmp_path, monkeypatch,
 SOAK_SECONDS = 150.0
 
 
-def _live_sizes(srv: ReproServer, paths):
+def _live_sizes(srv: ReproServer):
     stats = srv.store.stats()
-    return {"journal": len(replay_journal(paths["journal"]).live_records()),
+    return {"journal": srv.journal.live_count(),
             "store": stats["facts"] + -(-stats["seen"] // 256),
             "cache": len(srv.cache)}
 
@@ -463,10 +463,13 @@ def test_soak_bounded_logs_and_clean_reboot(tmp_path, monkeypatch,
             sample.extend((item.text, expected[item.label])
                           for item in workload[:2]
                           if item.label in expected)
-            for name, live in _live_sizes(srv, paths).items():
+            for name, live in _live_sizes(srv).items():
                 largest[name] = max(largest[name], live)
                 assert _records_in(paths[name]) \
                     <= 2 * largest[name] + floor, (name, rounds)
+            stats = srv.scheduler.stats()
+            assert stats["jobs"] <= 32 + stats["queued"] + \
+                stats["running"] + stats["waiting"]
             rounds += 1
     finally:
         srv.stop(drain=True, timeout=60)

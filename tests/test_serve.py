@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro import Circuit
+from repro.circuit.bench_io import write_bench
 from repro.durable.log import decode, encode
 from repro.errors import CRASHED, TIMEOUT
 from repro.result import Limits, SAT, UNKNOWN, UNSAT
@@ -23,6 +24,7 @@ from repro.serve import (AdmissionError, AnswerCache, JobRequest,
                          SolveScheduler, fingerprint, limits_class)
 from repro.serve.loadgen import (build_workload, reference_answers,
                                  renamed_copy, run_load)
+from repro.gen.random_circuit import random_dag
 from conftest import build_full_adder, build_random_circuit
 
 
@@ -388,6 +390,143 @@ class TestScheduling:
 
 
 # ----------------------------------------------------------------------
+# Retention: the job table keeps the last cache.max_entries finished
+# solve jobs
+# ----------------------------------------------------------------------
+
+KEEP = 8
+
+
+def distinct(seed: int) -> Circuit:
+    return random_dag(6, 20, seed=seed)
+
+
+def wide_and(width: int) -> Circuit:
+    """A SAT circuit whose fingerprint differs for every ``width``."""
+    c = Circuit("and{}".format(width))
+    c.add_output(c.and_many([c.add_input("x{}".format(i))
+                             for i in range(width)]), "y")
+    return c
+
+
+def block_worker(sched: SolveScheduler):
+    """Hold a one-thread scheduler's worker on a hanging solve."""
+    blocker = sched.submit(JobRequest(
+        circuit=build_full_adder(), fault="hang",
+        limits=Limits(max_seconds=1), label="blocker"))
+    deadline = time.monotonic() + 30.0
+    while blocker.started is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def finished_in_table(sched: SolveScheduler) -> int:
+    stats = sched.stats()
+    return (stats["jobs"] - stats["queued"] - stats["running"]
+            - stats["waiting"])
+
+
+class TestRetention:
+    def test_table_keeps_the_last_finished_solves(self):
+        srv = ReproServer(port=0, workers=1,
+                          cache=AnswerCache(max_entries=KEEP)).start()
+        try:
+            client = ServeClient(srv.host, srv.port, timeout=30)
+            ids = []
+            for seed in range(50):
+                snap = client.submit(
+                    circuit_text=write_bench(distinct(seed)), wait=30,
+                    idempotency_key="k{}".format(seed))
+                assert snap["state"] == "DONE"
+                ids.append(snap["job"])
+                assert finished_in_table(srv.scheduler) <= KEEP
+            assert srv.scheduler.stats()["jobs"] == KEEP
+            for path in ("/result/", "/events/"):
+                with pytest.raises(ServeError) as exc:
+                    client.call("GET", path + ids[0])
+                assert (exc.value.status, exc.value.code) == \
+                    (404, "unknown-job")
+            assert client.result(ids[-1])["state"] == "DONE"
+            assert client.events(ids[-1])["events"]
+        finally:
+            srv.stop()
+
+    def test_retired_key_makes_a_fresh_job_with_the_same_status(
+            self, monkeypatch):
+        from repro.verify import certify
+        certified = []
+        real = certify.certify_sat_model
+
+        def spy(circuit, model, objectives):
+            certified.append(circuit)
+            return real(circuit, model, objectives)
+
+        sched = SolveScheduler(workers=1, cache=AnswerCache(max_entries=KEEP))
+        try:
+            sat = build_full_adder()
+            first = sched.submit(JobRequest(circuit=sat,
+                                            idempotency_key="first"))
+            assert first.wait(30) and first.result["status"] == SAT
+            # Renamed copies under other keys: cache hits, which retire
+            # the first job but keep its answer in the cache.
+            for k in range(KEEP):
+                hit = sched.submit(JobRequest(
+                    circuit=renamed_copy(sat, "r{}".format(k)),
+                    idempotency_key="hit{}".format(k)))
+                assert hit.cached
+            assert sched.job(first.id) is None
+            monkeypatch.setattr(certify, "certify_sat_model", spy)
+            again = sched.submit(JobRequest(circuit=sat,
+                                            idempotency_key="first"))
+            assert again is not first and again.id != first.id
+            assert again.cached and again.result["status"] == SAT
+            assert certified == [sat]    # re-certified against it
+            # An answer the cache evicted too is solved again.
+            unsat = sched.submit(JobRequest(circuit=build_unsat(),
+                                            idempotency_key="unsat"))
+            assert unsat.wait(30) and unsat.result["status"] == UNSAT
+            for width in range(2, KEEP + 3):
+                assert sched.submit(JobRequest(
+                    circuit=wide_and(width))).wait(30)
+            again = sched.submit(JobRequest(circuit=build_unsat(),
+                                            idempotency_key="unsat"))
+            assert again.wait(30) and not again.cached
+            assert again.result["status"] == UNSAT
+            # A retired key names no circuit any more: no key-conflict.
+            for width in range(2, KEEP + 3):
+                assert sched.submit(JobRequest(
+                    circuit=wide_and(width))).wait(30)
+            other = sched.submit(JobRequest(circuit=build_full_adder(),
+                                            idempotency_key="unsat"))
+            assert other.wait(30) and other.id != again.id
+        finally:
+            sched.close()
+
+    def test_followers_and_cancelled_jobs_retire_too(self):
+        sched = SolveScheduler(workers=1, cache=AnswerCache(max_entries=2))
+        try:
+            block_worker(sched)
+            primary = sched.submit(JobRequest(circuit=distinct(1)))
+            followers = [sched.submit(JobRequest(
+                circuit=renamed_copy(distinct(1), "f{}".format(k))))
+                for k in range(4)]
+            assert all(job.deduped for job in followers)
+            assert sched.stats()["waiting"] == 4
+            assert primary.wait(30)
+            assert all(job.wait(30) for job in followers)
+            assert finished_in_table(sched) == 2
+            assert sched.job(followers[0].id) is None
+            block_worker(sched)
+            queued = [sched.submit(JobRequest(circuit=distinct(10 + k)))
+                      for k in range(4)]
+        finally:
+            assert sched.close(drain=False, timeout=30)
+        assert all(job.state == "CANCELLED" for job in queued)
+        # The second blocker finished last, after one cancelled job.
+        assert sched.stats()["jobs"] == 2
+        assert sum(sched.job(job.id) is job for job in queued) == 1
+
+
+# ----------------------------------------------------------------------
 # HTTP end to end
 # ----------------------------------------------------------------------
 
@@ -483,7 +622,7 @@ class TestHttp:
         assert exc.value.code == "bad-engine"
 
     def test_unknown_preset_never_queued_or_journaled(self, tmp_path):
-        from repro.durable.journal import replay_journal
+        from repro.durable.journal import KIND_ADMITTED, read_journal
         journal = str(tmp_path / "serve.wal")
         srv = ReproServer(port=0, workers=1, journal_path=journal).start()
         try:
@@ -494,7 +633,8 @@ class TestHttp:
             assert srv.scheduler.stats()["submitted"] == 0
         finally:
             srv.stop()
-        assert replay_journal(journal).admitted == {}
+        assert not any(record["kind"] == KIND_ADMITTED
+                       for record in read_journal(journal))
 
     def test_cube_job_fan_out_is_the_servers(self, client, monkeypatch):
         # A request's cube_workers is read as if absent: the job conquers
