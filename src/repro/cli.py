@@ -73,7 +73,6 @@ from .circuit.validate import statistics, validate
 from .core.solver import CircuitSolver
 from .core.sweep import sat_sweep
 from .csat.options import DEFAULT_PRESET, preset
-from .cube.conquer import CUBE_PRESET
 from .errors import CircuitError, ParseError, ReproError
 from .result import Limits
 
@@ -283,16 +282,19 @@ def _status_code(result) -> int:
 
 _RUNTIME_FLAGS = ("mem_limit", "grace", "retries", "certify",
                   "inject_faults")
-_CUBE_FLAGS = ("preset", "engine", "max_cubes", "max_depth", "checkpoint",
-               "checkpoint_every", "resume")
+_CUBE_FLAGS = ("max_cubes", "max_depth", "checkpoint", "checkpoint_every",
+               "resume")
 
 #: The flags each ``solve`` mode reads besides --budget, --trace and
 #: --json.  They all default to None, so a flag given outside its mode's
-#: row is refused instead of silently ignored.
+#: row is refused instead of silently ignored.  ``--workers 0`` runs its
+#: cubes in process: no worker to cap, kill or fault, but a SAT model
+#: that fails certification is still retried.
 _MODE_FLAGS = {
     "in-process": ("preset", "model", "proof", "progress"),
     "portfolio": ("portfolio", "ladder", "workers") + _RUNTIME_FLAGS,
     "cubes": ("workers",) + _RUNTIME_FLAGS + _CUBE_FLAGS,
+    "in-process cubes": ("workers", "retries", "certify") + _CUBE_FLAGS,
     "nodes": ("nodes", "retries", "certify") + _CUBE_FLAGS,
     "spawn-local": ("spawn_local", "workers", "retries",
                     "certify") + _CUBE_FLAGS,
@@ -306,8 +308,12 @@ def _solve_mode(args) -> str:
     if len(picked) > 1:
         raise ReproError("pick one solve mode, not --{}".format(
             " and --".join(picked)))
-    mode = picked[0] if picked else (
-        "cubes" if args.workers is not None else "in-process")
+    if picked:
+        mode = picked[0]
+    elif args.workers is None:
+        mode = "in-process"
+    else:
+        mode = "in-process cubes" if args.workers == 0 else "cubes"
     every = {dest for flags in _MODE_FLAGS.values() for dest in flags}
     for dest in sorted(every - set(_MODE_FLAGS[mode])):
         if getattr(args, dest) is not None:
@@ -365,13 +371,11 @@ def _conquest_kwargs(args, tracer):
     """What local and distributed cube-and-conquer read alike."""
     from .cube import CutterOptions
     return dict(
-        preset_name=args.preset or CUBE_PRESET, budget=args.budget,
-        trace=tracer, checkpoint_path=args.checkpoint,
+        budget=args.budget, trace=tracer, checkpoint_path=args.checkpoint,
         resume_from=args.resume,
         cutter=CutterOptions(**_given(max_cubes=args.max_cubes,
                                       max_depth=args.max_depth)),
-        **_given(kind=args.engine, max_retries=args.retries,
-                 certify=args.certify,
+        **_given(max_retries=args.retries, certify=args.certify,
                  checkpoint_every=args.checkpoint_every))
 
 
@@ -408,8 +412,8 @@ def _solve_on_nodes(args, circuit, label: str, tracer) -> int:
 
 
 _SOLVERS = {"in-process": _solve_in_process, "portfolio": _solve_portfolio,
-            "cubes": _solve_cubes, "nodes": _solve_on_nodes,
-            "spawn-local": _solve_on_nodes}
+            "cubes": _solve_cubes, "in-process cubes": _solve_cubes,
+            "nodes": _solve_on_nodes, "spawn-local": _solve_on_nodes}
 
 #: What the two-file form prints after the result, by exit code.
 _VERDICTS = {20: "EQUIVALENT", 10: "NOT EQUIVALENT"}
@@ -976,8 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability(p)
     g = p.add_argument_group("in process (the default)")
     g.add_argument("--preset", choices=_PRESETS, default=None,
-                   help="solver configuration (default: explicit in "
-                        "process, {} for cube workers)".format(CUBE_PRESET))
+                   help="solver configuration (default: explicit)")
     g.add_argument("--model", action="store_true", default=None,
                    help="print the input assignment on SAT")
     g.add_argument("--proof", metavar="FILE",
@@ -1004,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="portfolio: comma-separated configs to try, e.g. "
                         "'explicit,cnf,brute' (default: auto ladder)")
     g = p.add_argument_group("workers (portfolio and local cubes; nodes "
-                             "read --retries and --certify)")
+                             "and --workers 0 read --retries and "
+                             "--certify)")
     g.add_argument("--mem-limit", type=int, default=None, metavar="MB",
                    help="hard per-worker address-space cap in MB")
     g.add_argument("--grace", type=float, default=None, metavar="SEC",
@@ -1023,10 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(kinds: crash segv hang hang-hard membomb "
                         "corrupt wrong-answer lost)")
     g = p.add_argument_group("cube-and-conquer (local cubes, nodes)")
-    g.add_argument("--engine", choices=("csat", "cnf"), default=None,
-                   help="per-cube engine: csat runs --preset, cnf runs "
-                        "the flat kernel on the CNF encoding "
-                        "(default: csat)")
     g.add_argument("--max-cubes", type=int, default=None, metavar="N",
                    help="hard cap on open cubes (default: scale with "
                         "the worker count)")

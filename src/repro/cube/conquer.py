@@ -1,15 +1,16 @@
 """Conquer: the one cube scheduler, over endpoints.
 
 The driver runs one random-simulation pass and one explicit-learning
-phase on a flat-kernel :class:`~repro.core.solver.CircuitSolver` seeded
-with the resulting correlations.  The phase's root units and learned
-binaries follow from the circuit alone; they ride with every cube, and
-the cutter looks ahead on the same engine, so an objective the phase
-refutes makes the cut, and the run, UNSAT at once.  The driver then
-schedules the open cubes over *endpoints*.  An endpoint is a slot count
-plus one call: "solve this cube with these seed lemmas and return the
-payload".  Every conquest runs the same loop whatever its endpoints
-are:
+phase on a flat-kernel :class:`~repro.core.solver.CircuitSolver`
+(:data:`CUBE_PRESET`) seeded with the resulting correlations.  The
+phase's root units and learned binaries follow from the circuit alone;
+they ride with every cube, and the cutter looks ahead on the same
+engine, so an objective the phase refutes makes the cut, and the run,
+UNSAT at once.  Every cube runs on the flat kernel too, without the
+phase.  The driver then schedules the open cubes over *endpoints*.  An
+endpoint is a slot count plus one call: "solve this cube with these
+seed lemmas and return the payload".  Every conquest runs the same loop
+whatever its endpoints are:
 
 * ``workers == 0`` — one in-process endpoint with one slot, run on the
   calling thread (so Ctrl-C reaches the search): every cube is solved in
@@ -17,7 +18,7 @@ are:
   persists across cubes.  This is the mode the differential oracle
   cross-checks.
 * ``workers >= 1`` — one local endpoint whose slots each keep one warm
-  :mod:`repro.runtime` worker (:class:`CubeSlot`).
+  :mod:`repro.runtime` worker (:class:`CubeSlot`) on the flat kernel.
 * :func:`repro.dist.solve_distributed` — one remote endpoint per serve
   node, whose worker threads are its slots.
 
@@ -26,15 +27,15 @@ endpoint's straggler (at most :data:`MAX_REDUNDANCY` holders per cube),
 and every answer is applied exactly once.  The first certified SAT
 answer stops every sibling; UNSAT answers accumulate until the whole
 partition is refuted.  Failures reuse the runtime's taxonomy: CRASHED /
-CORRUPT_ANSWER / LOST cubes are retried (reseeded) up to
+CORRUPT_ANSWER / LOST cubes are retried on a fresh worker up to
 ``max_retries``; TIMEOUT / MEMOUT are final.  A dead endpoint's
 in-flight cubes are reassigned to the survivors.
 
-Knowledge sharing (:mod:`repro.cube.sharing`): correlations are
-discovered once, here, and seeded into every worker.  The scheduler's
-:class:`SharedKnowledge` is the conquest's one lemma pool: each dispatch
-carries a snapshot of it, and each payload brings back the unit/binary
-lemmas its worker exported.
+Knowledge sharing (:mod:`repro.cube.sharing`): the phase's clauses
+reach every worker once.  The scheduler's :class:`SharedKnowledge` is
+the conquest's one lemma pool: each dispatch carries a snapshot of it,
+and each payload brings back the unit/binary lemmas its worker
+exported.
 
 Failed-assumption cores prune siblings: when a cube comes back UNSAT
 with a core, any queued cube whose literal set contains the core's
@@ -62,21 +63,20 @@ from typing import (Any, Callable, ClassVar, Dict, List, Optional, Sequence,
 
 from ..circuit.netlist import Circuit
 from ..core.solver import CircuitSolver
-from ..csat.options import SolverOptions, preset
+from ..csat.options import preset
 from ..errors import CORRUPT_ANSWER, FAILURE_KINDS, SolverError, WorkerFailure
 from ..result import Limits, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT
 from ..runtime.faults import FaultPlan, NO_FAULTS
-from ..runtime.portfolio import RESEED_STRIDE, RETRYABLE
+from ..runtime.portfolio import RETRYABLE
 from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
                                   WorkerHandle, spawn_worker)
-from ..runtime.worker import (KIND_CNF, KIND_CSAT, JobEngine, WorkerJob,
-                              payload_to_result)
+from ..runtime.worker import JobEngine, WorkerJob, payload_to_result
 from ..obs import Tracer, make_tracer
 from ..obs.context import child_context, context_of
 from ..obs.metrics import default_registry
 from ..sim.correlation import find_correlations
 from .cutter import Cube, CubeSet, CutterOptions, generate_cubes
-from .sharing import SharedKnowledge, collect_csat_lemmas, serialize_classes
+from .sharing import SharedKnowledge, collect_csat_lemmas
 
 #: Cube statuses beyond the engine's SAT/UNSAT/UNKNOWN.
 REFUTED = "REFUTED"    # closed by the cutter's own propagation
@@ -91,9 +91,9 @@ _CLOSED = (UNSAT, REFUTED, PRUNED)
 #: fleet with redundant solves).
 MAX_REDUNDANCY = 2
 
-#: The preset of csat cube workers unless the driver picks another.
-#: Workers never run its explicit phase: the driver runs it once per
-#: conquest and ships what it proved with every cube.
+#: The preset of the conquer driver and of every cube worker.  Workers
+#: never run its explicit phase: the driver runs it once per conquest
+#: and ships what it proved with every cube.
 CUBE_PRESET = "kernel"
 
 
@@ -372,12 +372,9 @@ def _restore_cubes(checkpoint, outcomes: Dict[int, CubeOutcome],
     return CubeSet(cubes=open_cubes), resumed
 
 
-def validate_cube_args(kind: str, certify: str, budget: Optional[float],
+def validate_cube_args(certify: str, budget: Optional[float],
                        limits: Optional[Limits]) -> None:
     """Argument checks both cube-scheduler entry points share."""
-    if kind not in (KIND_CSAT, KIND_CNF):
-        raise ValueError("cube workers must be csat or cnf, not "
-                         "{!r}".format(kind))
     if certify not in CERTIFY_LEVELS:
         raise ValueError("certify must be one of {}".format(CERTIFY_LEVELS))
     if certify == CERTIFY_FULL:
@@ -396,20 +393,14 @@ def solve_cubes(circuit: Circuit,
                 *,
                 workers: int = 4,
                 cutter: Optional[CutterOptions] = None,
-                kind: str = KIND_CSAT,
-                preset_name: str = CUBE_PRESET,
-                options: Optional[SolverOptions] = None,
                 budget: Optional[float] = None,
                 limits: Optional[Limits] = None,
                 mem_limit_mb: Optional[int] = None,
                 grace_seconds: float = 1.0,
                 max_retries: int = 1,
                 certify: str = CERTIFY_SAT,
-                share_lemmas: bool = True,
-                sim_seed: Optional[int] = None,
                 faults: Optional[FaultPlan] = None,
                 trace=None,
-                start_method: Optional[str] = None,
                 checkpoint_path: Optional[str] = None,
                 checkpoint_every: int = 8,
                 resume_from: Optional[str] = None) -> CubeReport:
@@ -420,15 +411,12 @@ def solve_cubes(circuit: Circuit,
     driver's own engine (used by the differential oracle).  ``budget`` is
     the shared wall-clock budget for the whole run; ``limits`` are
     *per-cube* cooperative budgets (conflicts/decisions/seconds).
-    ``kind`` and ``preset_name`` alone pick every worker's engine:
-    ``kind="cnf"`` runs the flat kernel on the Tseitin encoding,
-    ``kind="csat"`` runs ``preset_name`` (:data:`CUBE_PRESET`, the
-    kernel, by default).  Either way the driver runs the explicit phase
-    once, on the kernel, and no worker repeats it: on a 2-CPU VM with two
-    workers, kernel-preset cubes that each re-ran the phase took 7.2-7.9 s
-    on mult5 and 0.44 s on c3540.equiv; with one driver phase c3540.equiv
-    is UNSAT in about 0.2 s without a cube, and mult5 conquers in under a
-    second (see docs/parallel.md).
+    Every worker runs the flat kernel (:data:`CUBE_PRESET`).  The driver
+    runs the explicit phase once, and no worker repeats it: on a 2-CPU
+    VM with two workers, kernel-preset cubes that each re-ran the phase
+    took 7.2-7.9 s on mult5 and 0.44 s on c3540.equiv; with one driver
+    phase c3540.equiv is UNSAT in about 0.2 s without a cube, and mult5
+    conquers in under a second (see docs/parallel.md).
 
     Never raises for worker misbehaviour; failed cubes carry their
     failure kind in the report and degrade the answer to UNKNOWN at
@@ -444,27 +432,19 @@ def solve_cubes(circuit: Circuit,
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    validate_cube_args(kind, certify, budget, limits)
-    base_options = options if options is not None else preset(preset_name)
-    if sim_seed is not None:
-        # The workers' reseed base follows the driver's simulation seed.
-        options = base_options = base_options.replace(sim_seed=sim_seed)
+    validate_cube_args(certify, budget, limits)
     if workers:
         endpoint = _LocalEndpoint(
-            workers, kind=kind, preset_name=preset_name,
-            options=options, mem_limit_mb=mem_limit_mb,
-            grace_seconds=grace_seconds, certify=certify,
-            faults=faults or NO_FAULTS, start_method=start_method,
-            share_lemmas=share_lemmas)
+            workers, mem_limit_mb=mem_limit_mb, grace_seconds=grace_seconds,
+            certify=certify, faults=faults or NO_FAULTS)
     else:
         endpoint = _InProcessEndpoint()
     return _conquer(
         circuit, objectives, CubeReport(result=SolverResult(status=UNKNOWN),
                                         workers=workers),
         lambda tracer: [endpoint], trace=trace,
-        span_fields={"workers": workers}, options=base_options,
-        cutter=cutter, budget=budget, limits=limits, certify=certify,
-        share_lemmas=share_lemmas, max_retries=max_retries,
+        span_fields={"workers": workers}, cutter=cutter, budget=budget,
+        limits=limits, certify=certify, max_retries=max_retries,
         checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
         resume_from=resume_from)
 
@@ -481,22 +461,19 @@ class EndpointDown(Exception):
 class Conquest:
     """What an endpoint sees of the conquest it serves (see ``open``).
 
-    ``correlations`` are the conquest's simulation result and
-    ``classes`` their serialized form; ``solver`` is the driver's
-    prepared kernel :class:`CircuitSolver` and ``phase_lemmas`` the
-    clauses its explicit phase proved, which every worker holds before
-    its first cube.  ``stop`` is set once the run is decided or shutting
-    down.  Pool lemmas reach an endpoint only on its dispatches.
+    ``solver`` is the driver's prepared kernel :class:`CircuitSolver` and
+    ``phase_lemmas`` the clauses its explicit phase proved, which every
+    worker holds before its first cube.  ``stop`` is set once the run is
+    decided or shutting down.  Pool lemmas reach an endpoint only on its
+    dispatches.
     """
 
     def __init__(self, circuit: Circuit, objectives: List[int],
-                 correlations, classes, solver: CircuitSolver,
-                 phase_lemmas: List[List[int]], stop: threading.Event,
+                 solver: CircuitSolver, phase_lemmas: List[List[int]],
+                 stop: threading.Event,
                  remaining: Callable[[], Optional[float]], tracer, span):
         self.circuit = circuit
         self.objectives = objectives
-        self.correlations = correlations
-        self.classes = classes
         self.solver = solver
         self.phase_lemmas = phase_lemmas
         self.stop = stop
@@ -520,21 +497,19 @@ def _answer_payload(result: SolverResult, certified: bool) -> Dict[str, Any]:
     return payload
 
 
-def cube_job(circuit: Circuit, objectives: Sequence[int], *, name: str,
-             kind: str, preset_name: str, options: Optional[SolverOptions],
-             classes, phase_lemmas, mem_limit_mb: Optional[int],
-             export_lemmas: bool) -> WorkerJob:
-    """The job a :class:`CubeSlot` builds its warm workers from.
+def cube_job(circuit: Circuit, objectives: Sequence[int], *,
+             phase_lemmas, mem_limit_mb: Optional[int]) -> WorkerJob:
+    """The job every cube engine is built from: :data:`CUBE_PRESET`,
+    exporting its lemmas.
 
     Workers skip the preset's explicit phase: the driver ran it, and its
     clauses arrive as ``phase_lemmas``.
     """
     return WorkerJob(
-        circuit=circuit, name=name, kind=kind, preset_name=preset_name,
-        options=options, overrides={"explicit_learning": False},
+        circuit=circuit, name="cube", preset_name=CUBE_PRESET,
+        overrides={"explicit_learning": False},
         objectives=list(objectives), mem_limit_mb=mem_limit_mb,
-        seed_classes=classes if kind == KIND_CSAT else None,
-        seed_lemmas=phase_lemmas, export_lemmas=export_lemmas)
+        seed_lemmas=phase_lemmas, export_lemmas=True)
 
 
 class CubeSlot:
@@ -552,9 +527,8 @@ class CubeSlot:
     certified at the boundary (``certify``), and a cube that times out,
     runs out of memory, crashes or answers wrongly ends its worker — the
     slot spawns a fresh one for the next cube.  A retry (``attempt >
-    0``) of a csat cube runs on a fresh, reseeded worker: the seeded
-    correlations are dropped and the simulation seed shifted, so a crash
-    tied to the shared state is not replayed verbatim.
+    0``) runs on a fresh worker, so a crash tied to what one worker
+    learned is not replayed verbatim.
 
     :meth:`solve` returns ``{"status", "time_seconds", "interrupted",
     "stats", "core", "certified", "model"?}`` for an answer or
@@ -565,15 +539,13 @@ class CubeSlot:
     """
 
     def __init__(self, job: WorkerJob, *, certify: str,
-                 grace_seconds: float, start_method: Optional[str],
-                 spawns: Callable[[], int]):
+                 grace_seconds: float, spawns: Callable[[], int]):
         self.job = job
         self.certify = certify
         self.grace_seconds = grace_seconds
-        self.start_method = start_method
         self.spawns = spawns
         self.worker: Optional[WorkerHandle] = None
-        self.attempt = 0          # the attempt the worker was seeded for
+        self.attempt = 0          # the attempt the worker was spawned for
 
     def solve(self, cube: Sequence[int], attempt: int,
               lemmas: Optional[List[List[int]]], limits: Optional[Limits],
@@ -587,10 +559,10 @@ class CubeSlot:
         if self.worker is not None and attempt and attempt != self.attempt:
             self.close(tracer)
         if self.worker is None:
+            # A copy: a spawn writes into its job.
             self.worker = spawn_worker(
-                self._seeded(attempt), grace_seconds=self.grace_seconds,
-                index=self.spawns(), tracer=tracer,
-                start_method=self.start_method, warm=True)
+                replace(self.job), grace_seconds=self.grace_seconds,
+                index=self.spawns(), tracer=tracer, warm=True)
             self.attempt = attempt
         worker = self.worker
         outcome = worker.run(
@@ -610,17 +582,6 @@ class CubeSlot:
         payload["maxrss_mb"] = outcome.maxrss_mb
         payload["lemmas"] = outcome.lemmas or []
         return payload
-
-    def _seeded(self, attempt: int) -> WorkerJob:
-        """A fresh copy of the job (a spawn writes into it), reseeded
-        for a retry."""
-        job = replace(self.job)
-        if attempt and job.kind == KIND_CSAT:
-            base_seed = (job.options or preset(job.preset_name)).sim_seed
-            job.overrides = dict(job.overrides,
-                                 sim_seed=base_seed + RESEED_STRIDE * attempt)
-            job.seed_classes = None
-        return job
 
     def close(self, tracer=None) -> None:
         if self.worker is not None:
@@ -648,9 +609,8 @@ class _InProcessEndpoint:
     def open(self, conquest: Conquest) -> None:
         self.conquest = conquest
         self.engine = JobEngine(
-            WorkerJob(circuit=conquest.circuit, name="cube",
-                      objectives=conquest.objectives,
-                      seed_lemmas=conquest.phase_lemmas, export_lemmas=True),
+            cube_job(conquest.circuit, conquest.objectives,
+                     phase_lemmas=conquest.phase_lemmas, mem_limit_mb=None),
             solver=conquest.solver)
 
     def solve(self, cube: Cube, attempt: int,
@@ -674,21 +634,13 @@ class _InProcessEndpoint:
 class _LocalEndpoint:
     """Warm worker processes on this host, one per slot (:class:`CubeSlot`)."""
 
-    def __init__(self, slots: int, *, kind: str, preset_name: str,
-                 options: Optional[SolverOptions],
-                 mem_limit_mb: Optional[int], grace_seconds: float,
-                 certify: str, faults: FaultPlan,
-                 start_method: Optional[str], share_lemmas: bool):
+    def __init__(self, slots: int, *, mem_limit_mb: Optional[int],
+                 grace_seconds: float, certify: str, faults: FaultPlan):
         self.info = NodeInfo(url="local", workers=slots)
-        self.kind = kind
-        self.preset_name = preset_name
-        self.options = options
         self.mem_limit_mb = mem_limit_mb
         self.grace_seconds = grace_seconds
         self.certify = certify
         self.faults = faults
-        self.start_method = start_method
-        self.share_lemmas = share_lemmas
         # FaultPlan indices count cube dispatches across all slots.
         self._dispatches = itertools.count()
         spawns = itertools.count()
@@ -701,11 +653,9 @@ class _LocalEndpoint:
     def open(self, conquest: Conquest) -> None:
         self.conquest = conquest
         self.job = cube_job(
-            conquest.circuit, conquest.objectives, name="cube",
-            kind=self.kind, preset_name=self.preset_name,
-            options=self.options, classes=conquest.classes,
+            conquest.circuit, conquest.objectives,
             phase_lemmas=conquest.phase_lemmas,
-            mem_limit_mb=self.mem_limit_mb, export_lemmas=self.share_lemmas)
+            mem_limit_mb=self.mem_limit_mb)
 
     def solve(self, cube: Cube, attempt: int,
               lemmas: Optional[List[List[int]]],
@@ -715,8 +665,7 @@ class _LocalEndpoint:
             index = next(self._dispatches)
             slot = self._idle.pop() if self._idle else CubeSlot(
                 self.job, certify=self.certify,
-                grace_seconds=self.grace_seconds,
-                start_method=self.start_method, spawns=self._spawns)
+                grace_seconds=self.grace_seconds, spawns=self._spawns)
         try:
             payload = slot.solve(
                 cube.literals, attempt, lemmas, limits,
@@ -755,11 +704,11 @@ class _InFlight:
 
 def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
              report: CubeReport, connect: Callable[[Any], list], *,
-             trace, span_fields: Dict[str, Any], options: SolverOptions,
+             trace, span_fields: Dict[str, Any],
              cutter: Optional[CutterOptions], budget: Optional[float],
-             limits: Optional[Limits], certify: str, share_lemmas: bool,
-             max_retries: int, checkpoint_path: Optional[str],
-             checkpoint_every: int, resume_from: Optional[str],
+             limits: Optional[Limits], certify: str, max_retries: int,
+             checkpoint_path: Optional[str], checkpoint_every: int,
+             resume_from: Optional[str],
              steal_after: float = 1.0) -> CubeReport:
     """Cut ``circuit`` and conquer the cubes on the endpoints
     ``connect(tracer)`` returns.
@@ -805,7 +754,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
         start = time.perf_counter()
         deadline = start + budget if budget is not None else None
 
-        # One simulation pass for everyone: cutter scoring + seeding.
+        # One simulation pass: cutter scoring + the driver's phase.
+        options = preset(CUBE_PRESET)
         t0 = time.perf_counter()
         correlations = find_correlations(
             circuit, seed=options.sim_seed, width=options.sim_width,
@@ -820,10 +770,7 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
         # looks ahead on the same engine: an objective the phase refuted
         # makes the cut trivially UNSAT.
         t0 = time.perf_counter()
-        driver = CircuitSolver(circuit, options.replace(
-            backend="kernel", use_jnode=False, implicit_learning=False,
-            explicit_learning=True, certify=False, trace=None,
-            progress=None))
+        driver = CircuitSolver(circuit, options)
         driver.correlations = correlations
         driver.prepare(limits=None if deadline is None else Limits(
             max_seconds=max(0.001, deadline - time.perf_counter())))
@@ -1021,8 +968,7 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
             with cv:
                 # A duplicate's lemmas count too: they hold whoever
                 # answered.
-                new = knowledge.absorb(payload.get("lemmas")) \
-                    if share_lemmas else 0
+                new = knowledge.absorb(payload.get("lemmas"))
                 report.lemmas_shared += new
                 info.lemmas_received += new
                 entry = inflight.get(cube.index)
@@ -1151,15 +1097,14 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                         return
                     cube, attempt = task
                     with cv:
-                        lemmas = knowledge.snapshot() if share_lemmas \
-                            else None
+                        lemmas = knowledge.snapshot()
                         info.dispatched += 1
-                        info.lemmas_sent += len(lemmas or ())
+                        info.lemmas_sent += len(lemmas)
                     if tracer is not None:
                         tracer.emit("cube_start", cube=cube.index,
                                     literals=len(cube.literals),
                                     attempt=attempt, node=info.name,
-                                    lemmas_seeded=len(lemmas or ()))
+                                    lemmas_seeded=len(lemmas))
                     t0 = time.perf_counter()
                     try:
                         payload = endpoint.solve(
@@ -1187,9 +1132,8 @@ def _conquer(circuit: Circuit, objectives: Optional[Sequence[int]],
                 with cv:
                     cv.notify_all()
 
-        conquest = Conquest(circuit, objectives, correlations,
-                            serialize_classes(correlations), driver,
-                            phase_lemmas, stop, remaining, tracer, span_ctx)
+        conquest = Conquest(circuit, objectives, driver, phase_lemmas, stop,
+                            remaining, tracer, span_ctx)
         threads: List[threading.Thread] = []
         try:
             for endpoint in endpoints:

@@ -1,12 +1,7 @@
 """Knowledge sharing between cube workers.
 
-Two kinds of knowledge cross cube boundaries:
-
-* **Correlations** — discovered once by the conquer driver's single
-  random-simulation pass and seeded into every worker, so no worker
-  re-simulates the circuit.  :class:`~repro.sim.correlation.CorrelationSet`
-  is plain data and ships through the pickled
-  :class:`~repro.runtime.worker.WorkerJob` as nested lists.
+Two kinds of clause cross cube boundaries, both over circuit literals
+(``2*node + sign``):
 
 * **Phase lemmas** — the root units and learned binaries of the driver's
   one explicit-learning phase (:func:`repro.cube.conquer.solve_cubes`).
@@ -18,20 +13,14 @@ Two kinds of knowledge cross cube boundaries:
   cubes, injected into cubes that have not started yet.
 
 Soundness contract: a shared lemma must be a consequence of
-``circuit AND objectives`` — never of any cube's literals.  The exports
-below guarantee that:
-
-* csat workers export root-level (decision level 0) trail units and
-  short *learned* clauses.  CDCL learned clauses are derived by
-  resolution over gate/learned antecedents only (assumption decisions
-  have no antecedent, so they can never be resolved on), making every
-  learned clause — and every root-level consequence — valid for the
-  circuit plus whatever was asserted at level 0, independent of the
-  cube's assumption literals.
-* cnf workers export the same from the Tseitin encoding, whose clause
-  set is exactly ``circuit AND objectives`` (objectives are asserted as
-  unit clauses); the flat kernel numbers its variables so that these
-  are circuit literals already.
+``circuit AND objectives`` — never of any cube's literals.  Every cube
+worker runs the flat kernel, which exports root-level (decision level
+0) trail units and short *learned* clauses.  CDCL learned clauses are
+derived by resolution over gate/learned antecedents only (assumption
+decisions have no antecedent, so they can never be resolved on), making
+every learned clause — and every root-level consequence — valid for the
+circuit plus whatever was asserted at level 0, independent of the
+cube's assumption literals.
 
 All cubes in one run share the same objectives, so injection preserves
 both SAT models and UNSAT verdicts within the run.  The lemmas are *not*
@@ -43,10 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..csat.engine import CSatEngine
-from ..sim.correlation import CorrelationSet
 
 #: Cap on pool lemmas carried per cube dispatch — keeps dispatches and
 #: injection time bounded on conflict-heavy runs.  Phase lemmas are not
@@ -84,19 +72,6 @@ def objectives_ok(objectives, num_nodes: int) -> bool:
             for lit in objectives)
 
 
-def classes_ok(classes, num_nodes: int) -> bool:
-    """True when ``classes`` is absent or a list of correlation classes,
-    each a list of ``[node, phase]`` pairs with ``node`` in
-    ``[0, num_nodes)`` and ``phase`` 0 or 1."""
-    return classes is None or isinstance(classes, list) and all(
-        isinstance(cls, list) and all(
-            isinstance(pair, list) and len(pair) == 2
-            and type(pair[0]) is int and 0 <= pair[0] < num_nodes
-            and type(pair[1]) is int and pair[1] in (0, 1)
-            for pair in cls)
-        for cls in classes)
-
-
 def registration_key(circuit, objectives: Sequence[int]) -> str:
     """The key a serve node files a conquest's registration under, and
     the coordinator checks its reply against: the circuit's exact hash
@@ -109,21 +84,6 @@ def registration_key(circuit, objectives: Sequence[int]) -> str:
     h.update(exact_hash(circuit).encode())
     h.update("|{}".format(",".join(map(str, objectives))).encode())
     return h.hexdigest()
-
-
-def serialize_classes(correlations: Optional[CorrelationSet]) \
-        -> Optional[List[List[Tuple[int, int]]]]:
-    """CorrelationSet -> plain nested lists for the worker job pickle."""
-    if correlations is None:
-        return None
-    return [[(int(node), int(phase)) for node, phase in cls]
-            for cls in correlations.classes]
-
-
-def deserialize_classes(classes) -> CorrelationSet:
-    """Rebuild a CorrelationSet a worker can hand to CircuitSolver."""
-    return CorrelationSet(classes=[[(node, phase) for node, phase in cls]
-                                   for cls in classes])
 
 
 class SharedKnowledge:
@@ -162,59 +122,17 @@ class SharedKnowledge:
         return [list(c) for c in self.lemmas[-limit:]]
 
 
-def collect_csat_lemmas(engine: CSatEngine,
-                        limit: Optional[int] = MAX_SHARED_LEMMAS
+def collect_csat_lemmas(engine, limit: Optional[int] = MAX_SHARED_LEMMAS
                         ) -> List[List[int]]:
-    """Shareable knowledge from a finished circuit-engine solve.
+    """Shareable knowledge from a flat-kernel ``KernelEngine``.
 
     Root-level trail units first (highest value: they permanently shrink
-    every other cube's search), then binary learned clauses, at most
-    ``limit`` of them (None: all).  The constant node is skipped — its
-    value is structural, not learned.
-
-    Works for both circuit engines — the legacy :class:`CSatEngine` and
-    the flat kernel's ``KernelEngine`` (same node-literal space).
+    every other cube's search), then recorded binary learned clauses, at
+    most ``limit`` of them (None: all).  The constant node is skipped —
+    its value is structural, not learned.
     """
-    if hasattr(engine, "solver"):  # repro.kernel.circuit.KernelEngine
-        return _collect_flat_lemmas(engine.solver, engine.num_nodes, limit)
-    frame = engine.frame
-    lemmas: List[List[int]] = []
-    for lit in frame.trail:
-        node = lit >> 1
-        if node != 0 and frame.levels[node] == 0:
-            lemmas.append([lit])
-            if len(lemmas) == limit:
-                return lemmas
-    for ci in engine.learnt_idx:
-        clause = engine.clauses[ci]
-        if clause is not None and len(clause) == 2:
-            lemmas.append(list(clause))
-            if len(lemmas) == limit:
-                break
-    return lemmas
-
-
-def collect_cnf_lemmas(solver, num_nodes: int,
-                       limit: Optional[int] = MAX_SHARED_LEMMAS
-                       ) -> List[List[int]]:
-    """Same as :func:`collect_csat_lemmas` for a ``cnf`` worker's
-    :class:`~repro.kernel.cnf.FlatCnfSolver`.
-
-    Its internal variable ``v`` encodes Tseitin variable ``v + 1``, which
-    encodes circuit node ``v`` — so an internal kernel literal *is* the
-    circuit literal.
-    """
-    return _collect_flat_lemmas(solver.solver, num_nodes, limit)
-
-
-def _collect_flat_lemmas(solver, num_nodes: int,
-                         limit: Optional[int]) -> List[List[int]]:
-    """Root trail units + recorded learned binaries of a flat-kernel
-    :class:`~repro.kernel.flat.FlatSolver` over node literals.
-
-    The constant node and variables at or past ``num_nodes`` (if an
-    encoding ever adds helpers) are not exported.
-    """
+    solver = engine.solver
+    num_nodes = engine.num_nodes
     lemmas: List[List[int]] = []
     level = solver.level
     for idx in range(solver.trail_len):

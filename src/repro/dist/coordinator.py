@@ -4,19 +4,19 @@
 :func:`repro.cube.solve_cubes`.  Both run :mod:`repro.cube`'s one cube
 scheduler — one simulation pass, one lookahead cut, hardest-first
 conquest with work stealing, lemma sharing, failed-assumption-core
-pruning, retry with reseed, reassignment and checkpointing — but here
-every endpoint is a serve node (:class:`repro.serve.server.ReproServer`,
-``repro serve``) whose worker threads are its slots.  The cube tree is
-sized by the **total** worker count across nodes, so adding a node
-refines the partition exactly as adding local workers would.
+pruning, retry on a fresh worker, reassignment and checkpointing — but
+here every endpoint is a serve node
+(:class:`repro.serve.server.ReproServer`, ``repro serve``) whose worker
+threads are its slots, each keeping one warm flat-kernel worker.  The
+cube tree is sized by the **total** worker count across nodes, so adding
+a node refines the partition exactly as adding local workers would.
 
 What a remote endpoint adds to the shared loop:
 
 * **Fabric** — each node is probed (``/health``) for its name and worker
-  count before the cut, and the circuit, objectives, correlation
-  classes and the driver's phase lemmas are registered on it after
-  (``/circuit``); the node's warm workers are built from that
-  registration.  The node's key must equal
+  count before the cut, and the circuit, objectives and the driver's
+  phase lemmas are registered on it after (``/circuit``); the node's
+  warm workers are built from that registration.  The node's key must equal
   :func:`~repro.cube.sharing.registration_key` of the coordinator's own
   circuit and objectives: cube literals must mean the same node
   numbering on both sides, under the same objectives.
@@ -45,17 +45,14 @@ from typing import Any, ClassVar, Dict, List, Optional, Sequence
 
 from ..circuit.bench_io import write_bench
 from ..circuit.netlist import Circuit
-from ..csat.options import preset
-from ..cube.conquer import (CUBE_PRESET, Conquest, CubeReport,
-                            EndpointDown, NodeInfo, _conquer,
-                            validate_cube_args)
+from ..cube.conquer import (Conquest, CubeReport, EndpointDown, NodeInfo,
+                            _conquer, validate_cube_args)
 from ..cube.cutter import Cube, CutterOptions
 from ..cube.sharing import registration_key
 from ..errors import SolverError
 from ..obs.metrics import default_registry
 from ..result import Limits, SolverResult, UNKNOWN
 from ..runtime.supervisor import CERTIFY_SAT
-from ..runtime.worker import KIND_CSAT
 from ..serve.client import ServeClient, ServeError
 
 
@@ -121,12 +118,10 @@ class DistReport(CubeReport):
 class _RemoteEndpoint:
     """One serve node: probe, register, dispatch and poll."""
 
-    def __init__(self, client: ServeClient, *, kind: str, preset_name: str,
-                 poll_seconds: float, label: str):
+    def __init__(self, client: ServeClient, *, poll_seconds: float,
+                 label: str):
         self.info = NodeInfo(url=client.url)
         self.client = client
-        self.kind = kind
-        self.preset_name = preset_name
         self.poll_seconds = poll_seconds
         self.label = label
         self.key = ""         # the registration key, once open
@@ -154,7 +149,6 @@ class _RemoteEndpoint:
             reply = self.client.call("POST", "/circuit", body={
                 "circuit": write_bench(conquest.circuit), "format": "bench",
                 "objectives": conquest.objectives,
-                "classes": conquest.classes,
                 "phase_lemmas": conquest.phase_lemmas, "label": self.label})
         except ServeError as exc:
             self.info.alive = False
@@ -189,7 +183,6 @@ class _RemoteEndpoint:
         body: Dict[str, Any] = {
             "key": self.key, "cube": list(cube.literals), "attempt": attempt,
             "idempotency_key": key, "wait": self.poll_seconds,
-            "kind": self.kind, "preset": self.preset_name,
         }
         if limits is not None:
             body["limits"] = {"max_seconds": limits.max_seconds,
@@ -247,16 +240,12 @@ def solve_distributed(circuit: Circuit,
                       objectives: Optional[Sequence[int]] = None,
                       *,
                       nodes: Sequence[str],
-                      kind: str = KIND_CSAT,
-                      preset_name: str = CUBE_PRESET,
                       cutter: Optional[CutterOptions] = None,
                       budget: Optional[float] = None,
                       limits: Optional[Limits] = None,
                       certify: str = CERTIFY_SAT,
-                      share_lemmas: bool = True,
                       steal_after: float = 1.0,
                       max_retries: int = 1,
-                      sim_seed: Optional[int] = None,
                       trace=None,
                       checkpoint_path: Optional[str] = None,
                       checkpoint_every: int = 8,
@@ -267,8 +256,7 @@ def solve_distributed(circuit: Circuit,
                       label: str = "dist") -> DistReport:
     """Cube-and-conquer ``circuit`` across the serve ``nodes`` (URLs).
 
-    ``kind`` and ``preset_name`` ride on every ``/conquer`` dispatch, so
-    they alone pick the engine of every remote worker.
+    Every remote worker runs the flat kernel, as a local one does.
 
     Never raises for node or worker misbehaviour once the fabric is up —
     failed cubes and dead nodes degrade the answer to UNKNOWN at worst
@@ -277,15 +265,11 @@ def solve_distributed(circuit: Circuit,
     :class:`repro.durable.checkpoint.CheckpointError` for a checkpoint
     that does not belong to this instance.
     """
-    validate_cube_args(kind, certify, budget, limits)
-    options = preset(preset_name)
-    if sim_seed is not None:
-        options = options.replace(sim_seed=sim_seed)
+    validate_cube_args(certify, budget, limits)
     endpoints = [_RemoteEndpoint(
         ServeClient.from_url(url, timeout=client_timeout,
                              retries=client_retries),
-        kind=kind, preset_name=preset_name, poll_seconds=poll_seconds,
-        label=label) for url in nodes]
+        poll_seconds=poll_seconds, label=label) for url in nodes]
     if not endpoints:
         raise SolverError("distributed solve needs at least one node URL")
     report = DistReport(result=SolverResult(status=UNKNOWN),
@@ -308,8 +292,7 @@ def solve_distributed(circuit: Circuit,
 
     return _conquer(
         circuit, objectives, report, connect, trace=trace,
-        span_fields={"nodes": len(nodes)}, options=options, cutter=cutter,
-        budget=budget, limits=limits, certify=certify,
-        share_lemmas=share_lemmas, max_retries=max_retries,
+        span_fields={"nodes": len(nodes)}, cutter=cutter, budget=budget,
+        limits=limits, certify=certify, max_retries=max_retries,
         checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
         resume_from=resume_from, steal_after=steal_after)

@@ -8,9 +8,10 @@ hooks — but runs the :class:`~repro.kernel.flat.FlatSolver` underneath.
 DIMACS variable ``v`` maps to internal variable ``v - 1`` (so proof
 logging's ``internal + 1`` convention round-trips exactly).
 
-Who runs which CNF solver: the isolated ``cnf`` workers of
-:mod:`repro.runtime` (cube and dist cubes, serve ``engine=cnf`` jobs,
-the portfolio's ``cnf`` rung) build this class directly.  The legacy
+Who runs which CNF solver: the isolated one-shot ``cnf`` workers of
+:mod:`repro.runtime` (serve ``engine=cnf`` jobs, the portfolio's
+``cnf`` rung) build this class directly; cube workers run the kernel
+preset's circuit engine instead.  The legacy
 ``CnfSolver`` stays the paper's ZChaff baseline, the differential
 oracle's ``cnf`` voter and the default of ``repro solve-cnf``, whose
 ``--backend kernel`` reaches this class through

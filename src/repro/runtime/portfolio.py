@@ -81,9 +81,9 @@ def default_ladder(circuit: Circuit,
     The ``kernel`` preset (:data:`~repro.csat.options.DEFAULT_PRESET`,
     the fastest on every paper row), then the legacy csat presets in
     the paper's quality order, then the ``cnf`` rung (the flat kernel's
-    ``FlatCnfSolver`` on the Tseitin encoding; it shares no hot-path
-    code with the legacy csat rungs), then brute-force enumeration and
-    BDDs for tiny cones.
+    ``FlatCnfSolver`` on the Tseitin encoding: the same ``FlatSolver``
+    as the ``kernel`` rung, without the explicit phase), then
+    brute-force enumeration and BDDs for tiny cones.
     """
     ladder = [
         EngineSpec(DEFAULT_PRESET, KIND_CSAT, DEFAULT_PRESET),
@@ -169,8 +169,7 @@ def solve_portfolio(circuit: Circuit,
                     max_retries: int = 1,
                     certify: str = CERTIFY_SAT,
                     faults: Optional[FaultPlan] = None,
-                    tracer=None,
-                    start_method: Optional[str] = None) -> PortfolioReport:
+                    tracer=None) -> PortfolioReport:
     """Solve one circuit with a fault-tolerant engine portfolio.
 
     ``workers`` > 1 races that many configs concurrently; 1 walks the
@@ -226,8 +225,7 @@ def solve_portfolio(circuit: Circuit,
                        certify == CERTIFY_FULL, faults.fault_for(spawn_index))
         handle = spawn_worker(job, wall_seconds=wall,
                               grace_seconds=grace_seconds,
-                              index=spawn_index, tracer=tracer,
-                              start_method=start_method)
+                              index=spawn_index, tracer=tracer)
         handle.spec = spec
         handle.attempt = attempt
         active.append(handle)

@@ -56,12 +56,11 @@ CERTIFY_FULL = "full"    # also replay UNSAT DRUP proofs (workers collect one)
 CERTIFY_LEVELS = (CERTIFY_OFF, CERTIFY_SAT, CERTIFY_FULL)
 
 
-def _context(start_method: Optional[str] = None):
+def _context():
     """Fork when available (fast, no job pickling); spawn otherwise."""
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 @dataclass
@@ -482,7 +481,6 @@ def spawn_worker(job: WorkerJob,
                  grace_seconds: float = 1.0,
                  index: int = 0,
                  tracer=None,
-                 start_method: Optional[str] = None,
                  warm: bool = False) -> WorkerHandle:
     """Start one isolated worker; returns immediately with its handle.
 
@@ -525,7 +523,7 @@ def spawn_worker(job: WorkerJob,
         # inherit it instead of each importing (and, without a bytecode
         # cache, compiling) it again, which costs about a cube's search.
         from .. import kernel  # noqa: F401
-    ctx = _context(start_method)
+    ctx = _context()
     with _SPAWN_LOCK:
         parent_conn, child_conn = ctx.Pipe(duplex=warm)
         proc = ctx.Process(target=run_worker, args=(child_conn, job, warm),
@@ -556,8 +554,7 @@ def run_supervised(job: WorkerJob,
                    wall_seconds: Optional[float] = None,
                    grace_seconds: float = 1.0,
                    certify: str = CERTIFY_SAT,
-                   tracer=None,
-                   start_method: Optional[str] = None) -> WorkerOutcome:
+                   tracer=None) -> WorkerOutcome:
     """Run one job to completion under supervision (blocking).
 
     Never raises for worker misbehaviour — inspect ``outcome.failure``.
@@ -576,8 +573,7 @@ def run_supervised(job: WorkerJob,
         fields.update(name="supervise", engine=job.name)
         tracer.emit("span_start", **fields)
     handle = spawn_worker(job, wall_seconds=wall_seconds,
-                          grace_seconds=grace_seconds, tracer=tracer,
-                          start_method=start_method)
+                          grace_seconds=grace_seconds, tracer=tracer)
     while True:
         now = time.perf_counter()
         if handle.expired(now):

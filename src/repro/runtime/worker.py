@@ -68,17 +68,15 @@ class WorkerJob:
     ``preset_name`` (``"kernel"`` selects the flat kernel), ``cnf`` runs
     the flat kernel's :class:`~repro.kernel.cnf.FlatCnfSolver` on the
     Tseitin encoding, ``brute`` and ``bdd`` are the exhaustive engines
-    for tiny cones.  ``options`` (a
-    :class:`~repro.csat.options.SolverOptions`) takes precedence over
-    ``preset_name``; observability callables must not be attached to it
-    (they cannot cross the process boundary).
+    for tiny cones.  ``overrides`` adjust the preset's
+    :class:`~repro.csat.options.SolverOptions` (plain values only:
+    they cross the process boundary).
     """
 
     circuit: Circuit
     name: str = "explicit"            # display name for events/provenance
     kind: str = KIND_CSAT
     preset_name: str = "explicit"
-    options: Optional[Any] = None     # SolverOptions, or None for preset
     overrides: Dict[str, Any] = field(default_factory=dict)
     objectives: Optional[List[int]] = None
     limits: Optional[Limits] = None   # cooperative (soft) budget
@@ -91,15 +89,13 @@ class WorkerJob:
     #: required true alongside the objectives — how a cube reaches its
     #: worker.  Supported for csat and cnf kinds only.
     assumptions: Optional[List[int]] = None
-    #: Correlation classes discovered once by the cube driver (nested
-    #: ``[[(node, phase), ...], ...]`` lists): the worker seeds its
-    #: solver with them instead of re-running random simulation.
-    seed_classes: Optional[List[List[Tuple[int, int]]]] = None
     #: Shared lemmas (clauses of circuit literals, proven by finished
     #: cubes) injected into the engine at decision level 0.
     seed_lemmas: Optional[List[List[int]]] = None
     #: Ship root-level units + binary learned clauses back in the payload
-    #: (``"lemmas"`` key) for injection into not-yet-started cubes.
+    #: (``"lemmas"`` key) for injection into not-yet-started cubes.  Only
+    #: cube jobs (:func:`repro.cube.conquer.cube_job`, a flat-kernel
+    #: csat job) set it.
     export_lemmas: bool = False
     #: File this worker flushes its lemma pool to when it is about to die
     #: (SIGTERM from the watchdog, MemoryError) — the payload channel is
@@ -331,18 +327,10 @@ class JobEngine:
         if job.kind == KIND_CSAT:
             from ..core.solver import CircuitSolver
             from ..csat.options import preset
-            if job.options is not None:
-                options = (job.options.replace(**job.overrides)
-                           if job.overrides else job.options)
-            else:
-                options = preset(job.preset_name, **job.overrides)
+            options = preset(job.preset_name, **job.overrides)
             if tracer is not None:
                 options = options.replace(trace=tracer)
             solver = CircuitSolver(circuit, options, proof=self.proof)
-            if job.seed_classes is not None:
-                from ..cube.sharing import deserialize_classes
-                # Pre-seeding skips the worker's own simulation pass.
-                solver.correlations = deserialize_classes(job.seed_classes)
         elif job.kind == KIND_CNF:
             from ..circuit.cnf_convert import tseitin
             from ..kernel.cnf import FlatCnfSolver
@@ -372,16 +360,11 @@ class JobEngine:
                                         for l in clause])
 
     def lemmas(self) -> List[List[int]]:
-        """Root units + learned binaries, shareable with sibling cubes:
-        the ones this engine has neither given out nor been given, at
-        most ``MAX_SHARED_LEMMAS`` of them, units first."""
-        from ..cube.sharing import (MAX_SHARED_LEMMAS, collect_cnf_lemmas,
-                                    collect_csat_lemmas)
-        if self.job.kind == KIND_CSAT:
-            known = collect_csat_lemmas(self.solver.engine, limit=None)
-        else:
-            known = collect_cnf_lemmas(self.solver,
-                                       self.job.circuit.num_nodes, limit=None)
+        """Root units + learned binaries of a cube engine, shareable with
+        sibling cubes: the ones this engine has neither given out nor
+        been given, at most ``MAX_SHARED_LEMMAS`` of them, units first."""
+        from ..cube.sharing import MAX_SHARED_LEMMAS, collect_csat_lemmas
+        known = collect_csat_lemmas(self.solver.engine, limit=None)
         new = []
         for clause in known:
             key = frozenset(clause)

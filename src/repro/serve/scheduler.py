@@ -23,8 +23,8 @@ request's class is its kind, and owns the steps where the kinds differ
   a coordinator's conquest (:func:`repro.dist.solve_distributed`),
   solved as an assumption call against a :class:`Registration`
   (``POST /circuit``).  Each worker thread keeps at most one warm
-  :class:`~repro.cube.conquer.CubeSlot`, bound to a registration, engine
-  kind and preset: replaced when the thread's next cube names another,
+  :class:`~repro.cube.conquer.CubeSlot` (a flat-kernel worker), bound to
+  a registration: replaced when the thread's next cube names another,
   closed when that registration is evicted or the scheduler stops, and
   left idle through the solve jobs the thread runs in between.  A cube
   answer holds only for its registration and literals, so a cube job
@@ -69,9 +69,9 @@ from typing import (Any, Callable, ClassVar, Deque, Dict, List, Optional,
 
 from ..circuit.netlist import Circuit
 from ..csat.options import DEFAULT_PRESET, preset
-from ..cube.conquer import CUBE_PRESET, CubeSlot, cube_job
-from ..cube.sharing import (classes_ok, lemmas_ok, literals_ok,
-                            objectives_ok, registration_key)
+from ..cube.conquer import CubeSlot, cube_job
+from ..cube.sharing import (lemmas_ok, literals_ok, objectives_ok,
+                            registration_key)
 from ..errors import SolverError
 from ..result import Limits, SAT, UNKNOWN, UNSAT
 from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
@@ -139,8 +139,6 @@ _BAD_PHASE_LEMMAS = ("'phase_lemmas' must be a list of non-empty clauses "
                      "of the circuit's literals")
 _BAD_OBJECTIVES = ("'objectives' must be a non-empty list of the "
                    "circuit's literals")
-_BAD_CLASSES = ("'classes' must be a list of lists of [node, phase] "
-                "pairs of the circuit")
 
 
 def input_assignment(circuit: Circuit,
@@ -371,18 +369,16 @@ class Registration:
     """One circuit and objectives a coordinator registered (``POST
     /circuit``), filed under :func:`~repro.cube.sharing.registration_key`.
 
-    ``classes`` are the conquest's serialized correlation classes and
-    ``phase_lemmas`` the clauses its driver's explicit phase proved;
-    every warm worker built for the registration holds both.  ``jobs``
+    ``phase_lemmas`` are the clauses its driver's explicit phase proved,
+    which every warm worker built for the registration holds.  ``jobs``
     are its cube jobs, dropped from the job table with it.
     """
 
     def __init__(self, key: str, circuit: Circuit, objectives: List[int],
-                 classes, phase_lemmas, label: str):
+                 phase_lemmas, label: str):
         self.key = key
         self.circuit = circuit
         self.objectives = objectives
-        self.classes = classes
         self.phase_lemmas = phase_lemmas
         self.label = label
         self.jobs: List["Job"] = []
@@ -395,9 +391,8 @@ class CubeRequest:
     kind's steps.
 
     The cube is solved as an assumption call on the worker thread's warm
-    worker for its registration, ``kind`` and ``preset`` (the engine the
-    coordinator picked), seeded with ``lemmas`` beyond the registration's
-    phase lemmas.  ``trace_id`` and ``parent_span`` name the
+    worker for its registration, seeded with ``lemmas`` beyond the
+    registration's phase lemmas.  ``trace_id`` and ``parent_span`` name the
     coordinator's dispatch span, under which a traced job's span opens.
     """
 
@@ -405,8 +400,6 @@ class CubeRequest:
     cube: List[int]
     attempt: int = 0
     lemmas: Optional[List[List[int]]] = None
-    kind: str = KIND_CSAT
-    preset: str = CUBE_PRESET
     limits: Optional[Limits] = None
     idempotency_key: Optional[str] = None
     trace_id: Optional[str] = None
@@ -436,16 +429,11 @@ class CubeRequest:
             raise sched._reject(REJECT_BAD_REQUEST, _BAD_CUBE)
         if not lemmas_ok(self.lemmas, num_nodes):
             raise sched._reject(REJECT_BAD_REQUEST, _BAD_LEMMAS)
-        if self.kind not in (KIND_CSAT, KIND_CNF):
-            raise sched._reject(REJECT_BAD_REQUEST,
-                                "cube workers solve csat or cnf cubes, not "
-                                "{!r}".format(self.kind))
-        try:
-            preset(self.preset)
-            if self.limits is not None:
+        if self.limits is not None:
+            try:
                 self.limits.validate()
-        except SolverError as exc:
-            raise sched._reject(REJECT_BAD_REQUEST, str(exc))
+            except SolverError as exc:
+                raise sched._reject(REJECT_BAD_REQUEST, str(exc))
         return (self.engine, self.registration.key, tuple(self.cube))
 
     def admit(self, sched: "SolveScheduler", job: "Job") -> None:
@@ -471,24 +459,21 @@ class CubeRequest:
     def run(self, sched: "SolveScheduler", job: "Job", tracer,
             seat: "_Seat") -> Dict[str, Any]:
         """Solve the cube on the thread's warm worker for this
-        registration and engine, spawned at its first cube."""
+        registration, spawned at its first cube."""
         reg = self.registration
         # The job table outlives the solve; the seeds need not.
         seeds, self.lemmas = self.lemmas, None
 
         def warm_slot() -> CubeSlot:
             return CubeSlot(
-                cube_job(reg.circuit, reg.objectives, name="cube",
-                         kind=self.kind, preset_name=self.preset,
-                         options=None, classes=reg.classes,
+                cube_job(reg.circuit, reg.objectives,
                          phase_lemmas=reg.phase_lemmas,
-                         mem_limit_mb=sched.mem_limit_mb,
-                         export_lemmas=True),
+                         mem_limit_mb=sched.mem_limit_mb),
                 certify=sched.certify, grace_seconds=sched.grace_seconds,
-                start_method=None, spawns=sched._next_spawn)
+                spawns=sched._next_spawn)
 
         try:
-            slot = seat.slot_for((reg, self.kind, self.preset), warm_slot)
+            slot = seat.slot_for(reg, warm_slot)
             return slot.solve(
                 self.cube, self.attempt, seeds, self.limits, fault=None,
                 tracer=tracer,
@@ -524,30 +509,30 @@ class CubeRequest:
 
 class _Seat:
     """One worker thread's warm cube worker: at most one
-    :class:`~repro.cube.conquer.CubeSlot`, bound to a registration, an
-    engine kind and a preset."""
+    :class:`~repro.cube.conquer.CubeSlot`, bound to a registration."""
 
     def __init__(self, tracer):
         self.tracer = tracer
         self.slot: Optional[CubeSlot] = None
-        self.binding: Optional[Tuple] = None
+        self.registration: Optional[Registration] = None
 
-    def slot_for(self, binding: Tuple,
+    def slot_for(self, registration: Registration,
                  make: Callable[[], CubeSlot]) -> CubeSlot:
-        """The slot bound to ``binding``, closing one bound to another."""
-        if binding != self.binding:
+        """The slot bound to ``registration``, closing one bound to
+        another."""
+        if registration is not self.registration:
             self.close()
-            self.slot, self.binding = make(), binding
+            self.slot, self.registration = make(), registration
         return self.slot
 
     @property
     def stale(self) -> bool:
         """Bound to a registration the scheduler has evicted."""
-        return self.binding is not None and self.binding[0].evicted
+        return self.registration is not None and self.registration.evicted
 
     def close(self) -> None:
         if self.slot is not None:
-            slot, self.slot, self.binding = self.slot, None, None
+            slot, self.slot, self.registration = self.slot, None, None
             slot.close(self.tracer)
 
 
@@ -859,18 +844,17 @@ class SolveScheduler:
     # ------------------------------------------------------------------
 
     def register(self, circuit: Circuit, objectives: Optional[List[int]],
-                 classes, phase_lemmas, label: str) -> Registration:
+                 phase_lemmas, label: str) -> Registration:
         """File a conquest's circuit and objectives (``POST /circuit``);
         idempotent on :func:`~repro.cube.sharing.registration_key`.
 
         ``objectives`` default to the circuit's outputs.  Raises
-        :class:`AdmissionError` when ``objectives``, ``classes`` or
-        ``phase_lemmas`` do not name the circuit's literals and nodes.
+        :class:`AdmissionError` when ``objectives`` or ``phase_lemmas``
+        do not name the circuit's literals.
         """
         num_nodes = circuit.num_nodes
         for ok, message in (
                 (objectives_ok(objectives, num_nodes), _BAD_OBJECTIVES),
-                (classes_ok(classes, num_nodes), _BAD_CLASSES),
                 (lemmas_ok(phase_lemmas, num_nodes), _BAD_PHASE_LEMMAS)):
             if not ok:
                 raise self._reject(REJECT_BAD_REQUEST, message)
@@ -885,11 +869,10 @@ class SolveScheduler:
             reg = self._registrations.get(key)
             if reg is None:
                 reg = self._registrations[key] = Registration(
-                    key, circuit, objs, classes, phase_lemmas, label)
+                    key, circuit, objs, phase_lemmas, label)
                 self._evict(reg)
             else:
                 self._registrations.move_to_end(key)
-                reg.classes = reg.classes or classes
                 reg.phase_lemmas = reg.phase_lemmas or phase_lemmas
         return reg
 

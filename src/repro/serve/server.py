@@ -36,13 +36,13 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
     known key returns that key's job.
 ``POST /circuit``
     Register a conquest once: ``{"circuit": <text>, "objectives": [...],
-    "classes": [...], "phase_lemmas": [...]}``.  Responds ``{"key":
-    <registration key>}``; every later ``/conquer`` references the key,
-    so cube dispatches stay tiny.  ``objectives`` (the circuit's outputs
-    when absent), ``classes`` (correlation classes of ``[node, phase]``
-    pairs) and ``phase_lemmas`` (the clauses the coordinator's explicit
-    phase proved, which every warm worker of the registration holds) are
-    checked against the parsed circuit before anything is registered.
+    "phase_lemmas": [...]}``.  Responds ``{"key": <registration key>}``;
+    every later ``/conquer`` references the key, so cube dispatches stay
+    tiny.  ``objectives`` (the circuit's outputs when absent) and
+    ``phase_lemmas`` (the clauses the coordinator's explicit phase
+    proved, which every warm worker of the registration holds) are
+    checked against the parsed circuit before anything is registered;
+    other fields (an older coordinator's ``classes``) are ignored.
     The key (:func:`~repro.cube.sharing.registration_key`) covers the
     **exact** structural hash (node numbering included) and the
     objectives; the coordinator compares it against its own.  The node
@@ -53,9 +53,9 @@ distributed conquest (``/circuit`` + ``/conquer``, the coordinator being
 ``POST /conquer``
     Solve one cube: ``{"key": ..., "cube": [literals], "attempt": n,
     "idempotency_key": ..., "limits": {...}, "lemmas": [...],
-    "kind": ..., "preset": ..., "wait": seconds}``.  ``kind`` and
-    ``preset`` pick the worker's engine (default ``csat`` and
-    :data:`~repro.cube.conquer.CUBE_PRESET`); ``lemmas`` seed the worker
+    "wait": seconds}`` on a warm flat-kernel worker
+    (:data:`~repro.cube.conquer.CUBE_PRESET`; an older coordinator's
+    ``kind`` and ``preset`` are ignored); ``lemmas`` seed the worker
     beyond the registration's phase lemmas.  Cube literals and lemma
     batches are checked against the registration (400 otherwise), and
     an unknown or evicted key is ``unknown-circuit``, on which the
@@ -93,12 +93,10 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__
 from ..circuit.source import read_circuit_text
 from ..csat.options import DEFAULT_PRESET
-from ..cube.conquer import CUBE_PRESET
 from ..durable.journal import Journal, ReplayState
 from ..errors import CircuitError, ParseError, ReproError, SolverError
 from ..obs.metrics import default_registry, enable_metrics
 from ..result import Limits, SAT, UNSAT
-from ..runtime.worker import KIND_CSAT
 from .cache import AnswerCache
 from .fingerprint import fingerprint
 from .scheduler import (AdmissionError, CubeRequest, JobRequest,
@@ -546,8 +544,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
             circuit = read_circuit_text(str(text), name=label,
                                         fmt=body.get("format"))
             reg = self.service.scheduler.register(
-                circuit, body.get("objectives"), body.get("classes"),
-                body.get("phase_lemmas"), label)
+                circuit, body.get("objectives"), body.get("phase_lemmas"),
+                label)
         except AdmissionError as exc:
             self._send_json(exc.status, {"error": exc.as_dict()})
             return
@@ -581,9 +579,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         key = body.get("idempotency_key")
         request = CubeRequest(
             registration=reg, cube=body.get("cube"), attempt=attempt,
-            lemmas=body.get("lemmas"),
-            kind=str(body.get("kind") or KIND_CSAT),
-            preset=str(body.get("preset") or CUBE_PRESET), limits=limits,
+            lemmas=body.get("lemmas"), limits=limits,
             idempotency_key=str(key)[:200] if key else None,
             trace_id=body.get("trace_id"),
             parent_span=body.get("parent_span"))

@@ -93,22 +93,22 @@ class TestSolveModes:
 
     def test_local_cubes_run_the_cube_preset(self, bench_file,
                                              monkeypatch):
-        from repro.cube.conquer import CUBE_PRESET, CubeReport
+        # The cube preset is the library's: the CLI names no engine.
+        from repro.cube.conquer import CubeReport
         seen = self._spy(monkeypatch, "repro.cube.solve_cubes",
                          CubeReport(result=self._unknown()))
         assert main(["solve", bench_file, "--workers", "3"]) == 0
-        assert (seen[0]["workers"], seen[0]["preset_name"]) == \
-            (3, CUBE_PRESET)
+        assert seen[0]["workers"] == 3
+        assert not {"kind", "preset_name", "options"} & set(seen[0])
 
     def test_nodes_run_the_cube_preset(self, bench_file, monkeypatch):
-        from repro.cube.conquer import CUBE_PRESET
         from repro.dist.coordinator import DistReport
         seen = self._spy(monkeypatch, "repro.dist.solve_distributed",
                          DistReport(result=self._unknown()))
         assert main(["solve", bench_file, "--nodes",
                      "http://a:8590, http://b:8590"]) == 0
         assert seen[0]["nodes"] == ["http://a:8590", "http://b:8590"]
-        assert seen[0]["preset_name"] == CUBE_PRESET
+        assert not {"kind", "preset_name"} & set(seen[0])
 
     def test_spawn_local_workers_are_per_node(self, bench_file,
                                               monkeypatch):
@@ -129,9 +129,9 @@ class TestSolveModes:
         seen = self._spy(monkeypatch, "repro.dist.solve_distributed",
                          DistReport(result=self._unknown()))
         assert main(["solve", bench_file, "--spawn-local", "2",
-                     "--workers", "3", "--preset", "kernel"]) == 0
+                     "--workers", "3"]) == 0
         assert launched == [(2, {"workers": 3})]
-        assert seen[0]["preset_name"] == "kernel"
+        assert seen[0]["nodes"] == [FakeNode.url]
         assert FakeNode.stopped
 
     @pytest.mark.parametrize("flags", [
@@ -148,10 +148,17 @@ class TestSolveModes:
         ["--grace", "2"], ["--ladder", "cnf"], ["--max-cubes", "4"],
         ["--workers", "2", "--model"], ["--workers", "2", "--proof", "p"],
         ["--portfolio", "--preset", "kernel"], ["--portfolio", "--progress"],
-        ["--portfolio", "--engine", "cnf"],
         ["--nodes", "http://a:1", "--workers", "2"],
         ["--nodes", "http://a:1", "--mem-limit", "64"],
-        ["--spawn-local", "1", "--inject-faults", "crash@0"]])
+        ["--spawn-local", "1", "--inject-faults", "crash@0"],
+        # Every cube worker runs the flat kernel: no preset to pick.
+        ["--workers", "2", "--preset", "kernel"],
+        ["--nodes", "http://a:1", "--preset", "implicit"],
+        # --workers 0 solves its cubes in process: no worker to cap,
+        # give a grace period or fault.
+        ["--workers", "0", "--mem-limit", "1"],
+        ["--workers", "0", "--grace", "0.1"],
+        ["--workers", "0", "--inject-faults", "crash@*"]])
     def test_flag_outside_its_mode_exits_2(self, bench_file, flags,
                                            capsys):
         assert main(["solve", bench_file] + flags) == 2

@@ -3,13 +3,12 @@
 import pytest
 
 from repro import (Circuit, CircuitSolver, CnfSolver, Limits, SAT, UNKNOWN,
-                   UNSAT, miter)
+                   UNSAT, miter, preset)
 from repro.cnf.formula import CnfFormula
 from repro.cube import (CubeOutcome, CubeReport, CutterOptions, PRUNED,
                         SharedKnowledge, collect_csat_lemmas,
-                        core_cube_literals, deserialize_classes,
-                        generate_cubes, inject_csat_lemmas, prunes,
-                        serialize_classes, solve_cubes)
+                        core_cube_literals, generate_cubes,
+                        inject_csat_lemmas, prunes, solve_cubes)
 from repro.gen.arith import array_multiplier, csa_multiplier
 from repro.obs.trace import Tracer
 from repro.runtime import FaultPlan
@@ -21,6 +20,16 @@ from conftest import build_random_circuit
 
 def small_miter(width: int = 3) -> Circuit:
     return miter(array_multiplier(width), csa_multiplier(width))
+
+
+def sat_circuit() -> Circuit:
+    """The first satisfiable 8-input random circuit of a fixed seed run."""
+    for seed in range(20):
+        circuit = build_random_circuit(seed, num_inputs=8, num_gates=50,
+                                       num_outputs=1)
+        if CircuitSolver(circuit).solve().status == SAT:
+            return circuit
+    pytest.skip("no SAT instance found")
 
 
 def lit_true(lit: int, vals) -> bool:
@@ -136,15 +145,6 @@ def test_core_prunes_helpers():
 # Knowledge sharing
 # ----------------------------------------------------------------------
 
-def test_correlation_classes_roundtrip():
-    from repro import find_correlations
-    circuit = small_miter(3)
-    correlations = find_correlations(circuit, seed=1)
-    classes = serialize_classes(correlations)
-    rebuilt = deserialize_classes(classes)
-    assert rebuilt.classes == correlations.classes
-
-
 def test_shared_knowledge_dedups():
     bus = SharedKnowledge()
     assert bus.absorb([[2], [4, 7]]) == 2
@@ -155,8 +155,10 @@ def test_shared_knowledge_dedups():
 
 
 def test_lemma_roundtrip_preserves_answer():
+    # A kernel donor, as every cube engine is, and a legacy receiver, as
+    # a serve csat job on a legacy preset is when it takes prepass seeds.
     circuit = small_miter(3)
-    donor = CircuitSolver(circuit)
+    donor = CircuitSolver(circuit, preset("kernel"))
     assert donor.solve().status == UNSAT
     lemmas = collect_csat_lemmas(donor.engine)
     assert lemmas  # a real refutation learns something shareable
@@ -171,7 +173,7 @@ def test_lemma_roundtrip_preserves_answer():
     sat_circuit = build_random_circuit(3, num_inputs=6, num_gates=30)
     plain = CircuitSolver(sat_circuit).solve()
     if plain.status == SAT:
-        donor2 = CircuitSolver(sat_circuit)
+        donor2 = CircuitSolver(sat_circuit, preset("kernel"))
         donor2.solve()
         receiver2 = CircuitSolver(sat_circuit)
         inject_csat_lemmas(receiver2.engine, collect_csat_lemmas(donor2.engine))
@@ -246,13 +248,7 @@ def test_workers_unsat_with_lemma_sharing():
 
 
 def test_workers_sat_early_cancel():
-    for seed in range(20):
-        circuit = build_random_circuit(seed, num_inputs=8, num_gates=50,
-                                       num_outputs=1)
-        if CircuitSolver(circuit).solve().status == SAT:
-            break
-    else:
-        pytest.skip("no SAT instance found")
+    circuit = sat_circuit()
     report = solve_cubes(circuit, workers=2,
                          cutter=CutterOptions(max_cubes=6), budget=60)
     assert report.result.status == SAT
@@ -265,14 +261,12 @@ def test_workers_sat_early_cancel():
 
 @pytest.mark.parametrize("expected", [SAT, UNSAT])
 def test_cnf_workers_answer_and_share_circuit_literals(tmp_path, expected):
+    """Cube workers answer, and export clauses of circuit literals only:
+    the flat kernel numbers its variables as the circuit's nodes."""
     from repro.durable.checkpoint import load_checkpoint
-    circuit = small_miter(4)
-    if expected == SAT:
-        circuit = next(c for c in (build_random_circuit(
-            seed, num_inputs=8, num_gates=50, num_outputs=1)
-            for seed in range(20)) if CircuitSolver(c).solve().status == SAT)
-    path = str(tmp_path / "cnf.ckpt")
-    report = solve_cubes(circuit, workers=2, kind="cnf",
+    circuit = sat_circuit() if expected == SAT else small_miter(4)
+    path = str(tmp_path / "cubes.ckpt")
+    report = solve_cubes(circuit, workers=2,
                          cutter=CutterOptions(max_cubes=6), budget=60,
                          checkpoint_path=path, checkpoint_every=1)
     assert report.result.status == expected
@@ -285,6 +279,42 @@ def test_cnf_workers_answer_and_share_circuit_literals(tmp_path, expected):
                               for lit in clause) for clause in lemmas)
     if expected == UNSAT:
         assert lemmas
+
+
+@pytest.mark.parametrize("path", ["in-process", "workers", "node"])
+def test_a_conquest_builds_no_legacy_engine(monkeypatch, path):
+    """Every cube runs on the flat kernel: with the legacy engine's
+    constructor made to raise (forked workers inherit the patch), each
+    cube path still answers an UNSAT miter and a SAT random circuit
+    without a failure."""
+    from repro.csat.engine import CSatEngine
+    from repro.dist import solve_distributed
+    from repro.serve.server import ReproServer
+    sat = sat_circuit()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a conquest built a legacy engine")
+
+    monkeypatch.setattr(CSatEngine, "__init__", refuse)
+    node = ReproServer(port=0, workers=2).start() if path == "node" \
+        else None
+    try:
+        for circuit, expected in ((small_miter(4), UNSAT), (sat, SAT)):
+            if node is not None:
+                report = solve_distributed(
+                    circuit, nodes=[node.address], budget=60,
+                    cutter=CutterOptions(max_cubes=6), poll_seconds=1.0)
+            else:
+                report = solve_cubes(
+                    circuit, workers=2 if path == "workers" else 0,
+                    cutter=CutterOptions(max_cubes=6), budget=60)
+            assert report.result.status == expected
+            assert not report.result.failures
+            if expected == UNSAT:
+                assert report.solved  # cubes reached the endpoint
+    finally:
+        if node is not None:
+            node.stop(drain=False)
 
 
 def test_workers_fault_injection_failover():
@@ -410,11 +440,9 @@ def test_slot_replaces_a_worker_that_died_idle():
     circuit = small_miter(4)
     cubes = generate_cubes(circuit, options=CutterOptions(max_cubes=4)).cubes
     spawns = iter(range(10))
-    slot = CubeSlot(cube_job(circuit, circuit.outputs, name="cube",
-                             kind="csat", preset_name="kernel", options=None,
-                             classes=None, phase_lemmas=None,
-                             mem_limit_mb=None, export_lemmas=True),
-                    certify="sat", grace_seconds=1.0, start_method=None,
+    slot = CubeSlot(cube_job(circuit, circuit.outputs, phase_lemmas=None,
+                             mem_limit_mb=None),
+                    certify="sat", grace_seconds=1.0,
                     spawns=lambda: next(spawns))
     answers = []
     try:

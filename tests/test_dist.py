@@ -217,10 +217,8 @@ class TestConquerNode:
         assert snap["result"]["status"] in (SAT, UNSAT)
 
     @pytest.mark.parametrize("field", [
-        {"cube": [10 ** 9]}, {"cube": [0]}, {"cube": ["2"]}, {"cube": 2},
-        {"kind": "brute"}, {"preset": "not-a-preset"}], ids=[
-        "out-of-range", "constant-node", "non-int", "not-a-list",
-        "unknown-kind", "unknown-preset"])
+        {"cube": [10 ** 9]}, {"cube": [0]}, {"cube": ["2"]}, {"cube": 2}],
+        ids=["out-of-range", "constant-node", "non-int", "not-a-list"])
     def test_bad_cube_or_engine_is_a_400(self, node, field):
         client = client_for(node)
         key = register(client, small_miter(3))["key"]
@@ -233,13 +231,10 @@ class TestConquerNode:
     @pytest.mark.parametrize("field", [
         {"objectives": ["x"]}, {"objectives": [5.7]},
         {"objectives": [10 ** 6]}, {"objectives": []},
-        {"classes": [[[10 ** 6, 0], [5, 1]]]}, {"classes": [["x"]]},
-        {"classes": [[[5, 2]]]}, {"classes": "garbage"},
         {"phase_lemmas": [[10 ** 6]]}, {"phase_lemmas": [[]]},
         {"phase_lemmas": "x"}], ids=[
         "objective-string", "objective-float", "objective-out-of-range",
-        "objectives-empty", "class-node-out-of-range", "class-not-pairs",
-        "class-bad-phase", "classes-not-a-list", "phase-lemma-out-of-range",
+        "objectives-empty", "phase-lemma-out-of-range",
         "phase-lemma-empty", "phase-lemmas-not-a-list"])
     def test_bad_objectives_or_classes_are_a_400(self, node, field):
         client = client_for(node)
@@ -250,27 +245,28 @@ class TestConquerNode:
 
     def test_constant_objective_registers(self, node):
         # An output may be a constant literal, which no cube may name.
-        reply = register(client_for(node), small_miter(3), objectives=[1],
-                         classes=None)
+        reply = register(client_for(node), small_miter(3), objectives=[1])
         assert reply["objectives"] == [1]
 
     def test_engine_rides_on_the_dispatch(self, node):
+        """An older coordinator's engine fields still ride on its
+        requests: correlation classes on ``/circuit``, ``kind`` and
+        ``preset`` on ``/conquer``.  The node accepts and ignores them,
+        and answers the cube on its one engine."""
         circuit = small_miter(3)
         client = client_for(node)
-        key = register(client, circuit)["key"]
-        # The node holds no engine setting: /status names none, and each
-        # dispatch runs the engine its body names.
+        key = register(client, circuit,
+                       classes=[[[5, 0], [7, 1]]])["key"]
+        assert key == registration_key(circuit, circuit.outputs)
         assert not {"kind", "preset", "backend"} & set(
             scheduler_status(client))
         cube = generate_cubes(circuit,
                               options=CutterOptions(max_cubes=4)).cubes[0]
-        for kind, preset_name in (("cnf", None), ("csat", "kernel")):
-            body = {"key": key, "cube": list(cube.literals), "wait": 60,
-                    "kind": kind}
-            if preset_name:
-                body["preset"] = preset_name
-            snap = client.call("POST", "/conquer", body=body)
-            assert snap["result"]["status"] in (SAT, UNSAT)
+        snap = client.call("POST", "/conquer", body={
+            "key": key, "cube": list(cube.literals), "wait": 60,
+            "kind": "cnf", "preset": "implicit"})
+        assert snap["state"] == "DONE"
+        assert snap["result"]["status"] in (SAT, UNSAT)
 
     def test_rejects_full_certification(self, monkeypatch):
         # A server certifying UNSAT proofs refuses cubes (a cube
@@ -501,11 +497,11 @@ class TestWarmNode:
             while blocker.started is None and time.monotonic() < deadline:
                 time.sleep(0.01)
             for pad in range(MAX_REGISTRATIONS):
-                busy = sched.register(padded_miter(pad), None, None, None,
+                busy = sched.register(padded_miter(pad), None, None,
                                       "busy")
                 sched.submit(CubeRequest(registration=busy, cube=[]))
             fresh = sched.register(padded_miter(MAX_REGISTRATIONS), None,
-                                   None, None, "fresh")
+                                   None, "fresh")
             assert not fresh.evicted
             assert sched.registration(fresh.key) is fresh
             cube = sched.submit(CubeRequest(registration=fresh, cube=[]))
@@ -700,10 +696,11 @@ class TestCli:
 
 class TestKernelBackend:
     def test_cnf_kernel_cubes_through_a_node(self):
+        """A node's cube workers run the flat kernel, as local ones do."""
         node = ReproServer(port=0, workers=1).start()
         try:
             report = solve_distributed(
-                small_miter(3), nodes=[node.address], kind="cnf",
+                small_miter(3), nodes=[node.address],
                 cutter=CutterOptions(max_cubes=4), budget=60,
                 poll_seconds=1.0)
         finally:

@@ -815,13 +815,16 @@ class TestCubeResume:
 # ----------------------------------------------------------------------
 
 class TestLemmaSalvage:
-    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    """A lemma-exporting job (a cube job: csat on the kernel preset)
+    donates its pool even when it dies."""
+
+    @pytest.mark.parametrize("kind", ["csat"])
     def test_watchdog_kill_salvages_lemmas(self, registry, kind):
         from repro.runtime.supervisor import spawn_worker
         from repro.runtime.worker import WorkerJob
         circuit = instance_by_name("mult6.arith").build()
         job = WorkerJob(circuit=circuit, name="salvage", kind=kind,
-                        preset_name="implicit",
+                        preset_name="kernel",
                         limits=Limits(max_seconds=1000),  # never self-stop
                         export_lemmas=True)
         handle = spawn_worker(job, wall_seconds=1.2, grace_seconds=3.0)
@@ -838,7 +841,7 @@ class TestLemmaSalvage:
         assert families["repro_lemmas_salvaged_total"]["samples"][0][2] \
             == float(len(outcome.lemmas))
 
-    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    @pytest.mark.parametrize("kind", ["csat"])
     def test_warm_worker_watchdog_kill_salvages_its_task(self, registry,
                                                          kind):
         # A warm worker's task runs under its own watchdog: killed past
@@ -865,7 +868,7 @@ class TestLemmaSalvage:
         assert families["repro_lemmas_salvaged_total"]["samples"][0][2] \
             == float(len(outcome.lemmas))
 
-    @pytest.mark.parametrize("kind", ["csat", "cnf"])
+    @pytest.mark.parametrize("kind", ["csat"])
     def test_delivered_worker_exits_cleanly_and_writes_no_salvage(
             self, monkeypatch, kind):
         # A worker that has answered is joined, not SIGTERMed: it exits 0

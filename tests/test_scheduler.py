@@ -7,7 +7,7 @@ subprocesses or sockets:
 
 * a SAT model that fails the scheduler's certification becomes
   CORRUPT_ANSWER and is retried with ``attempt + 1``;
-* a retryable failure is requeued, and the local endpoint reseeds it on
+* a retryable failure is requeued, and the local endpoint retries it on
   a fresh warm worker — one worker per slot, not one per cube;
 * a late answer for an already-closed cube is a counted duplicate,
   never a second application;
@@ -21,7 +21,6 @@ import threading
 from types import SimpleNamespace
 
 from repro import UNKNOWN, UNSAT, miter
-from repro.csat.options import preset
 from repro.cube import CutterOptions, PRUNED, solve_cubes
 from repro.cube.conquer import CUBE_PRESET, EndpointDown, NodeInfo, _conquer
 from repro.dist import DistReport
@@ -29,7 +28,6 @@ from repro.errors import CORRUPT_ANSWER, CRASHED, WorkerFailure
 from repro.gen.arith import array_multiplier, csa_multiplier
 from repro.obs.trace import Tracer
 from repro.result import SolverResult, SolverStats
-from repro.runtime.portfolio import RESEED_STRIDE
 from repro.runtime.supervisor import WorkerOutcome
 
 WAIT = 30.0   # bound on every wait in a scripted endpoint
@@ -86,11 +84,10 @@ class Events(Tracer):
 
 
 def conquer(endpoints, circuit=None, **kwargs):
-    params = dict(trace=None, span_fields={}, options=preset("implicit"),
+    params = dict(trace=None, span_fields={},
                   cutter=CutterOptions(max_cubes=6), budget=60, limits=None,
-                  certify="sat", share_lemmas=True, max_retries=1,
-                  checkpoint_path=None, checkpoint_every=8,
-                  resume_from=None)
+                  certify="sat", max_retries=1, checkpoint_path=None,
+                  checkpoint_every=8, resume_from=None)
     params.update(kwargs)
     report = DistReport(result=SolverResult(status=UNKNOWN),
                         nodes=[e.info for e in endpoints])
@@ -167,14 +164,13 @@ def test_local_endpoint_reseeds_a_retry(monkeypatch):
     # then serves the remaining cubes: never a worker per cube.
     assert len(jobs) == 2 < sum(1 for c in report.cubes
                                 if c.status == UNSAT)
+    # The retry's worker is a fresh one, built from its own copy of the
+    # same job: the cube preset, with the driver's phase lemmas.
     first, retry = jobs
-    base = preset(CUBE_PRESET).sim_seed
-    assert "sim_seed" not in first.overrides
-    assert first.seed_classes is not None
-    assert retry.overrides["sim_seed"] == base + RESEED_STRIDE
-    assert retry.seed_classes is None
+    assert first is not retry and first == retry
+    assert (first.kind, first.preset_name) == ("csat", CUBE_PRESET)
     # The driver ran the explicit phase; no worker repeats it.
-    assert first.overrides["explicit_learning"] is False
+    assert first.overrides == {"explicit_learning": False}
     assert first.seed_lemmas
 
 
